@@ -71,7 +71,6 @@ from .grounding import (
     load_templates,
     pars,
     render_nl,
-    run_grounding,
 )
 from .kb import KBError, Session, dump_kb, load_kb
 

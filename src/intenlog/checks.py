@@ -198,11 +198,7 @@ def _check_laws(world: World, u, table: ConceptTable, failures: list):
     if u.op == "conj":
         left = extension(world, u.children[0])
         right = extension(world, u.children[1])
-        k, j = u.children[0].arity, u.children[1].arity
-        if u.pairs and u.arity == k + j - len(u.pairs):
-            want = brute_force_join(left, right, u.pairs)
-        else:
-            want = brute_force_join(left, right, ())
+        want = brute_force_join(left, right, u.pairs)
         if got != want:
             failures.append(f"conj law failed on u{u.id}")
     elif u.op == "neg":

@@ -45,7 +45,6 @@ RULE_T_GROUND = "T_a"
 RULE_T_OPEN = "T_b"
 RULE_AX4 = "Ax4"
 RULE_AXK = "AxK"
-RULE_MP = "MP"  # reserved trace vocabulary; modus ponens is folded into T_b
 RULE_CONSOLIDATE = "consolidate"
 
 

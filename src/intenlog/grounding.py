@@ -39,7 +39,7 @@ from .syntax import (
     Vocabulary,
     free_var_tuple,
 )
-from .worlds import World, extension, is_canonical_atom
+from .worlds import World, is_canonical_atom
 
 
 class GroundingError(Exception):
@@ -91,9 +91,6 @@ class GroundingRegistry:
             raise GroundingError(f"no process named {name!r}")
         return self._processes[name]
 
-    def process_names(self) -> list[str]:
-        return sorted(self._processes)
-
     def bind_concept(self, concept: Concept, process_name: str) -> "GroundingRegistry":
         """Ground an atomic concept: canonical atoms bind their whole
         predicate, other atoms (grounded propositions and the like)
@@ -112,14 +109,6 @@ class GroundingRegistry:
         self.process(process_name)
         self._pred_binds[(name, arity)] = process_name
         return self
-
-    def is_bound(self, concept: Concept) -> bool:
-        if concept in self._concept_binds:
-            return True
-        if concept.op == "atom":
-            pred = concept.predicate
-            return (pred.name, pred.arity) in self._pred_binds
-        return False
 
     def bindings(self) -> list[tuple[str, str]]:
         """(target, process) pairs, deterministic, for dumps."""
@@ -151,17 +140,6 @@ class GroundingRegistry:
                 f"process {pname!r} produced arity {rel.arity} for {name}/{arity}"
             )
         return rel
-
-
-def run_grounding(registry: GroundingRegistry, world: World, concept: Concept) -> Relation:
-    """Evaluate a bound concept's extension through its process.
-
-    The result is memoized on the world, so repeated runs in one world
-    return the identical relation.
-    """
-    if not registry.is_bound(concept):
-        raise GroundingError(f"concept u{concept.id} is not bound to any process")
-    return extension(world, concept)
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +253,6 @@ class TemplateSet:
         self._by_lemma[template.lemma] = template
         self._by_past[template.past] = template
         self._by_pred[template.pred_name] = template
-
-    def templates(self) -> list[VerbTemplate]:
-        return [self._by_lemma[k] for k in sorted(self._by_lemma)]
 
     def for_predicate(self, name: str) -> VerbTemplate | None:
         return self._by_pred.get(name)
@@ -595,6 +570,3 @@ class EmotionMap:
 
     def get(self, kind: str, concept: Concept) -> float | None:
         return self._maps.get(kind, {}).get(concept)
-
-    def kinds(self) -> list[str]:
-        return sorted(self._maps)

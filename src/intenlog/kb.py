@@ -1,9 +1,10 @@
 """Knowledge-base files and the session tying the engine together.
 
 A session owns one vocabulary, one concept table, the current world,
-the epistemic memory, the grounding registry and an emotion map; every
-mutation goes through its methods, so a command script and the
-interactive loop behave identically.
+the epistemic memory and the grounding registry; every mutation goes
+through its methods, so a command script and the interactive loop
+behave identically.  Rules live only in permanent memory, as Know atoms
+of their implication.
 
 KB grammar, one directive per line, ``#`` comments:
 
@@ -24,7 +25,7 @@ import re
 
 from . import epistemic, worlds
 from .epistemic import Memory, MemoryHandle, TraceStep
-from .grounding import EmotionMap, GroundingError, GroundingRegistry, TemplateSet, render_nl
+from .grounding import GroundingError, GroundingRegistry, TemplateSet, render_nl
 from .parser import ParseError, parse_formula, parse_term
 from .prp import ConceptError, ConceptTable
 from .relalg import Relation
@@ -55,11 +56,9 @@ class Session:
         self.table = ConceptTable(self.vocabulary)
         self.registry = GroundingRegistry()
         self.templates = TemplateSet()
-        self.emotions = EmotionMap()
         self.memory_handle = MemoryHandle()
         self.budget = budget
         self.declared_particulars: list[str] = []
-        self.rules: list[tuple[Formula, Formula]] = []
         self.trace: list[TraceStep] = []
         self.world = World(
             timestamp=0,
@@ -104,7 +103,6 @@ class Session:
         self.memory, atom = epistemic.add_rule(
             self.memory, antecedent, consequent, self.table
         )
-        self.rules.append((antecedent, consequent))
         return atom
 
     # -- facts and knowledge ------------------------------------------------
@@ -244,8 +242,11 @@ def dump_kb(session: Session) -> str:
     for target, process in session.registry.bindings():
         if "/" in target:  # concept-level binds are programmatic, not KB directives
             out.append(f"ground {target.split('/')[0]} {process}")
-    for antecedent, consequent in session.rules:
-        out.append(f"rule {serialize(antecedent)} => {serialize(consequent)}")
+    for atom in session.memory.permanent:
+        if atom.provenance == (epistemic.RULE_EXPERIENCE,):  # only add_rule stores these
+            parts = epistemic.decompose_implication(atom.content)
+            antecedent, consequent = (serialize(session.table.recover(u)) for u in parts)
+            out.append(f"rule {antecedent} => {consequent}")
     assert_lines = []
     for (name, arity), rel in session.world.pred_base.items():
         pred = session.vocabulary.resolve(name, arity)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from .relalg import RelAlgError, join_pairs
 from .syntax import (
     AbstractedTerm,
     Atom,
@@ -105,15 +106,6 @@ _RESERVED = (EMPTY_TUPLE_NAME, SELF_NAME, NULL_NAME) + TENSES
 IDENTITY_PREDICATE = Predicate(IDENTITY_NAME, 2)
 
 
-def pairs_in_bounds(pairs, k: int, j: int) -> bool:
-    """Whether the join pairs are usable: in range and column-distinct."""
-    firsts = [a for a, _ in pairs]
-    seconds = [b for _, b in pairs]
-    if len(set(firsts)) != len(firsts) or len(set(seconds)) != len(seconds):
-        return False
-    return all(1 <= a <= k and 1 <= b <= j for a, b in pairs)
-
-
 class ConceptTable:
     """Interning table for particulars and concepts.
 
@@ -157,9 +149,6 @@ class ConceptTable:
 
     def particulars(self) -> list[Particular]:
         return [self._particulars[n] for n in sorted(self._particulars)]
-
-    def empty_tuple(self) -> Particular:
-        return self.particular(EMPTY_TUPLE_NAME)
 
     def concepts(self) -> list[Concept]:
         return sorted(self._concepts.values(), key=lambda u: u.id)
@@ -215,19 +204,18 @@ class ConceptTable:
         )
 
     def conj(self, u: Concept, v: Concept, pairs) -> Concept:
-        """Indexed conjunction of concepts.
+        """Indexed conjunction of concepts, of arity k + j - |pairs|.
 
-        With usable pairs the result has arity k + j - |pairs|;
-        malformed pairs fall back to the Cartesian arity k + j.
+        Pairs out of range or joining a column twice raise ConceptError;
+        empty pairs give the Cartesian conjunction.
         """
-        pairs = tuple(sorted({(int(a), int(b)) for a, b in pairs}))
-        if pairs_in_bounds(pairs, u.arity, v.arity):
-            arity = u.arity + v.arity - len(pairs)
-        else:
-            arity = u.arity + v.arity
+        try:
+            pairs = join_pairs(pairs, u.arity, v.arity)
+        except RelAlgError as exc:
+            raise ConceptError(str(exc)) from exc
         return self._make(
             ("conj", pairs, u.id, v.id),
-            arity=arity,
+            arity=u.arity + v.arity - len(pairs),
             op="conj",
             children=(u, v),
             pairs=pairs,
@@ -369,9 +357,9 @@ class ConceptTable:
     def recover(self, u: Concept) -> Formula:
         """Rebuild the formula a concept was interned from.
 
-        Interpreting the result yields ``u`` again.  Only defined for
-        concepts that originate from formulas; hand-built composites
-        whose join pairs were malformed cannot be expressed.
+        Interpreting the result yields ``u`` again.  A conjunction whose
+        operands share a free variable name that its pairs leave unjoined
+        has no formula form and raises ConceptError.
         """
         if u.op == "truth":
             return Top()

@@ -83,8 +83,16 @@ class ActiveDomain:
         return sorted(self.elements, key=element_key)
 
 
-def _normalize_pairs(pairs) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted({(int(a), int(b)) for a, b in pairs}))
+def join_pairs(pairs, k: int, j: int) -> tuple[tuple[int, int], ...]:
+    """Normalize join pairs for operands of arities (k, j) and check that
+    they are usable: every pair in range and no column joined twice."""
+    pairs = tuple(sorted({(int(a), int(b)) for a, b in pairs}))
+    for a, b in pairs:
+        if not (1 <= a <= k and 1 <= b <= j):
+            raise RelAlgError(f"join pair ({a},{b}) out of range for arities ({k},{j})")
+    if len({a for a, _ in pairs}) != len(pairs) or len({b for _, b in pairs}) != len(pairs):
+        raise RelAlgError(f"duplicate column in join pairs {pairs}")
+    return pairs
 
 
 def natural_join(r1: Relation, r2: Relation, pairs) -> Relation:
@@ -93,16 +101,9 @@ def natural_join(r1: Relation, r2: Relation, pairs) -> Relation:
     Output columns are all of ``r1`` followed by the non-joined columns
     of ``r2`` in their original order.
     """
-    pairs = _normalize_pairs(pairs)
+    pairs = join_pairs(pairs, r1.arity, r2.arity)
     firsts = [a for a, _ in pairs]
     seconds = [b for _, b in pairs]
-    for a, b in pairs:
-        if not (1 <= a <= r1.arity and 1 <= b <= r2.arity):
-            raise RelAlgError(
-                f"join pair ({a},{b}) out of range for arities ({r1.arity},{r2.arity})"
-            )
-    if len(set(firsts)) != len(firsts) or len(set(seconds)) != len(seconds):
-        raise RelAlgError(f"duplicate column in join pairs {pairs}")
     keep = [i for i in range(r2.arity) if i + 1 not in set(seconds)]
     out_arity = r1.arity + len(keep)
     if not pairs:

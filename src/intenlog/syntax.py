@@ -302,10 +302,6 @@ def free_arity(f: Formula) -> int:
     return len(free_var_tuple(f))
 
 
-def is_sentence(f: Formula) -> bool:
-    return not free_var_tuple(f)
-
-
 # ---------------------------------------------------------------------------
 # Substitution
 

@@ -85,8 +85,8 @@ class World:
     def with_particulars(self, particulars) -> "World":
         return World(
             timestamp=self.timestamp,
-            pred_base=dict(self.pred_base),
-            concept_base=dict(self.concept_base),
+            pred_base=self.pred_base,
+            concept_base=self.concept_base,
             particulars=frozenset(particulars),
             know_source=self.know_source,
             grounding=self.grounding,
@@ -135,10 +135,7 @@ def _compute(world: World, u: Concept) -> Relation:
     if u.op == "conj":
         left = extension(world, u.children[0])
         right = extension(world, u.children[1])
-        k, j = u.children[0].arity, u.children[1].arity
-        if u.pairs and u.arity == k + j - len(u.pairs):
-            return relalg.natural_join(left, right, u.pairs)
-        return relalg.natural_join(left, right, ())
+        return relalg.natural_join(left, right, u.pairs)
     if u.op == "neg":
         return relalg.complement(extension(world, u.children[0]), world.active_domain())
     if u.op == "exists":

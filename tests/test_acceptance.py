@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines.
 """
 
+import hashlib
 import time
 
 from intenlog.checks import (
@@ -18,6 +19,9 @@ from intenlog.parser import parse_formula
 from intenlog.syntax import AbstractedTerm, free_var_tuple, serialize
 from intenlog.worlds import eval_sentence
 
+# sha256 of ``intenlog demo --trace-out`` at the default budget; any
+# change to rule order, atom ids or rendered sentences moves it
+DEMO_TRACE_SHA256 = "2470cc8dcf1df21cdff93b63815f1da901f4436e6397bb24396758d51ac11ce3"
 
 def _report(n, name, ok):
     print(f"ACCEPTANCE {n} ({name}): {'PASS' if ok else 'FAIL'}")
@@ -54,6 +58,7 @@ def test_acceptance_5_worked_example(tmp_path):
     code1 = run_demo(trace_out=str(t1), report=quiet)
     code2 = run_demo(trace_out=str(t2), report=quiet)
     deterministic = t1.read_bytes() == t2.read_bytes()
+    pinned = hashlib.sha256(t1.read_bytes()).hexdigest() == DEMO_TRACE_SHA256
 
     session, info = build_demo_session()
     positives = sorted(cid for cid, positive in info["corpus"] if positive)
@@ -85,8 +90,9 @@ def test_acceptance_5_worked_example(tmp_path):
 
     _report(
         5,
-        "worked example: 3 derived atoms, stamped consolidation, verbatim rendering",
-        code1 == 0 and code2 == 0 and deterministic and exactly_three
+        "worked example: 3 derived atoms, stamped consolidation, verbatim rendering, "
+        "pinned trace",
+        code1 == 0 and code2 == 0 and deterministic and pinned and exactly_three
         and stamped_ok and rendered_ok,
     )
 

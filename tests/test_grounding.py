@@ -14,7 +14,6 @@ from intenlog.grounding import (
     load_templates,
     pars,
     render_nl,
-    run_grounding,
     truth_process,
 )
 from intenlog.prp import ConceptTable
@@ -28,7 +27,7 @@ from intenlog.syntax import (
     Variable,
     Vocabulary,
 )
-from intenlog.worlds import World, extension
+from intenlog.worlds import MissingExtensionError, World, extension
 
 TEMPLATES = load_templates(
     "verb walk past=walked pred=Walk/5 slots=figure,from,through,to\n"
@@ -88,8 +87,8 @@ class TestRegistry:
         world = World(grounding=registry)
         pred = table.vocabulary.declare("stuff", 1)
         u = table.intern_atom(pred, (("v", "x"),))
-        with pytest.raises(GroundingError, match="not bound"):
-            run_grounding(registry, world, u)
+        with pytest.raises(MissingExtensionError):
+            extension(world, u)
 
     def test_grounded_extension_is_stable(self):
         vocab = Vocabulary()
@@ -101,8 +100,8 @@ class TestRegistry:
         u = table.intern_atom(vocab.resolve("videoclips", 1), (("v", "y"),))
         registry.bind_concept(u, "clips")
         world = World(grounding=registry, particulars=frozenset(table.particulars()))
-        first = run_grounding(registry, world, u)
-        assert first is run_grounding(registry, world, u)
+        first = extension(world, u)
+        assert first is extension(world, u)
         assert len(first.tuples) == 2
 
     def test_retrieval_output_within_the_clip_class(self):

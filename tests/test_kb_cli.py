@@ -86,6 +86,18 @@ class TestDumpKB:
         load_kb(dumped, fresh)
         assert dump_kb(fresh) == dumped
 
+    def test_rule_already_known_dumps_once_and_round_trips(self):
+        session = load_kb(
+            "predicate a/0\n"
+            "predicate b/0\n"
+            "know << ~ (a() /\\{} ~ b()) >>\n"
+            "rule a() => b()\n"
+            "rule a() => b()\n"
+        )
+        dumped = dump_kb(session)
+        assert dumped.count("rule a() => b()") <= 1
+        assert dump_kb(load_kb(dumped)) == dumped
+
 
 class TestSessionCommands:
     def test_eval_and_answer(self):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from intenlog.prp import ConceptError, ConceptTable, pairs_in_bounds
+from intenlog.prp import ConceptError, ConceptTable
 from intenlog.syntax import (
     AbstractedTerm,
     Atom,
@@ -75,11 +75,13 @@ class TestAlgebra:
         v = table.intern_atom(Predicate("b4", 4), var_entries(*"fghi"))
         assert table.conj(u, v, ((4, 1), (2, 3))).arity == 7
 
-    def test_conj_fallback_out_of_bounds(self, table):
+    def test_conj_rejects_malformed_pairs(self, table):
         u = table.intern_atom(Predicate("a2", 2), var_entries("a", "b"))
         v = table.intern_atom(Predicate("b1", 1), var_entries("c"))
-        assert table.conj(u, v, ((9, 1),)).arity == 3
-        assert not pairs_in_bounds(((9, 1),), 2, 1)
+        with pytest.raises(ConceptError, match="out of range"):
+            table.conj(u, v, ((9, 1),))
+        with pytest.raises(ConceptError, match="duplicate column"):
+            table.conj(u, v, ((1, 1), (2, 1)))
 
     def test_retrieval_join_lands_in_d1(self, table):
         walk = Atom(
