@@ -15,15 +15,24 @@ permanent one.  Four rules drive deduction:
   antecedent, yielding knowledge of the consequent.
 
 Memory is a value: deduction and consolidation return new memories and
-leave their inputs untouched.  Every derived atom carries a provenance
-and every run yields a derivation trace.
+leave their inputs untouched: each call grows a private working set
+(the stores as lists, the atoms indexed by key) and freezes it into the
+memory it returns.  Every derived atom carries a provenance and every
+run yields a derivation trace.
+
+Forward chaining is semi-naive (Bancilhon & Ramakrishnan 1986): T_b
+and Ax4 visit each atom once, and AxK looks implications up by the id
+of their antecedent concept, firing only pairs in which the atom or the
+implication is new since the last AxK phase.  Pairs fire in the order
+of the naive all-pairs scan, so traces and atom ids do not depend on
+the evaluation strategy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .prp import Concept, ConceptError, ConceptTable, Particular, SELF_NAME
+from .prp import Concept, ConceptTable, Particular, SELF_NAME
 from .syntax import (
     AbstractedTerm,
     Atom,
@@ -104,20 +113,40 @@ class Memory:
         return self._add("permanent", time, subject, content, provenance, depth)
 
     def _add(self, store, time, subject, content, provenance, depth):
-        existing = self.find(time, subject, content)
-        if existing is not None:
-            return self, existing, False
-        atom = KnowAtom(self.next_id, time, subject, content, provenance, depth)
-        temporary, permanent = self.temporary, self.permanent
-        if store == "temporary":
-            temporary = temporary + (atom,)
-        else:
-            permanent = permanent + (atom,)
-        return Memory(temporary, permanent, self.next_id + 1), atom, True
+        ws = _WorkingSet(self.temporary, self.permanent, self.next_id)
+        atom, added = ws.add(getattr(ws, store), time, subject, content, provenance, depth)
+        return (ws.freeze() if added else self), atom, added
 
     def know_tuples(self) -> frozenset:
         """The Know relation this memory backs: one triple per held atom."""
         return frozenset((a.time, a.subject, a.content) for a in self.atoms())
+
+
+class _WorkingSet:
+    """A memory under construction: the two stores as lists and the atoms
+    indexed by key.  One call grows it and freezes it into a new Memory,
+    so no memory anyone holds ever changes."""
+
+    def __init__(self, temporary, permanent, next_id):
+        self.temporary, self.permanent = list(temporary), list(permanent)
+        self.next_id = next_id
+        self.by_key: dict[tuple, KnowAtom] = {}
+        for atom in self.temporary + self.permanent:
+            self.by_key.setdefault(atom.key(), atom)
+
+    def add(self, store, time, subject, content, provenance, depth=0):
+        """Append a new atom to ``store`` unless its key is already held."""
+        existing = self.by_key.get((time, subject, content))
+        if existing is not None:
+            return existing, False
+        atom = KnowAtom(self.next_id, time, subject, content, provenance, depth)
+        self.next_id += 1
+        store.append(atom)
+        self.by_key[atom.key()] = atom
+        return atom, True
+
+    def freeze(self) -> Memory:
+        return Memory(tuple(self.temporary), tuple(self.permanent), self.next_id)
 
 
 class MemoryHandle:
@@ -186,17 +215,15 @@ def apply_T_open(
 
 
 def apply_4(atom: KnowAtom, table: ConceptTable) -> Concept:
-    """Positive introspection: the atom itself, reified as a proposition."""
+    """Positive introspection: the atom itself, reified as a proposition.
+
+    Interning the elements directly gives the concept that interpreting
+    Know(time, subject, content) as a formula would give.
+    """
     know = table.vocabulary.resolve(KNOW_NAME, 3)
-    inner = Atom(
-        know,
-        (
-            table.element_to_term(atom.time),
-            table.element_to_term(atom.subject),
-            table.element_to_term(atom.content),
-        ),
+    return table.intern_atom(
+        know, (("g", atom.time), ("g", atom.subject), ("g", atom.content))
     )
-    return table.interpret(inner)
 
 
 def decompose_implication(u: Concept) -> tuple[Concept, Concept] | None:
@@ -254,90 +281,90 @@ def forward_chain(
 ) -> tuple[Memory, tuple[TraceStep, ...]]:
     """Run the deduction rules to fixpoint.
 
-    Rules apply in the fixed order T_b, T_a, AxK, Ax4 over atoms in id
-    order, so identical inputs give identical memories and traces.
+    Each pass applies T_b, T_a, AxK and Ax4 in this order, each over the
+    atoms present when it starts, in memory order (temporary, then
+    permanent), so identical inputs give identical memories and traces.
+    Evaluation is semi-naive: T_b and Ax4 visit only atoms they have not
+    visited, and AxK fires only (atom, implication) pairs with at least
+    one side new since its last phase, found through implications
+    indexed by antecedent concept id and atoms indexed by content id;
+    re-firing an old pair could only rederive a held atom.
     Introspection is bounded: Ax4 only fires on atoms nested less
     deeply than ``budget``.  Termination follows from the budget, the
     finite world and deduplication of atoms.
     """
     if budget < 0:
         raise EpistemicError("budget must be >= 0")
+    ws = _WorkingSet(memory.temporary, memory.permanent, memory.next_id)
     steps: list[TraceStep] = []
-    instance_lists: dict[int, list[Formula]] = {}
-    t_open_done: set[int] = set()
+    instance_lists: dict[int, tuple[KnowAtom, list[Formula]]] = {}
     t_ground_done: set[int] = set()
+    visited = {RULE_T_OPEN: None, RULE_AXK: None, RULE_AX4: None}
+    rank = {a.id: (0, i) for i, a in enumerate(memory.temporary)}
+    rank.update({a.id: (1, j) for j, a in enumerate(memory.permanent)})
+    by_content: dict[int, list[KnowAtom]] = {}
+    by_antecedent: dict[int, list[KnowAtom]] = {}
 
-    def record(rule, inputs, atom):
-        steps.append(
-            TraceStep(rule, tuple(inputs), atom.id, serialize(table.recover(atom.content)))
+    def fresh(rule):
+        """Atoms ``rule`` has not visited yet: all of them at first, then
+        the temporary atoms derived since its last phase."""
+        mark, visited[rule] = visited[rule], len(ws.temporary)
+        return ws.temporary + ws.permanent if mark is None else ws.temporary[mark:]
+
+    def derive(rule, inputs, source, content, depth=0):
+        atom, added = ws.add(
+            ws.temporary, source.time, source.subject, content,
+            ("derived", rule, inputs), depth,
         )
+        if added:
+            rank[atom.id] = (0, len(ws.temporary) - 1)
+            steps.append(
+                TraceStep(rule, inputs, atom.id, serialize(table.recover(content)))
+            )
+        return atom, added
 
     changed = True
     while changed:
         changed = False
 
-        for atom in list(memory.atoms()):
-            if atom.content.arity == 0 or atom.id in t_open_done:
-                continue
-            t_open_done.add(atom.id)
+        for atom in fresh(RULE_T_OPEN):
             result = apply_T_open(atom, world, table)
             if result is None:
                 continue
             content, instances = result
-            memory, derived, added = memory.add_temporary(
-                atom.time, atom.subject, content,
-                ("derived", RULE_T_OPEN, (atom.id,)),
-            )
-            instance_lists.setdefault(derived.id, instances)
-            if added:
-                record(RULE_T_OPEN, (atom.id,), derived)
-                changed = True
+            derived, added = derive(RULE_T_OPEN, (atom.id,), atom, content)
+            instance_lists.setdefault(derived.id, (derived, instances))
+            changed |= added
 
         for conj_id in sorted(instance_lists):
             if conj_id in t_ground_done:
                 continue
             t_ground_done.add(conj_id)
-            source = memory.get(conj_id)
-            for inst in instance_lists[conj_id]:
-                content = table.interpret(inst)
-                memory, derived, added = memory.add_temporary(
-                    source.time, source.subject, content,
-                    ("derived", RULE_T_GROUND, (conj_id,)),
-                )
-                if added:
-                    record(RULE_T_GROUND, (conj_id,), derived)
-                    changed = True
+            source, instances = instance_lists[conj_id]
+            for inst in instances:
+                changed |= derive(RULE_T_GROUND, (conj_id,), source, table.interpret(inst))[1]
 
-        snapshot = list(memory.atoms())
-        for atom in snapshot:
-            for implication in snapshot:
-                if implication.id == atom.id:
-                    continue
-                consequent = apply_K(atom, implication)
-                if consequent is None:
-                    continue
-                memory, derived, added = memory.add_temporary(
-                    atom.time, atom.subject, consequent,
-                    ("derived", RULE_AXK, (atom.id, implication.id)),
-                )
-                if added:
-                    record(RULE_AXK, (atom.id, implication.id), derived)
-                    changed = True
+        pairs = {}  # (atom rank, implication rank) -> (atom, implication)
+        for atom in fresh(RULE_AXK):
+            by_content.setdefault(atom.content.id, []).append(atom)
+            for implication in by_antecedent.get(atom.content.id, ()):
+                pairs[rank[atom.id], rank[implication.id]] = (atom, implication)
+            parts = decompose_implication(atom.content)
+            if parts is not None:
+                by_antecedent.setdefault(parts[0].id, []).append(atom)
+                for source in by_content.get(parts[0].id, ()):
+                    pairs[rank[source.id], rank[atom.id]] = (source, atom)
+        for key in sorted(pairs):
+            atom, implication = pairs[key]
+            consequent = apply_K(atom, implication)
+            changed |= derive(RULE_AXK, (atom.id, implication.id), atom, consequent)[1]
 
-        for atom in list(memory.atoms()):
-            if atom.depth >= budget:
-                continue
-            content = apply_4(atom, table)
-            memory, derived, added = memory.add_temporary(
-                atom.time, atom.subject, content,
-                ("derived", RULE_AX4, (atom.id,)),
-                depth=atom.depth + 1,
-            )
-            if added:
-                record(RULE_AX4, (atom.id,), derived)
-                changed = True
+        for atom in fresh(RULE_AX4):
+            if atom.depth < budget:
+                content = apply_4(atom, table)
+                changed |= derive(RULE_AX4, (atom.id,), atom, content, atom.depth + 1)[1]
 
-    return memory, tuple(steps)
+    return ws.freeze(), tuple(steps)
 
 
 def stamp_formula(f: Formula, tau, table: ConceptTable) -> Formula:
@@ -379,14 +406,13 @@ def consolidate(
     """
     tau_term = tau if isinstance(tau, Constant) else Constant(str(tau))
     steps: list[TraceStep] = []
-    result = Memory((), memory.permanent, memory.next_id)
+    ws = _WorkingSet((), memory.permanent, memory.next_id)
     for atom in memory.temporary:
         rewritten = stamp_formula(table.recover(atom.content), tau_term, table)
         content = table.interpret(rewritten)
-        result, derived, added = result.add_permanent(
-            atom.time, atom.subject, content,
-            ("consolidated", tau_term.name, atom.id),
-            depth=atom.depth,
+        derived, added = ws.add(
+            ws.permanent, atom.time, atom.subject, content,
+            ("consolidated", tau_term.name, atom.id), atom.depth,
         )
         if added:
             steps.append(
@@ -395,23 +421,16 @@ def consolidate(
                     serialize(table.recover(content)),
                 )
             )
-    return result, tuple(steps)
-
-
-def flatten_conjuncts(f: Formula) -> list[Formula]:
-    """All leaves of the plain-conjunction spine of a sentence."""
-    if isinstance(f, Conj) and not f.pairs:
-        return flatten_conjuncts(f.lhs) + flatten_conjuncts(f.rhs)
-    return [f]
+    return ws.freeze(), tuple(steps)
 
 
 def answer(memory: Memory, world: World, query: Formula, table: ConceptTable) -> str:
     """Answer a sentence with yes, no or unknown.
 
-    Yes when the query follows from sentences extracted from memory or
-    evaluates true in the world; no when its negation does (evaluation
-    is closed-world over the active domain); unknown when the query
-    cannot be decided either way.
+    Yes when the query is a held proposition or a conjunct on the
+    conjunction spine of one, or evaluates true in the world; no when
+    its negation does (evaluation is closed-world over the active
+    domain); unknown when the query cannot be decided either way.
     """
     if free_var_tuple(query):
         raise EpistemicError("queries must be sentences")
@@ -420,12 +439,13 @@ def answer(memory: Memory, world: World, query: Formula, table: ConceptTable) ->
         if atom.content.arity != 0:
             continue
         known.add(atom.content.id)
-        try:
-            sentence = table.recover(atom.content)
-        except ConceptError:
-            continue
-        for part in flatten_conjuncts(sentence):
-            known.add(table.interpret(part).id)
+        spine = [atom.content]
+        while spine:
+            u = spine.pop()
+            if u.op == "conj":  # propositions join no columns
+                spine.extend(u.children)
+            else:
+                known.add(u.id)
     concept = table.interpret(query)
     if concept.id in known:
         return "yes"

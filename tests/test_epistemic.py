@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from intenlog.epistemic import (
     EpistemicError,
+    KnowAtom,
     Memory,
     MemoryHandle,
     add_rule,
@@ -13,11 +16,11 @@ from intenlog.epistemic import (
     assert_experience,
     consolidate,
     decompose_implication,
-    flatten_conjuncts,
     forward_chain,
     implication_formula,
     stamp_formula,
 )
+from intenlog.kb import load_kb
 from intenlog.prp import ConceptTable
 from intenlog.relalg import Relation
 from intenlog.syntax import (
@@ -230,6 +233,24 @@ class TestIntrospection:
         twice = apply_4(nested, scenario.table)
         assert twice is not once
 
+    def test_matches_interpreting_the_know_formula(self, scenario):
+        """Oracle: interning the elements directly gives the concept of
+        the formula Know(time, subject, content) built from their terms."""
+        t = scenario.table
+        know = t.vocabulary.resolve("Know", 3)
+        scenario.experience()
+        scenario.memory, _, _ = assert_experience(
+            scenario.memory, AbstractedTerm(scenario.query), {}, t
+        )
+        scenario.chain(budget=3)
+        atoms = list(scenario.memory.atoms())
+        atoms.append(KnowAtom(0, t.particular("t1"), t.particular("me"), atoms[0].content, ()))
+        arities = {a.content.arity for a in atoms}
+        assert {0, 1} <= arities and max(a.depth for a in atoms) == 3
+        for atom in atoms:
+            terms = tuple(t.element_to_term(e) for e in (atom.time, atom.subject, atom.content))
+            assert apply_4(atom, t) is t.interpret(Atom(know, terms))
+
 
 class TestDistribution:
     def make(self, scenario, facts, rules, known):
@@ -387,6 +408,43 @@ class TestForwardChain:
             assert all(i < step.output for i in step.inputs)
 
 
+class TestValueContract:
+    """forward_chain and consolidate return new memories: their input,
+    and any memory they returned before, never changes."""
+
+    RULES = (
+        "predicate p/1\npredicate q/1\npredicate r/1\nparticular a\n"
+        "assert p(a)\nassert r(a)\nrule p(?x) => q(?x)\n"
+    )
+
+    def test_chain_and_consolidate_leave_inputs_alone(self):
+        session = load_kb(self.RULES + "know << p(?x) >>_{x}\n")
+        held = []
+        for step in ("chain", "consolidate", "chain"):
+            before = session.memory
+            copy, atoms = replace(before), before.atoms()
+            if step == "chain":
+                after, steps = forward_chain(before, session.world, session.table, 2)
+            else:
+                after, steps = consolidate(before, "t1", session.table)
+            assert steps and after is not before
+            assert before == copy and before.atoms() == atoms
+            assert type(after.temporary) is tuple and type(after.permanent) is tuple
+            held.append((before, copy))
+            session.memory = after
+            if step == "consolidate":
+                session.execute("know << r(?x) >>_{x}")
+        for memory, copy in held:
+            assert memory == copy
+
+    def test_rechaining_derives_nothing(self):
+        session = load_kb(self.RULES + "know << p(?x) >>_{x}\nknow << q(a) >>\n")
+        for budget in range(4):
+            first, _ = forward_chain(session.memory, session.world, session.table, budget)
+            again, steps = forward_chain(first, session.world, session.table, budget)
+            assert steps == () and again == first
+
+
 class TestConsolidate:
     def test_moves_and_stamps(self, scenario):
         scenario.experience()
@@ -499,7 +557,8 @@ class TestAnswer:
             if a.provenance[:2] == ("derived", "T_a")
         )
         sentence = scenario.table.recover(instance.content)
-        for part in flatten_conjuncts(sentence):
+        assert isinstance(sentence, Conj) and not sentence.pairs
+        for part in (sentence.lhs, sentence.rhs):
             assert answer(
                 scenario.memory, scenario.world, part, scenario.table
             ) == "yes"
