@@ -76,7 +76,9 @@ class Session:
         self.memory_handle.memory = value
 
     def _refresh_particulars(self) -> None:
-        self.world = self.world.with_particulars(frozenset(self.table.particulars()))
+        # the table only grows, so equal counts mean the snapshot is current
+        if self.table.particular_count() != len(self.world.particulars):
+            self.world = self.world.with_particulars(self.table.particulars())
 
     # -- declarations -----------------------------------------------------
 
@@ -116,13 +118,12 @@ class Session:
         row = tuple(self.table.extend_assignment({}, a) for a in f.args)
         pred = f.predicate
         current = self.world.pred_base.get((pred.name, pred.arity))
-        rows = set(current.tuples) if current is not None else set()
-        rows.add(row)
+        rows = current.tuples | {row} if current is not None else frozenset({row})
         concept = self.table.intern_atom(
             pred,
             tuple(("v", f"x{i}") for i in range(1, pred.arity + 1)),
         )
-        self.world = self.world.with_base(concept, Relation(pred.arity, frozenset(rows)))
+        self.world = self.world.with_base(concept, Relation(pred.arity, rows))
         self._refresh_particulars()
 
     def know_term(self, term: AbstractedTerm):

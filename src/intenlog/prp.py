@@ -150,6 +150,9 @@ class ConceptTable:
     def particulars(self) -> list[Particular]:
         return [self._particulars[n] for n in sorted(self._particulars)]
 
+    def particular_count(self) -> int:
+        return len(self._particulars)
+
     def concepts(self) -> list[Concept]:
         return sorted(self._concepts.values(), key=lambda u: u.id)
 
@@ -232,9 +235,9 @@ class ConceptTable:
         )
 
     def exists(self, n: int, u: Concept) -> Concept:
-        """Positional projection; out-of-range n acts as the identity."""
+        """Positional projection of column n, for 1 <= n <= arity."""
         if not (1 <= n <= u.arity):
-            return u
+            raise ConceptError(f"projection position {n} out of range for arity {u.arity}")
         return self._make(
             ("exists", n, u.id),
             arity=u.arity - 1,

@@ -7,13 +7,17 @@ positional natural join, complement relative to a finite active domain,
 and column-eliminating projection, which collapses a unary relation to
 a truth value when its last column goes.
 
-Everything here is a pure function over immutable values.
+Everything here is a pure function over immutable values.  The one
+cache is a relation's column index (``Relation.index``), which joins and
+atom reads group rows by: built on first use and kept on the value it
+describes, it is excluded from equality, hashing and repr, so no caller
+can observe it except by its speed.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class RelAlgError(Exception):
@@ -38,17 +42,30 @@ def row_key(row: tuple) -> tuple:
 class Relation:
     arity: int
     tuples: frozenset
+    _index: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.arity < 0:
             raise RelAlgError("relation arity must be >= 0")
-        rows = frozenset(tuple(r) for r in self.tuples)
-        for r in rows:
-            if len(r) != self.arity:
-                raise RelAlgError(
-                    f"tuple of length {len(r)} in relation of arity {self.arity}"
-                )
-        object.__setattr__(self, "tuples", rows)
+        rows = self.tuples
+        if type(rows) is not frozenset or set(map(type, rows)) - {tuple}:
+            rows = frozenset(map(tuple, rows))
+            object.__setattr__(self, "tuples", rows)
+        wrong = set(map(len, rows)) - {self.arity}
+        if wrong:
+            raise RelAlgError(
+                f"tuple of length {min(wrong)} in relation of arity {self.arity}"
+            )
+
+    def index(self, cols: tuple[int, ...]) -> dict[tuple, list[tuple]]:
+        """The rows grouped by their values at the 0-based columns ``cols``."""
+        found = self._index.get(cols)
+        if found is None:
+            found = {}
+            for row in self.tuples:
+                found.setdefault(tuple(row[c] for c in cols), []).append(row)
+            self._index[cols] = found
+        return found
 
     def __bool__(self):
         return bool(self.tuples)
@@ -109,9 +126,7 @@ def natural_join(r1: Relation, r2: Relation, pairs) -> Relation:
     if not pairs:
         rows = {t1 + t2 for t1 in r1.tuples for t2 in r2.tuples}
         return Relation(out_arity, frozenset(rows))
-    buckets: dict[tuple, list[tuple]] = {}
-    for t2 in r2.tuples:
-        buckets.setdefault(tuple(t2[b - 1] for b in seconds), []).append(t2)
+    buckets = r2.index(tuple(b - 1 for b in seconds))
     rows = set()
     for t1 in r1.tuples:
         key = tuple(t1[a - 1] for a in firsts)
@@ -136,15 +151,13 @@ def complement(r: Relation, domain: ActiveDomain) -> Relation:
 
 
 def project_out(r: Relation, n: int) -> Relation:
-    """Eliminate column ``n``; collapses to a truth value when n = k = 1
-    and leaves the relation unchanged when n is out of range."""
+    """Eliminate column ``n``; collapses to a truth value when n = k = 1."""
     k = r.arity
-    if 1 <= n <= k and k >= 2:
-        rows = frozenset(t[: n - 1] + t[n:] for t in r.tuples)
-        return Relation(k - 1, rows)
-    if n == 1 and k == 1:
+    if not 1 <= n <= k:
+        raise RelAlgError(f"projection position {n} out of range for arity {k}")
+    if k == 1:
         return truth_collapse(r)
-    return r
+    return Relation(k - 1, frozenset(t[: n - 1] + t[n:] for t in r.tuples))
 
 
 def truth_collapse(r: Relation) -> Relation:

@@ -7,10 +7,14 @@ negation via active-domain complement, positional quantification via
 projection, with the truth concept always extensionalized to truth.
 
 Worlds are immutable snapshots; updating a base extension returns a new
-world.  Extensions are memoized per world and concept, except for
-concepts that mention the epistemic predicate, whose truth is backed by
-the (mutable) memory the world references rather than by base
-relations.
+world that shares every relation it did not replace.  Extensions are
+memoized per world and concept, except for concepts that mention the
+epistemic predicate, whose truth is backed by the (mutable) memory the
+world references rather than by base relations.  Atoms read base
+relations through their column index (a ground atom is one membership
+test), which outlives a world as long as later worlds share the
+relation.  The base part of the active domain is fixed per world and
+collected once; grounded outputs are added at each call.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ class World:
     grounding: object | None = None
     _memo: dict = field(default_factory=dict, repr=False)
     _grounded: dict = field(default_factory=dict, repr=False)
+    _base_elements: frozenset | None = field(default=None, init=False, repr=False)
 
     def with_base(self, concept: Concept, relation: Relation) -> "World":
         """A new world with the atom's base extension replaced."""
@@ -93,15 +98,14 @@ class World:
         )
 
     def active_domain(self) -> ActiveDomain:
-        """Elements of all base extensions plus the declared particulars."""
-        elements = set(self.particulars)
-        for rel in list(self.pred_base.values()) + list(self.concept_base.values()):
-            for row in rel.tuples:
-                elements.update(row)
-        for rel in self._grounded.values():
-            for row in rel.tuples:
-                elements.update(row)
-        return ActiveDomain(frozenset(elements))
+        """Elements of all base extensions plus the declared particulars,
+        plus those of the grounded relations read so far."""
+        if self._base_elements is None:
+            rels = (*self.pred_base.values(), *self.concept_base.values())
+            rows = (row for rel in rels for row in rel.tuples)
+            object.__setattr__(self, "_base_elements", frozenset(self.particulars).union(*rows))
+        grounded = (row for rel in self._grounded.values() for row in rel.tuples)
+        return ActiveDomain(self._base_elements.union(*grounded))
 
     def clear_cache(self) -> None:
         self._memo.clear()
@@ -194,15 +198,16 @@ def _layout(u: Concept, base: Relation) -> Relation:
             raise WorldError(
                 "cannot extensionalize an atom holding an open abstraction argument"
             )
+    if not positions:
+        return relalg.truth(tuple(e for _, e in ground) in base.tuples)
+    rows = base.tuples
+    if ground:
+        cols, values = zip(*ground)
+        rows = base.index(cols).get(values, ())
+    if equal:
+        rows = [row for row in rows if all(row[i] == row[j] for i, j in equal)]
     keep = sorted(positions.values())
-    rows = set()
-    for row in base.tuples:
-        if any(row[i] != e for i, e in ground):
-            continue
-        if any(row[i] != row[j] for i, j in equal):
-            continue
-        rows.add(tuple(row[i] for i in keep))
-    return Relation(u.arity, frozenset(rows))
+    return Relation(u.arity, frozenset(tuple(row[i] for i in keep) for row in rows))
 
 
 def _identity_extension(world: World, u: Concept) -> Relation:

@@ -99,6 +99,25 @@ class TestDumpKB:
         assert dump_kb(load_kb(dumped)) == dumped
 
 
+class TestWorldParticulars:
+    def test_world_holds_every_interned_particular_after_a_write(self):
+        session = load_kb("predicate p/1\npredicate q/1\nparticular a\nassert p(a)\n")
+
+        def current():
+            return session.world.particulars == frozenset(session.table.particulars())
+
+        session.execute("assert p(fresh)")  # an undeclared constant
+        assert current()
+        session.execute("assert q(<< p(inner) >>)")  # a new constant inside a term
+        assert current()
+        session.eval_formula(session.parse("p(asked)"))  # a query interns one too
+        session.execute("assert p(a)")
+        assert current()
+        names = {p.name for p in session.world.particulars}
+        assert {"a", "fresh", "inner", "asked"} <= names
+        assert session.table.particular("asked") in session.world.active_domain()
+
+
 class TestSessionCommands:
     def test_eval_and_answer(self):
         session = load_kb("predicate p/0\nassert p()")

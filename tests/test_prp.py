@@ -107,10 +107,12 @@ class TestAlgebra:
         u = table.intern_atom(Predicate("a2", 2), var_entries("a", "b"))
         assert table.neg(u).arity == 2
 
-    def test_exists_reduces_or_identity(self, table):
+    def test_exists_reduces_or_rejects_out_of_range(self, table):
         u = table.intern_atom(Predicate("a5", 5), var_entries(*"abcde"))
         assert table.exists(3, u).arity == 4
-        assert table.exists(9, u) is u
+        for n in (0, 6, 9):
+            with pytest.raises(ConceptError, match="out of range"):
+                table.exists(n, u)
 
     def test_union_singleton(self, table):
         u = table.intern_atom(Predicate("a1", 1), var_entries("x"))

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -106,10 +107,13 @@ class TestProjectOut:
         assert project_out(rel(1, ("a",)), 1) == TRUE
         assert project_out(Relation(1, frozenset()), 1) == FALSE
 
-    def test_out_of_range_is_identity(self):
+    def test_out_of_range_rejected(self):
         r = rel(2, ("a", "b"))
-        assert project_out(r, 5) is r
-        assert project_out(r, 0) is r
+        for n in (0, 3, 5):
+            with pytest.raises(RelAlgError, match="out of range"):
+                project_out(r, n)
+        with pytest.raises(RelAlgError, match="out of range"):
+            project_out(TRUE, 1)
 
     def test_deduplicates(self):
         assert project_out(rel(2, ("a", "b"), ("a", "c")), 2) == rel(1, ("a",))
@@ -158,3 +162,41 @@ def test_relation_validation():
     with pytest.raises(RelAlgError, match="length"):
         Relation(2, frozenset({("a",)}))
     assert truth(True) == TRUE and truth(False) == FALSE
+
+
+class TestRelationValue:
+    def test_index_is_not_observable(self):
+        r = rel(3, ("a", "b", "c"), ("a", "c", "c"), ("b", "b", "a"))
+        twin = rel(3, ("a", "b", "c"), ("a", "c", "c"), ("b", "b", "a"))
+        before = (hash(r), repr(r), r.sorted_rows())
+        by_first = {key: sorted(rows) for key, rows in r.index((0,)).items()}
+        assert by_first == {
+            ("a",): [("a", "b", "c"), ("a", "c", "c")],
+            ("b",): [("b", "b", "a")],
+        }
+        assert r.index((1, 2)).get(("c", "c")) == [("a", "c", "c")]
+        assert r.index((0,)) is r.index((0,))
+        assert (hash(r), repr(r), r.sorted_rows()) == before
+        assert r == twin and hash(r) == hash(twin) and not twin._index
+        assert {r: 1}[twin] == 1
+
+    def test_frozen_tuple_rows_are_kept_as_given(self):
+        rows = frozenset({("a", "b"), ("b", "a")})
+        assert Relation(2, rows).tuples is rows
+
+    def test_mixed_row_lengths_rejected(self):
+        with pytest.raises(RelAlgError, match="length 1 in relation of arity 2"):
+            Relation(2, frozenset({("a", "b"), ("a",)}))
+        with pytest.raises(RelAlgError, match="length"):
+            Relation(0, frozenset({(), ("a",)}))
+
+    def test_other_inputs_are_converted_to_tuples(self):
+        Row = collections.namedtuple("Row", "x y")
+        for given in ([["a", "b"], ("b", "a")], {("a", "b"), ("b", "a")},
+                      frozenset({Row("a", "b"), ("b", "a")})):
+            r = Relation(2, given)
+            assert type(r.tuples) is frozenset
+            assert {type(row) for row in r.tuples} == {tuple}
+            assert r == rel(2, ("a", "b"), ("b", "a"))
+        with pytest.raises(RelAlgError, match="length"):
+            Relation(2, [["a", "b", "c"]])

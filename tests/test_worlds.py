@@ -7,6 +7,7 @@ from intenlog.checks import _random_world, brute_force_join, tarski_eval
 from intenlog.prp import ConceptTable
 from intenlog.relalg import Relation
 from intenlog.syntax import (
+    KNOW_NAME,
     Atom,
     Constant,
     Identity,
@@ -242,3 +243,155 @@ def test_random_worlds_satisfy_the_four_laws():
             assert extension(world, table.neg(u)) == relalg.complement(
                 extension(world, u), world.active_domain()
             )
+
+
+def _scan_layout(entries, rows) -> Relation:
+    """Brute-force oracle for an atom's extension: test every row of the
+    predicate's relation against every entry, then project onto the
+    first occurrence of each variable."""
+    first: dict[str, int] = {}
+    for idx, e in enumerate(entries):
+        if e[0] == "v":
+            first.setdefault(e[1], idx)
+    keep = sorted(first.values())
+    out = set()
+    for row in rows:
+        if all(
+            row[idx] == (e[1] if e[0] == "g" else row[first[e[1]]])
+            for idx, e in enumerate(entries)
+        ):
+            out.add(tuple(row[i] for i in keep))
+    return Relation(len(keep), frozenset(out))
+
+
+def _random_entries(rng, arity, domain, shape):
+    """Atom entries of one shape: all ground, partly ground, repeated
+    variables, or the distinct variables in a random order."""
+    names = ["x", "y", "z"][:arity]
+    if shape == "ground":
+        return tuple(("g", rng.choice(domain)) for _ in range(arity))
+    if shape == "permuted":
+        rng.shuffle(names)
+        return tuple(("v", n) for n in names)
+    if shape == "repeated":  # every position draws from the names before it
+        return tuple(("v", rng.choice(names[: max(1, k)])) for k in range(arity))
+    return tuple(
+        ("g", rng.choice(domain)) if rng.random() < 0.5 else ("v", rng.choice(names))
+        for _ in range(arity)
+    )
+
+
+SHAPES = ("ground", "partly", "repeated", "permuted")
+
+
+class _Know:
+    def __init__(self, rows):
+        self.rows = rows
+
+    def know_tuples(self):
+        return self.rows
+
+
+class TestLayoutOracle:
+    def test_atoms_match_a_scan_of_the_base_relation(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            vocab = Vocabulary()
+            table = ConceptTable(vocab)
+            domain = [table.particular(n) for n in "abcd"]
+            world = World(particulars=frozenset(domain))
+            preds = [vocab.declare(f"p{k}", k) for k in range(4)]
+            for pred in preds:
+                rows = {
+                    tuple(rng.choice(domain) for _ in range(pred.arity))
+                    for _ in range(rng.randint(0, 20))
+                }
+                canonical = table.intern_atom(
+                    pred, tuple(("v", f"x{k}") for k in range(pred.arity))
+                )
+                world = world.with_base(canonical, Relation(pred.arity, frozenset(rows)))
+            for _ in range(30):
+                pred = rng.choice(preds)
+                entries = _random_entries(rng, pred.arity, domain, rng.choice(SHAPES))
+                u = table.intern_atom(pred, entries)
+                base = world.pred_base[(pred.name, pred.arity)]
+                assert extension(world, u) == _scan_layout(entries, base.tuples), entries
+
+    def test_know_backed_atoms_with_a_ground_entry(self):
+        rng = random.Random(44)
+        vocab = Vocabulary()
+        table = ConceptTable(vocab)
+        domain = [table.particular(n) for n in "abc"]
+        know = vocab.resolve(KNOW_NAME, 3)
+        for _ in range(40):
+            rows = frozenset(
+                tuple(rng.choice(domain) for _ in range(3)) for _ in range(rng.randint(0, 12))
+            )
+            world = World(particulars=frozenset(domain), know_source=_Know(rows))
+            shape = rng.choice(("ground", "partly", "repeated"))
+            entries = _random_entries(rng, 3, domain, shape)
+            if all(e[0] == "v" for e in entries):
+                entries = (("g", rng.choice(domain)),) + entries[1:]
+            u = table.intern_atom(know, entries)
+            assert extension(world, u) == _scan_layout(entries, rows), entries
+
+    def test_index_follows_the_relation_across_worlds(self):
+        rng = random.Random(45)
+        vocab = Vocabulary()
+        table = ConceptTable(vocab)
+        domain = [table.particular(n) for n in "abcde"]
+        p2, p3 = vocab.declare("p2", 2), vocab.declare("p3", 3)
+        u2 = table.intern_atom(p2, (("v", "x"), ("v", "y")))
+        u3 = table.intern_atom(p3, (("v", "x"), ("v", "y"), ("v", "z")))
+
+        def rows(arity):
+            return frozenset(
+                tuple(rng.choice(domain) for _ in range(arity)) for _ in range(15)
+            )
+
+        world = World(particulars=frozenset(domain))
+        world = world.with_base(u2, Relation(2, rows(2))).with_base(u3, Relation(3, rows(3)))
+        shared = world.pred_base[("p3", 3)]
+        probes = [
+            table.intern_atom(pred, _random_entries(rng, pred.arity, domain, "partly"))
+            for pred in (p2, p3) * 15
+        ]
+        indexes = None
+        for _ in range(6):
+            for u in probes:
+                base = world.pred_base[(u.predicate.name, u.predicate.arity)]
+                assert extension(world, u) == _scan_layout(u.entries, base.tuples)
+            if indexes is None:
+                indexes = {cols: shared.index(cols) for cols in shared._index}
+                assert indexes
+            # the untouched relation is the same value with the same index
+            assert world.pred_base[("p3", 3)] is shared
+            assert set(shared._index) == set(indexes)
+            assert all(shared.index(cols) is found for cols, found in indexes.items())
+            # the replaced one is read afresh, never through its predecessor's index
+            world = world.with_base(u2, Relation(2, rows(2)))
+
+
+def test_derived_worlds_collect_their_own_domain(setup):
+    table, world, u_clips, clips = setup
+
+    def scan(w):
+        elements = set(w.particulars)
+        for rel in (*w.pred_base.values(), *w.concept_base.values()):
+            for row in rel.tuples:
+                elements.update(row)
+        return frozenset(elements)
+
+    first = world.active_domain()  # fills the parent's cache first
+    phi_pred = table.vocabulary.resolve("phi", 2)
+    phi = table.interpret(Atom(phi_pred, (Variable("x"), Variable("y"))))
+    newcomer, extra = table.particular("newcomer"), table.particular("extra")
+    w1 = world.with_base(phi, Relation(2, frozenset({(newcomer, clips[0])})))
+    w2 = w1.with_particulars(world.particulars | {extra})
+    w3 = w2.with_base(u_clips, Relation(1, frozenset()))
+    w4 = w3.with_particulars(())
+    for w in (world, w1, w2, w3, w4):
+        assert w.active_domain().elements == scan(w)
+    assert newcomer in w1.active_domain() and extra in w2.active_domain()
+    assert w4.active_domain().elements == {newcomer, clips[0]}
+    assert world.active_domain() == first
