@@ -30,7 +30,6 @@ from .syntax import (
 from .parser import ParseError, parse_formula, parse_term
 from .prp import Concept, ConceptError, ConceptTable, Particular
 from .relalg import (
-    ActiveDomain,
     RelAlgError,
     Relation,
     complement,

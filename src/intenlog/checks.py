@@ -124,7 +124,7 @@ def tarski_eval(world: World, f: Formula, env: dict, table: ConceptTable) -> boo
     if isinstance(f, Exists):
         names = _scan_free(f.body, frozenset())
         pivot = names[f.position - 1]
-        for element in world.active_domain().sorted_elements():
+        for element in sorted(world.active_domain(), key=relalg.element_key):
             inner = dict(env)
             inner[pivot] = element
             if tarski_eval(world, f.body, inner, table):
@@ -226,9 +226,7 @@ def check_homomorphism(cases: int = 1000, seed: int = 2026) -> tuple[bool, str]:
         world, preds, _ = _random_world(rng, table, vocabulary)
         if extension(world, table.truth) != relalg.TRUE:
             failures.append(f"case {case}: truth law failed")
-        diagonal = Relation(
-            2, frozenset((e, e) for e in world.active_domain().elements)
-        )
+        diagonal = Relation(2, frozenset((e, e) for e in world.active_domain()))
         if extension(world, table.identity_concept) != diagonal:
             failures.append(f"case {case}: identity law failed")
         u = _random_concept(rng, table, preds, rng.randint(1, 4))

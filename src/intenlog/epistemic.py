@@ -149,16 +149,6 @@ class _WorkingSet:
         return Memory(tuple(self.temporary), tuple(self.permanent), self.next_id)
 
 
-class MemoryHandle:
-    """Mutable reference to a memory value, usable as a world's know source."""
-
-    def __init__(self, memory: Memory | None = None):
-        self.memory = memory if memory is not None else Memory()
-
-    def know_tuples(self) -> frozenset:
-        return self.memory.know_tuples()
-
-
 def assert_experience(
     memory: Memory, term: AbstractedTerm, g, table: ConceptTable
 ) -> tuple[Memory, KnowAtom, bool]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 
 from . import epistemic, worlds
-from .epistemic import Memory, MemoryHandle, TraceStep
+from .epistemic import Memory, TraceStep
 from .grounding import GroundingError, GroundingRegistry, TemplateSet, render_nl
 from .parser import ParseError, parse_formula, parse_term
 from .prp import ConceptError, ConceptTable
@@ -56,24 +56,18 @@ class Session:
         self.table = ConceptTable(self.vocabulary)
         self.registry = GroundingRegistry()
         self.templates = TemplateSet()
-        self.memory_handle = MemoryHandle()
         self.budget = budget
         self.declared_particulars: list[str] = []
         self.trace: list[TraceStep] = []
-        self.world = World(
-            timestamp=0,
-            particulars=frozenset(self.table.particulars()),
-            know_source=self.memory_handle,
-            grounding=self.registry,
-        )
+        self.world = World({}, frozenset(self.table.particulars()), Memory(), self.registry)
 
     @property
     def memory(self) -> Memory:
-        return self.memory_handle.memory
+        return self.world.memory
 
     @memory.setter
     def memory(self, value: Memory) -> None:
-        self.memory_handle.memory = value
+        self.world = self.world.with_memory(value)
 
     def _refresh_particulars(self) -> None:
         # the table only grows, so equal counts mean the snapshot is current
@@ -270,16 +264,13 @@ def dump_concepts(session: Session) -> str:
 
 
 def dump_world(session: Session) -> str:
-    lines = [f"timestamp {session.world.timestamp}"]
+    lines = []
     for (name, arity) in sorted(session.world.pred_base):
         rel = session.world.pred_base[(name, arity)]
         rows = " ".join(
             "(" + ",".join(str(e) for e in row) + ")" for row in rel.sorted_rows()
         )
         lines.append(f"{name}/{arity}: {rows}" if rows else f"{name}/{arity}: -")
-    for concept in sorted(session.world.concept_base, key=lambda u: u.id):
-        rel = session.world.concept_base[concept]
-        lines.append(f"u{concept.id}: {'t' if rel.tuples else 'f'}")
     return "\n".join(lines) + "\n"
 
 

@@ -28,7 +28,6 @@ from .syntax import (
     FormulaError,
     IDENTITY_NAME,
     Identity,
-    KNOW_NAME,
     Neg,
     Predicate,
     TENSES,
@@ -76,11 +75,10 @@ class Concept:
         "children",
         "pairs",
         "position",
-        "mentions_know",
     )
 
     def __init__(self, id, arity, op, predicate=None, entries=None, children=(),
-                 pairs=None, position=None, mentions_know=False):
+                 pairs=None, position=None):
         self.id = id
         self.arity = arity
         self.op = op
@@ -89,7 +87,6 @@ class Concept:
         self.children = children
         self.pairs = pairs
         self.position = position
-        self.mentions_know = mentions_know
 
     def __repr__(self):
         return f"u{self.id}:D{self.arity}"
@@ -173,7 +170,6 @@ class ConceptTable:
             )
         key_parts = []
         names: list[str] = []
-        mentions_know = predicate.name == KNOW_NAME
         for e in entries:
             if e[0] == "v":
                 key_parts.append(("v", e[1]))
@@ -184,13 +180,9 @@ class ConceptTable:
                 if not isinstance(element, (Particular, Concept)):
                     raise ConceptError(f"not a domain element: {element!r}")
                 key_parts.append(("g", type(element).__name__, element.id))
-                if isinstance(element, Concept) and element.mentions_know:
-                    mentions_know = True
             elif e[0] == "a":
                 _, concept, alpha_names, beta_names = e
                 key_parts.append(("a", concept.id, tuple(alpha_names), tuple(beta_names)))
-                if concept.mentions_know:
-                    mentions_know = True
                 for n in beta_names:
                     if n not in names:
                         names.append(n)
@@ -203,7 +195,6 @@ class ConceptTable:
             op="atom",
             predicate=predicate,
             entries=entries,
-            mentions_know=mentions_know,
         )
 
     def conj(self, u: Concept, v: Concept, pairs) -> Concept:
@@ -222,7 +213,6 @@ class ConceptTable:
             op="conj",
             children=(u, v),
             pairs=pairs,
-            mentions_know=u.mentions_know or v.mentions_know,
         )
 
     def neg(self, u: Concept) -> Concept:
@@ -231,7 +221,6 @@ class ConceptTable:
             arity=u.arity,
             op="neg",
             children=(u,),
-            mentions_know=u.mentions_know,
         )
 
     def exists(self, n: int, u: Concept) -> Concept:
@@ -244,7 +233,6 @@ class ConceptTable:
             op="exists",
             children=(u,),
             position=n,
-            mentions_know=u.mentions_know,
         )
 
     def union(self, concepts) -> Concept:

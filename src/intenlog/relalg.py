@@ -3,9 +3,11 @@
 A relation is a set of fixed-arity tuples of domain elements; arity 0
 encodes the truth values (the empty relation is falsity, the singleton
 holding the empty tuple is truth).  The three operators are the
-positional natural join, complement relative to a finite active domain,
-and column-eliminating projection, which collapses a unary relation to
-a truth value when its last column goes.
+positional natural join, complement relative to a finite active domain
+(a frozenset of elements, so complement is set difference and the
+order of the domain never matters), and column-eliminating projection,
+which collapses a unary relation to a truth value when its last column
+goes.
 
 Everything here is a pure function over immutable values.  The one
 cache is a relation's column index (``Relation.index``), which joins and
@@ -86,20 +88,6 @@ def truth(flag: bool) -> Relation:
     return TRUE if flag else FALSE
 
 
-@dataclass(frozen=True)
-class ActiveDomain:
-    """Finite stand-in for the full element domain, used by complement
-    and quantification so both stay computable."""
-
-    elements: frozenset
-
-    def __contains__(self, element):
-        return element in self.elements
-
-    def sorted_elements(self) -> list:
-        return sorted(self.elements, key=element_key)
-
-
 def join_pairs(pairs, k: int, j: int) -> tuple[tuple[int, int], ...]:
     """Normalize join pairs for operands of arities (k, j) and check that
     they are usable: every pair in range and no column joined twice."""
@@ -135,17 +123,18 @@ def natural_join(r1: Relation, r2: Relation, pairs) -> Relation:
     return Relation(out_arity, frozenset(rows))
 
 
-def complement(r: Relation, domain: ActiveDomain) -> Relation:
-    """Complement within the active domain; on arity 0 it flips truth."""
+def complement(r: Relation, domain: frozenset) -> Relation:
+    """Complement within the active domain, a frozenset of elements that
+    stands in for the full domain; on arity 0 it flips truth."""
     if r.arity == 0:
         return truth(not r.tuples)
-    if not domain.elements:
+    if not domain:
         raise RelAlgError("complement requested over an empty active domain")
     for row in r.tuples:
         for e in row:
             if e not in domain:
                 raise RelAlgError(f"tuple element {e!r} outside the active domain")
-    universe = itertools.product(domain.sorted_elements(), repeat=r.arity)
+    universe = itertools.product(domain, repeat=r.arity)
     rows = frozenset(t for t in universe if t not in r.tuples)
     return Relation(r.arity, rows)
 

@@ -1,31 +1,34 @@
 """Worlds: extensionalization of concepts at a time instance.
 
-A world fixes the extensions of atomic concepts (per predicate, or per
-individual concept for grounded propositions) and computes composite
-extensions homomorphically: indexed conjunction via natural join,
-negation via active-domain complement, positional quantification via
-projection, with the truth concept always extensionalized to truth.
+A world fixes the extensions of atomic concepts: a base relation per
+predicate, the relations its grounding processes return, and the Know
+relation of the memory it holds.  Composite extensions are computed
+homomorphically: indexed conjunction via natural join, negation via
+active-domain complement, positional quantification via projection,
+with the truth concept always extensionalized to truth.
 
-Worlds are immutable snapshots; updating a base extension returns a new
-world that shares every relation it did not replace.  Extensions are
-memoized per world and concept, except for concepts that mention the
-epistemic predicate, whose truth is backed by the (mutable) memory the
-world references rather than by base relations.  Atoms read base
-relations through their column index (a ground atom is one membership
-test), which outlives a world as long as later worlds share the
-relation.  The base part of the active domain is fixed per world and
-collected once; grounded outputs are added at each call.
+A world is a value.  Updating its base, particulars or memory returns a
+new world that shares everything it did not replace, so a world held
+elsewhere never changes.  Every extension is memoized per world and
+concept.  Atoms read base relations through their column index (a
+ground atom is one membership test), which outlives a world as long as
+later worlds share the relation.  The base part of the active domain is
+fixed per world and collected once; grounded outputs are added at each
+call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from . import relalg
 from .prp import Concept, ConceptTable, Element, IDENTITY_PREDICATE, Particular
-from .relalg import ActiveDomain, Relation
+from .relalg import Relation
 from .syntax import Formula, KNOW_NAME, free_var_tuple
+
+if TYPE_CHECKING:
+    from .epistemic import Memory
 
 
 class WorldError(Exception):
@@ -49,20 +52,21 @@ def is_canonical_atom(u: Concept) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class World:
-    timestamp: int = 0
     pred_base: Mapping[tuple[str, int], Relation] = field(default_factory=dict)
-    concept_base: Mapping[Concept, Relation] = field(default_factory=dict)
     particulars: frozenset = frozenset()
-    know_source: object | None = None
+    memory: Memory | None = None
     grounding: object | None = None
-    _memo: dict = field(default_factory=dict, repr=False)
-    _grounded: dict = field(default_factory=dict, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    _grounded: dict = field(default_factory=dict, init=False, repr=False)
     _base_elements: frozenset | None = field(default=None, init=False, repr=False)
 
     def with_base(self, concept: Concept, relation: Relation) -> "World":
-        """A new world with the atom's base extension replaced."""
-        if not isinstance(concept, Concept) or concept.op != "atom":
-            raise WorldError("base extensions attach to atomic concepts only")
+        """A new world with the predicate's base relation replaced; the
+        concept is the predicate's canonical atom."""
+        if not isinstance(concept, Concept) or not is_canonical_atom(concept):
+            raise WorldError(
+                "base extensions attach to atomic concepts over distinct variables only"
+            )
         if concept.predicate.name == KNOW_NAME:
             raise WorldError(
                 "the epistemic predicate is memory-backed, not base-assigned"
@@ -72,62 +76,40 @@ class World:
                 f"arity mismatch: relation/{relation.arity} on concept of arity "
                 f"{concept.arity}"
             )
-        pred_base = dict(self.pred_base)
-        concept_base = dict(self.concept_base)
-        if is_canonical_atom(concept):
-            pred_base[(concept.predicate.name, concept.predicate.arity)] = relation
-        else:
-            concept_base[concept] = relation
-        return World(
-            timestamp=self.timestamp,
-            pred_base=pred_base,
-            concept_base=concept_base,
-            particulars=self.particulars,
-            know_source=self.know_source,
-            grounding=self.grounding,
-        )
+        pred = concept.predicate
+        pred_base = {**self.pred_base, (pred.name, pred.arity): relation}
+        return World(pred_base, self.particulars, self.memory, self.grounding)
 
     def with_particulars(self, particulars) -> "World":
-        return World(
-            timestamp=self.timestamp,
-            pred_base=self.pred_base,
-            concept_base=self.concept_base,
-            particulars=frozenset(particulars),
-            know_source=self.know_source,
-            grounding=self.grounding,
-        )
+        return World(self.pred_base, frozenset(particulars), self.memory, self.grounding)
 
-    def active_domain(self) -> ActiveDomain:
-        """Elements of all base extensions plus the declared particulars,
+    def with_memory(self, memory: Memory) -> "World":
+        return World(self.pred_base, self.particulars, memory, self.grounding)
+
+    def active_domain(self) -> frozenset:
+        """Elements of all base relations plus the declared particulars,
         plus those of the grounded relations read so far."""
         if self._base_elements is None:
-            rels = (*self.pred_base.values(), *self.concept_base.values())
-            rows = (row for rel in rels for row in rel.tuples)
+            rows = (row for rel in self.pred_base.values() for row in rel.tuples)
             object.__setattr__(self, "_base_elements", frozenset(self.particulars).union(*rows))
         grounded = (row for rel in self._grounded.values() for row in rel.tuples)
-        return ActiveDomain(self._base_elements.union(*grounded))
-
-    def clear_cache(self) -> None:
-        self._memo.clear()
+        return self._base_elements.union(*grounded)
 
 
 def extension(world: World, u) -> Relation | Element:
     """Extensionalize a concept in a world.
 
     Particulars are their own extension.  Atomic concepts read base
-    extensions, grounding processes or the epistemic memory; composite
+    extensions, grounding processes or the world's memory; composite
     concepts are computed structurally.
     """
     if isinstance(u, Particular):
         return u
     if not isinstance(u, Concept):
         raise WorldError(f"not a concept: {u!r}")
-    if u.mentions_know:
-        return _compute(world, u)
     cached = world._memo.get(u.id)
     if cached is None:
-        cached = _compute(world, u)
-        world._memo[u.id] = cached
+        cached = world._memo[u.id] = _compute(world, u)
     return cached
 
 
@@ -148,9 +130,6 @@ def _compute(world: World, u: Concept) -> Relation:
 
 
 def _atom_extension(world: World, u: Concept) -> Relation:
-    direct = world.concept_base.get(u)
-    if direct is not None:
-        return direct
     if world.grounding is not None:
         rel = world.grounding.lookup_concept(world, u)
         if rel is not None:
@@ -159,11 +138,10 @@ def _atom_extension(world: World, u: Concept) -> Relation:
     pred = u.predicate
     if pred == IDENTITY_PREDICATE:
         return _identity_extension(world, u)
-    base = None
     if pred.name == KNOW_NAME and pred.arity == 3:
-        if world.know_source is None:
+        if world.memory is None:
             raise MissingExtensionError(u)
-        base = Relation(3, frozenset(world.know_source.know_tuples()))
+        base = Relation(3, world.memory.know_tuples())
     else:
         base = world.pred_base.get((pred.name, pred.arity))
         if base is None and world.grounding is not None:
@@ -218,7 +196,7 @@ def _identity_extension(world: World, u: Concept) -> Relation:
         element = next(e[1] for e in u.entries if e[0] == "g")
         return Relation(1, frozenset({(element,)}))
     left, right = u.entries[0][1], u.entries[1][1]
-    domain = world.active_domain().sorted_elements()
+    domain = world.active_domain()
     if left == right:
         return Relation(1, frozenset((e,) for e in domain))
     return Relation(2, frozenset((e, e) for e in domain))
@@ -233,15 +211,9 @@ def eval_sentence(world: World, f: Formula, table: ConceptTable) -> bool:
     return bool(rel.tuples)
 
 
-def satisfying_assignments(
-    world: World, f: Formula, table: ConceptTable, alpha=None
-) -> list[dict]:
+def satisfying_assignments(world: World, f: Formula, table: ConceptTable) -> list[dict]:
     """All assignments of the free variables making the formula true,
     in a deterministic order."""
     variables = free_var_tuple(f)
-    if alpha is not None and tuple(alpha) != variables:
-        raise WorldError(
-            f"assignment variables {tuple(alpha)} differ from the free tuple {variables}"
-        )
     rel = extension(world, table.interpret(f))
     return [dict(zip(variables, row)) for row in rel.sorted_rows()]

@@ -6,7 +6,6 @@ from intenlog.epistemic import (
     EpistemicError,
     KnowAtom,
     Memory,
-    MemoryHandle,
     add_rule,
     answer,
     apply_4,
@@ -61,10 +60,7 @@ class Scenario:
         self.clips = [t.particular(f"clip{i}") for i in range(1, 6)]
         self.positive = self.clips[:3]
         now, me = t.particular("in_present"), t.particular("me")
-        self.memory_handle = MemoryHandle()
-        world = World(
-            particulars=frozenset(t.particulars()), know_source=self.memory_handle
-        )
+        world = World(particulars=frozenset(t.particulars()), memory=Memory())
         u_clips = t.interpret(
             Atom(self.vocabulary.resolve("videoclips", 1), (Variable("y"),))
         )
@@ -81,7 +77,12 @@ class Scenario:
                 4, frozenset((now, me, c, self.query_concept) for c in self.positive)
             ),
         )
-        world = world.with_base(self.query_concept, Relation(0, frozenset({()})))
+        u_walk = t.intern_atom(
+            self.vocabulary.resolve("Walk", 5),
+            tuple(("v", f"x{i}") for i in range(1, 6)),
+        )
+        walk_row = tuple(t.extend_assignment({}, a) for a in self.query.args)
+        world = world.with_base(u_walk, Relation(5, frozenset({walk_row})))
         self.world = world
         self.command = Conj(
             Atom(
@@ -96,11 +97,11 @@ class Scenario:
 
     @property
     def memory(self):
-        return self.memory_handle.memory
+        return self.world.memory
 
     @memory.setter
     def memory(self, value):
-        self.memory_handle.memory = value
+        self.world = self.world.with_memory(value)
 
     def experience(self):
         self.memory, atom, _ = assert_experience(
@@ -258,8 +259,7 @@ class TestDistribution:
         t = scenario.table
         for name in facts:
             vocab.declare(name, 0)
-        world = World(particulars=frozenset(t.particulars()),
-                      know_source=scenario.memory_handle)
+        world = World(particulars=frozenset(t.particulars()))
         for name, value in facts.items():
             u = t.intern_atom(vocab.resolve(name, 0), ())
             world = world.with_base(u, Relation(0, frozenset({()} if value else ())))
@@ -274,7 +274,7 @@ class TestDistribution:
         for name in known:
             term = AbstractedTerm(Atom(vocab.resolve(name, 0), ()))
             memory, _, _ = assert_experience(memory, term, {}, t)
-        return memory, world
+        return memory, world.with_memory(memory)
 
     def test_fires_on_matching_antecedent(self, scenario):
         memory, world = self.make(

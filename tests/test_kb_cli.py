@@ -16,6 +16,7 @@ from intenlog.kb import (
     dump_world,
     load_kb,
 )
+from intenlog.worlds import World
 
 
 class TestLoadKB:
@@ -78,11 +79,8 @@ class TestDumpKB:
         fresh = Session()
         fresh.templates = session.templates
         fresh.registry = session.registry
-        fresh.world = fresh.world.__class__(
-            particulars=fresh.world.particulars,
-            know_source=fresh.memory_handle,
-            grounding=fresh.registry,
-        )
+        fresh.world = World(fresh.world.pred_base, fresh.world.particulars,
+                            fresh.memory, fresh.registry)
         load_kb(dumped, fresh)
         assert dump_kb(fresh) == dumped
 

@@ -6,7 +6,6 @@ import pytest
 
 from intenlog.checks import brute_force_join
 from intenlog.relalg import (
-    ActiveDomain,
     FALSE,
     RelAlgError,
     Relation,
@@ -23,7 +22,7 @@ def rel(arity, *rows):
     return Relation(arity, frozenset(rows))
 
 
-AD = ActiveDomain(frozenset("ab"))
+AD = frozenset("ab")
 
 
 class TestNaturalJoin:
@@ -71,7 +70,7 @@ class TestNaturalJoin:
 class TestComplement:
     def test_unary_subtracts_from_domain(self):
         # oracle: enumerate ad^1 and subtract
-        expected = {(e,) for e in AD.elements} - {("a",)}
+        expected = {(e,) for e in AD} - {("a",)}
         assert complement(rel(1, ("a",)), AD) == Relation(1, frozenset(expected))
 
     def test_truth_flip(self):
@@ -80,11 +79,11 @@ class TestComplement:
 
     def test_involution(self):
         rng = random.Random(5)
-        domain = ActiveDomain(frozenset("abc"))
+        domain = frozenset("abc")
         for arity in (1, 2, 3):
             rows = {
                 t
-                for t in itertools.product(sorted(domain.elements), repeat=arity)
+                for t in itertools.product(sorted(domain), repeat=arity)
                 if rng.random() < 0.4
             }
             r = Relation(arity, frozenset(rows))
@@ -96,7 +95,7 @@ class TestComplement:
 
     def test_empty_domain_rejected(self):
         with pytest.raises(RelAlgError, match="empty active domain"):
-            complement(rel(1, ("a",)), ActiveDomain(frozenset()))
+            complement(rel(1, ("a",)), frozenset())
 
 
 class TestProjectOut:
@@ -135,18 +134,18 @@ def test_union_via_de_morgan_derivation():
     """Same-arity union computed as the complement of the join of
     complements on the diagonal, for random relations."""
     rng = random.Random(11)
-    domain = ActiveDomain(frozenset("abc"))
+    domain = frozenset("abc")
     for arity in (1, 2):
         diagonal = tuple((l, l) for l in range(1, arity + 1))
         for _ in range(50):
             rows1 = {
                 t
-                for t in itertools.product(sorted(domain.elements), repeat=arity)
+                for t in itertools.product(sorted(domain), repeat=arity)
                 if rng.random() < 0.4
             }
             rows2 = {
                 t
-                for t in itertools.product(sorted(domain.elements), repeat=arity)
+                for t in itertools.product(sorted(domain), repeat=arity)
                 if rng.random() < 0.4
             }
             r1 = Relation(arity, frozenset(rows1))

@@ -4,6 +4,8 @@ import pytest
 
 from intenlog import relalg
 from intenlog.checks import _random_world, brute_force_join, tarski_eval
+from intenlog.epistemic import Memory
+from intenlog.kb import load_kb
 from intenlog.prp import ConceptTable
 from intenlog.relalg import Relation
 from intenlog.syntax import (
@@ -111,7 +113,7 @@ class TestExtension:
     def test_identity_extension(self, setup):
         table, world, _, _ = setup
         got = extension(world, table.identity_concept)
-        domain = world.active_domain().elements
+        domain = world.active_domain()
         assert got == Relation(2, frozenset((e, e) for e in domain))
         ground = table.interpret(Identity(Constant("a"), Constant("a")))
         assert extension(world, ground) == relalg.TRUE
@@ -144,9 +146,16 @@ class TestWithBase:
             world.with_base(u_clips, Relation(2, frozenset()))
 
     def test_composite_rejected(self, setup):
-        table, world, u_clips, _ = setup
-        with pytest.raises(WorldError, match="atomic"):
-            world.with_base(table.neg(u_clips), Relation(1, frozenset()))
+        # base relations attach to a predicate's canonical atom only
+        table, world, u_clips, clips = setup
+        phi = table.vocabulary.resolve("phi", 2)
+        for concept in (
+            table.neg(u_clips),
+            table.intern_atom(phi, (("g", clips[0]), ("v", "y"))),
+            table.intern_atom(phi, (("v", "x"), ("v", "x"))),
+        ):
+            with pytest.raises(WorldError, match="atomic"):
+                world.with_base(concept, Relation(1, frozenset()))
 
 
 class TestEvalSentence:
@@ -203,19 +212,48 @@ class TestSatisfyingAssignments:
         table, world, _, _ = setup
         assert satisfying_assignments(world, Top(), table) == [{}]
 
-    def test_alpha_must_match(self, setup):
-        table, world, _, _ = setup
-        f = Atom(table.vocabulary.resolve("videoclips", 1), (Variable("y"),))
-        with pytest.raises(WorldError, match="free tuple"):
-            satisfying_assignments(world, f, table, alpha=(Variable("z"),))
+
+MEMO_KB = (
+    "predicate p/1\npredicate q/2\nparticular a\nparticular b\n"
+    "assert p(a)\nassert q(a, b)\nknow << p(a) >>\nknow << q(?x, ?y) >>_{x y}\n"
+)
+
+MEMO_FORMULAS = (
+    "~ (p(?x) /\\{(1,1)} p(?x))",
+    "q(?x, ?y) /\\{(1,1)} ~ p(?x)",
+    "E{1} Know(in_present, me, ?x)",
+    "Know(in_present, me, ?x)",
+    "~ Know(in_present, me, << p(a) >>)",
+    "~ Know(in_present, me, << p(b) >>)",
+    "E{1} (p(?x) /\\{} Know(in_present, me, << q(?x, ?y) >>_{x y}))",
+)
 
 
-def test_memoization_transparency(setup):
-    table, world, u_clips, _ = setup
-    u = table.neg(table.conj(u_clips, u_clips, ((1, 1),)))
-    warm = extension(world, u)
-    world.clear_cache()
-    assert extension(world, u) == warm
+def test_memoization_transparency():
+    """Memoized extensions, Know-backed ones included, equal those of a
+    fresh world built from the same fields, in either evaluation order."""
+    session = load_kb(MEMO_KB)
+    for _ in range(2):  # before and after chaining
+        w = session.world
+        concepts = [session.table.interpret(session.parse(t)) for t in MEMO_FORMULAS]
+        warm = [extension(w, u) for u in concepts]
+        assert [extension(w, u) for u in reversed(concepts)] == warm[::-1]
+        for u, expected in zip(concepts, warm):
+            fresh = World(w.pred_base, w.particulars, w.memory, w.grounding)
+            assert extension(fresh, u) == expected
+        session.chain()
+
+
+def test_a_held_world_does_not_see_later_knowledge():
+    session = load_kb("predicate p/1\nparticular a\nassert p(a)\n")
+    held = session.world
+    known = session.parse("Know(in_present, me, << p(a) >>)")
+    assert eval_sentence(held, known, session.table) is False
+    session.execute("know << p(a) >>")
+    assert eval_sentence(held, known, session.table) is False
+    assert held.memory.atoms() == ()
+    assert eval_sentence(session.world, known, session.table) is True
+    assert session.world.memory is session.memory
 
 
 def test_random_worlds_satisfy_the_four_laws():
@@ -284,14 +322,6 @@ def _random_entries(rng, arity, domain, shape):
 SHAPES = ("ground", "partly", "repeated", "permuted")
 
 
-class _Know:
-    def __init__(self, rows):
-        self.rows = rows
-
-    def know_tuples(self):
-        return self.rows
-
-
 class TestLayoutOracle:
     def test_atoms_match_a_scan_of_the_base_relation(self):
         rng = random.Random(43)
@@ -324,10 +354,11 @@ class TestLayoutOracle:
         domain = [table.particular(n) for n in "abc"]
         know = vocab.resolve(KNOW_NAME, 3)
         for _ in range(40):
-            rows = frozenset(
-                tuple(rng.choice(domain) for _ in range(3)) for _ in range(rng.randint(0, 12))
-            )
-            world = World(particulars=frozenset(domain), know_source=_Know(rows))
+            memory = Memory()
+            for _ in range(rng.randint(0, 12)):
+                memory, _, _ = memory.add_temporary(*(rng.choice(domain) for _ in range(3)), ())
+            rows = memory.know_tuples()
+            world = World(particulars=frozenset(domain), memory=memory)
             shape = rng.choice(("ground", "partly", "repeated"))
             entries = _random_entries(rng, 3, domain, shape)
             if all(e[0] == "v" for e in entries):
@@ -377,7 +408,7 @@ def test_derived_worlds_collect_their_own_domain(setup):
 
     def scan(w):
         elements = set(w.particulars)
-        for rel in (*w.pred_base.values(), *w.concept_base.values()):
+        for rel in w.pred_base.values():
             for row in rel.tuples:
                 elements.update(row)
         return frozenset(elements)
@@ -391,7 +422,7 @@ def test_derived_worlds_collect_their_own_domain(setup):
     w3 = w2.with_base(u_clips, Relation(1, frozenset()))
     w4 = w3.with_particulars(())
     for w in (world, w1, w2, w3, w4):
-        assert w.active_domain().elements == scan(w)
+        assert w.active_domain() == scan(w)
     assert newcomer in w1.active_domain() and extra in w2.active_domain()
-    assert w4.active_domain().elements == {newcomer, clips[0]}
+    assert w4.active_domain() == {newcomer, clips[0]}
     assert world.active_domain() == first
