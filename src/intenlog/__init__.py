@@ -60,7 +60,6 @@ from .epistemic import (
     forward_chain,
 )
 from .grounding import (
-    EmotionMap,
     GroundingError,
     GroundingProcess,
     GroundingRegistry,

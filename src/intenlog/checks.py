@@ -3,8 +3,9 @@
 These drive the engine against independent oracles: the homomorphism
 suite recomputes every composite extension with the raw relational
 operators, the sentence suite evaluates with a brute-force substitution
-evaluator that never touches the concept layer, and the join suite uses
-a nested-loop reference join.  All generators are seeded, so every run
+evaluator that reads base, grounded and Know relations directly and
+uses the concept layer only to intern, and the join suite uses a
+nested-loop reference join.  All generators are seeded, so every run
 is reproducible.
 """
 
@@ -14,16 +15,20 @@ import random
 import time
 
 from . import relalg, worlds
+from .epistemic import Memory
 from .prp import ConceptTable
 from .relalg import Relation
 from .syntax import (
+    AbstractedTerm,
     Atom,
     Conj,
     Constant,
     Exists,
     Formula,
     Identity,
+    KNOW_NAME,
     Neg,
+    TimeValue,
     Top,
     Variable,
     Vocabulary,
@@ -96,14 +101,21 @@ def _scan_free(f: Formula, bound: frozenset) -> list[str]:
 def tarski_eval(world: World, f: Formula, env: dict, table: ConceptTable) -> bool:
     """Brute-force substitution evaluator over the active domain.
 
-    Works directly on formulas and base relations; the only shared
-    machinery is element interning, which fixes identity, not truth.
+    Works directly on formulas and on the world's base, grounded and
+    Know relations; the only shared machinery is interning, which fixes
+    identity, not truth.  Know atoms take variables, constants and
+    closed abstracted terms as arguments.
     """
     if isinstance(f, Top):
         return True
     if isinstance(f, Atom):
+        grounded = world.grounded.get(table.interpret(f).id)
+        if grounded is not None:
+            return tuple(env[n] for n in _scan_free(f, frozenset())) in grounded.tuples
         row = tuple(_resolve(a, env, table) for a in f.args)
         pred = f.predicate
+        if pred.name == KNOW_NAME and pred.arity == 3:
+            return row in world.memory.know_tuples()
         base = world.pred_base.get((pred.name, pred.arity))
         if base is None:
             raise worlds.MissingExtensionError(table.interpret(f))
@@ -138,6 +150,9 @@ def _resolve(term, env, table):
         return env[term.name]
     if isinstance(term, Constant):
         return table.particular(term.name)
+    if isinstance(term, AbstractedTerm):
+        assert term.is_ground, "the oracle reads closed abstracted terms only"
+        return table.interpret(term.body)
     return table.particular(term.tense)
 
 
@@ -237,8 +252,10 @@ def check_homomorphism(cases: int = 1000, seed: int = 2026) -> tuple[bool, str]:
     return True, f"{cases} concept trees in {elapsed:.1f}s"
 
 
-def _random_formula(rng, preds, variables, budget: list) -> Formula:
+def _random_formula(rng, preds, variables, budget: list, leaves=()) -> Formula:
     if budget[0] <= 0 or rng.random() < 0.4:
+        if leaves and rng.random() < 0.4:
+            return rng.choice(leaves)
         pred = rng.choice(preds)
         args = tuple(
             rng.choice(variables) if rng.random() < 0.7 else Constant(rng.choice("abc"))
@@ -248,23 +265,58 @@ def _random_formula(rng, preds, variables, budget: list) -> Formula:
     budget[0] -= 1
     op = rng.choice(("neg", "conj", "exists"))
     if op == "neg":
-        return Neg(_random_formula(rng, preds, variables, budget))
+        return Neg(_random_formula(rng, preds, variables, budget, leaves))
     if op == "exists":
-        body = _random_formula(rng, preds, variables, budget)
+        body = _random_formula(rng, preds, variables, budget, leaves)
         fv = free_var_tuple(body)
         if not fv:
             return Neg(body)
         return Exists(rng.randint(1, len(fv)), body)
-    lhs = _random_formula(rng, preds, variables, budget)
-    rhs = _random_formula(rng, preds, variables, budget)
+    lhs = _random_formula(rng, preds, variables, budget, leaves)
+    rhs = _random_formula(rng, preds, variables, budget, leaves)
     lt, rt = free_var_tuple(lhs), free_var_tuple(rhs)
     shared = [v for v in rt if v in set(lt)]
     pairs = tuple((lt.index(v) + 1, rt.index(v) + 1) for v in shared)
     return Conj(lhs, rhs, pairs)
 
 
+def _grounded_and_known(rng, world: World, table: ConceptTable, preds, domain, variables):
+    """Give a random world a memory of known ground atoms and two
+    individually grounded atoms; returns the world and atoms that read
+    them.  Known contents stay closed terms: known concepts are not
+    domain elements, so a variable there would range over other
+    elements in the oracle than in projection."""
+    now, me = table.particular("in_present"), table.particular("me")
+
+    def ground_atom(pred):
+        return Atom(pred, tuple(Constant(rng.choice(domain).name) for _ in range(pred.arity)))
+
+    memory = Memory()
+    for _ in range(rng.randint(1, 3)):
+        content = table.interpret(ground_atom(rng.choice(preds)))
+        memory, _, _ = memory.add_temporary(now, me, content, ("experience",))
+    world = world.with_particulars(world.particulars | {now, me}).with_memory(memory)
+    leaves = []
+    for _ in range(3):
+        time = rng.choice((TimeValue("in_present"), rng.choice(variables)))
+        subject = rng.choice((Constant("me"), rng.choice(variables)))
+        content = AbstractedTerm(ground_atom(rng.choice(preds)))
+        leaves.append(Atom(table.vocabulary.resolve(KNOW_NAME, 3), (time, subject, content)))
+    wide = [p for p in preds if p.arity >= 1]  # canonical atoms bind whole predicates
+    for pred in rng.sample(wide, min(2, len(wide))):
+        args = [rng.choice(variables) for _ in range(pred.arity)]
+        args[rng.randrange(pred.arity)] = Constant(rng.choice(domain).name)
+        bound = Atom(pred, tuple(args))
+        width = len(free_var_tuple(bound))
+        rows = {tuple(rng.choice(domain) for _ in range(width)) for _ in range(rng.randint(0, 4))}
+        world = world.with_grounded(table.interpret(bound), Relation(width, frozenset(rows)))
+        leaves.append(bound)
+    return world, leaves
+
+
 def check_tarski(cases: int = 1000, seed: int = 1939) -> tuple[bool, str]:
-    """Two-step evaluation agrees with brute-force substitution."""
+    """Two-step evaluation agrees with brute-force substitution, over
+    base, individually grounded and Know atoms."""
     rng = random.Random(seed)
     started = time.monotonic()
     variables = [Variable(n) for n in ("x", "y", "z")]
@@ -272,7 +324,8 @@ def check_tarski(cases: int = 1000, seed: int = 1939) -> tuple[bool, str]:
         vocabulary = Vocabulary()
         table = ConceptTable(vocabulary)
         world, preds, domain = _random_world(rng, table, vocabulary, max_domain=4)
-        f = _random_formula(rng, preds, variables, [3])
+        world, leaves = _grounded_and_known(rng, world, table, preds, domain, variables)
+        f = _random_formula(rng, preds, variables, [3], leaves)
         leftover = free_var_tuple(f)
         if leftover:
             f = substitute(

@@ -3,10 +3,11 @@ plus the partial natural-language interface around them.
 
 Processes stand in for the perception and classification machinery a
 real agent would run; here they are table-driven and deterministic, so
-a corpus file fully fixes their output.  The registry binds predicates
-(or individual atomic concepts, for grounded propositions) to
-processes; worlds consult it whenever an atom has no asserted base
-extension.
+a corpus file fully fixes their output.  The registry is a catalog of
+processes and of the predicates bound to them.  Binding a predicate, or
+an individual atomic concept for a grounded proposition, runs the
+process once and hands its relation to the registry owner's install
+function, which puts it in the world; worlds never run a process.
 
 The language side is deliberately narrow: a verb template file drives
 both the chunking of spatial commands into figure / verb / spatial
@@ -39,7 +40,7 @@ from .syntax import (
     Vocabulary,
     free_var_tuple,
 )
-from .worlds import World, is_canonical_atom
+from .worlds import is_canonical_atom
 
 
 class GroundingError(Exception):
@@ -50,35 +51,29 @@ class NotParseable(GroundingError):
     """The input does not match any registered language template."""
 
 
-PROCESS_KINDS = ("PR", "SDC", "ML")
-
-
 @dataclass(frozen=True)
 class GroundingProcess:
-    """A deterministic mock process producing a relation from a world."""
+    """A deterministic mock process producing a relation."""
 
     name: str
-    kind: str
-    run: Callable[[World], Relation]
-
-    def __post_init__(self):
-        if self.kind not in PROCESS_KINDS:
-            raise GroundingError(
-                f"unknown process kind {self.kind!r}; expected one of {PROCESS_KINDS}"
-            )
+    run: Callable[[], Relation]
 
 
 class GroundingRegistry:
-    """Bindings from atomic concepts and predicates to processes.
+    """Processes by name, and the process each grounded predicate is
+    bound to.
 
-    Immutable after setup by convention: worlds hold a reference and
-    read from it during evaluation.
+    A bind runs its process once, in ``lookup_concept`` or
+    ``lookup_predicate``, and passes the relation to the owner's
+    ``install(target, relation)``, which puts it in the world; the
+    target is the concept of an individual bind, else the predicate's
+    ``(name, arity)``.
     """
 
-    def __init__(self):
+    def __init__(self, install: Callable[[object, Relation], None]):
+        self._install = install
         self._processes: dict[str, GroundingProcess] = {}
-        self._concept_binds: dict[Concept, str] = {}
-        self._pred_binds: dict[tuple[str, int], str] = {}
+        self._bindings: dict[tuple[str, int], str] = {}
 
     def register_process(self, process: GroundingProcess) -> "GroundingRegistry":
         if process.name in self._processes:
@@ -97,47 +92,32 @@ class GroundingRegistry:
         bind individually."""
         if not isinstance(concept, Concept) or concept.op != "atom":
             raise GroundingError("only atomic concepts can be grounded")
-        self.process(process_name)
         if is_canonical_atom(concept):
             pred = concept.predicate
-            self._pred_binds[(pred.name, pred.arity)] = process_name
-        else:
-            self._concept_binds[concept] = process_name
+            return self.bind_predicate(pred.name, pred.arity, process_name)
+        self._install(concept, self.lookup_concept(concept, process_name))
         return self
 
     def bind_predicate(self, name: str, arity: int, process_name: str) -> "GroundingRegistry":
-        self.process(process_name)
-        self._pred_binds[(name, arity)] = process_name
+        self._install((name, arity), self.lookup_predicate(name, arity, process_name))
+        self._bindings[(name, arity)] = process_name
         return self
 
-    def bindings(self) -> list[tuple[str, str]]:
-        """(target, process) pairs, deterministic, for dumps."""
-        out = [(f"{n}/{a}", p) for (n, a), p in self._pred_binds.items()]
-        out += [(f"u{c.id}", p) for c, p in self._concept_binds.items()]
-        return sorted(out)
+    def bound_process(self, name: str, arity: int) -> str | None:
+        """The process a predicate is bound to, if any."""
+        return self._bindings.get((name, arity))
 
-    # hooks the world evaluator calls
+    def lookup_concept(self, concept: Concept, process_name: str) -> Relation:
+        return self._run(process_name, concept.arity, f"concept u{concept.id}")
 
-    def lookup_concept(self, world: World, concept: Concept) -> Relation | None:
-        name = self._concept_binds.get(concept)
-        if name is None:
-            return None
-        rel = self._processes[name].run(world)
-        if rel.arity != concept.arity:
-            raise GroundingError(
-                f"process {name!r} produced arity {rel.arity} for concept of "
-                f"arity {concept.arity}"
-            )
-        return rel
+    def lookup_predicate(self, name: str, arity: int, process_name: str) -> Relation:
+        return self._run(process_name, arity, f"{name}/{arity}")
 
-    def lookup_predicate(self, world: World, name: str, arity: int) -> Relation | None:
-        pname = self._pred_binds.get((name, arity))
-        if pname is None:
-            return None
-        rel = self._processes[pname].run(world)
+    def _run(self, process_name: str, arity: int, target: str) -> Relation:
+        rel = self.process(process_name).run()
         if rel.arity != arity:
             raise GroundingError(
-                f"process {pname!r} produced arity {rel.arity} for {name}/{arity}"
+                f"process {process_name!r} produced arity {rel.arity} for {target}"
             )
         return rel
 
@@ -164,7 +144,7 @@ def load_corpus(source) -> list[tuple[str, bool]]:
 def corpus_process(name: str, corpus, table: ConceptTable) -> GroundingProcess:
     """ML-style mock: the unary relation of every clip in the corpus."""
     rel = Relation(1, frozenset((table.particular(cid),) for cid, _ in corpus))
-    return GroundingProcess(name, "ML", lambda world: rel)
+    return GroundingProcess(name, lambda: rel)
 
 
 def retrieval_process(
@@ -182,13 +162,13 @@ def retrieval_process(
             if positive
         ),
     )
-    return GroundingProcess(name, "PR", lambda world: rel)
+    return GroundingProcess(name, lambda: rel)
 
 
-def truth_process(name: str, value: bool, kind: str = "SDC") -> GroundingProcess:
+def truth_process(name: str, value: bool) -> GroundingProcess:
     """Mock grounding of a proposition to a fixed truth value."""
     rel = Relation(0, frozenset({()} if value else ()))
-    return GroundingProcess(name, kind, lambda world: rel)
+    return GroundingProcess(name, lambda: rel)
 
 
 # ---------------------------------------------------------------------------
@@ -551,22 +531,3 @@ def _render_retrieval(u, template, table, templates, partner,
     if tense == "in_future":
         return f"I will {template.lemma} the {word} {_entry_words(obj)} such that {requirement}"
     return f"I {template.past} the {word} {_entry_words(obj)} such that {requirement}"
-
-
-# ---------------------------------------------------------------------------
-# Fuzzy-emotion annotation hook
-
-
-class EmotionMap:
-    """Per-kind partial maps from concepts to degrees in [0, 1]."""
-
-    def __init__(self):
-        self._maps: dict[str, dict[Concept, float]] = {}
-
-    def set(self, kind: str, concept: Concept, value: float) -> None:
-        if not (0.0 <= value <= 1.0):
-            raise GroundingError(f"emotion degree {value} outside [0, 1]")
-        self._maps.setdefault(kind, {})[concept] = value
-
-    def get(self, kind: str, concept: Concept) -> float | None:
-        return self._maps.get(kind, {}).get(concept)

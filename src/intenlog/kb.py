@@ -1,10 +1,11 @@
 """Knowledge-base files and the session tying the engine together.
 
-A session owns one vocabulary, one concept table, the current world,
-the epistemic memory and the grounding registry; every mutation goes
-through its methods, so a command script and the interactive loop
-behave identically.  Rules live only in permanent memory, as Know atoms
-of their implication.
+A session owns one vocabulary, one concept table, the current world
+(which holds the epistemic memory) and the grounding registry; every
+mutation goes through its methods, so a command script and the
+interactive loop behave identically.  Rules live only in permanent
+memory, as Know atoms of their implication.  Binding a grounding
+process runs it once and installs its relation in the world.
 
 KB grammar, one directive per line, ``#`` comments:
 
@@ -15,8 +16,9 @@ KB grammar, one directive per line, ``#`` comments:
     assert <formula>
     know <abstracted-term>
 
-Directives execute in order; asserting an undeclared predicate or
-referencing an unregistered process is an error naming the line.
+Directives execute in order; asserting an undeclared predicate,
+referencing an unregistered process, or both asserting and grounding
+one predicate is an error naming the line.
 """
 
 from __future__ import annotations
@@ -27,13 +29,14 @@ from . import epistemic, worlds
 from .epistemic import Memory, TraceStep
 from .grounding import GroundingError, GroundingRegistry, TemplateSet, render_nl
 from .parser import ParseError, parse_formula, parse_term
-from .prp import ConceptError, ConceptTable
+from .prp import Concept, ConceptError, ConceptTable
 from .relalg import Relation
 from .syntax import (
     AbstractedTerm,
     Atom,
     Formula,
     FormulaError,
+    Predicate,
     Vocabulary,
     free_var_tuple,
     serialize,
@@ -54,12 +57,12 @@ class Session:
     def __init__(self, budget: int = 3):
         self.vocabulary = Vocabulary()
         self.table = ConceptTable(self.vocabulary)
-        self.registry = GroundingRegistry()
+        self.registry = GroundingRegistry(self._install)
         self.templates = TemplateSet()
         self.budget = budget
         self.declared_particulars: list[str] = []
         self.trace: list[TraceStep] = []
-        self.world = World({}, frozenset(self.table.particulars()), Memory(), self.registry)
+        self.world = World({}, frozenset(self.table.particulars()), Memory())
 
     @property
     def memory(self) -> Memory:
@@ -69,21 +72,36 @@ class Session:
     def memory(self, value: Memory) -> None:
         self.world = self.world.with_memory(value)
 
-    def _refresh_particulars(self) -> None:
-        # the table only grows, so equal counts mean the snapshot is current
-        if self.table.particular_count() != len(self.world.particulars):
-            self.world = self.world.with_particulars(self.table.particulars())
+    def _canonical(self, pred: Predicate):
+        """The atom over distinct variables that base relations attach to."""
+        entries = tuple(("v", f"x{i}") for i in range(1, pred.arity + 1))
+        return self.table.intern_atom(pred, entries)
+
+    def _install(self, target, relation: Relation) -> None:
+        """The registry's install function: put a bound relation in the world."""
+        if isinstance(target, Concept):
+            self.world = self.world.with_grounded(target, relation)
+            return
+        name, arity = target
+        if target in self.world.pred_base and self.registry.bound_process(name, arity) is None:
+            raise KBError(f"cannot ground {name}/{arity}: it already has asserted facts")
+        pred = self.vocabulary.resolve(name, arity)
+        self.world = self.world.with_base(self._canonical(pred), relation)
 
     # -- declarations -----------------------------------------------------
 
     def declare_predicate(self, name: str, arity: int) -> None:
         self.vocabulary.declare(name, arity)
 
+    def _add_particular(self, name: str) -> None:
+        particular = self.table.particular(name)
+        if particular not in self.world.particulars:
+            self.world = self.world.with_particulars(self.world.particulars | {particular})
+
     def declare_particular(self, name: str) -> None:
-        self.table.particular(name)
         if name not in self.declared_particulars:
             self.declared_particulars.append(name)
-        self._refresh_particulars()
+        self._add_particular(name)
 
     def ground_predicate(self, name: str, process_name: str) -> None:
         arities = self.vocabulary.arities(name)
@@ -109,16 +127,17 @@ class Session:
             raise KBError(f"only atoms can be asserted, got {serialize(f)}")
         if free_var_tuple(f):
             raise KBError(f"cannot assert an open formula: {serialize(f)}")
-        row = tuple(self.table.extend_assignment({}, a) for a in f.args)
         pred = f.predicate
+        process = self.registry.bound_process(pred.name, pred.arity)
+        if process is not None:
+            raise KBError(
+                f"cannot assert {serialize(f)}: {pred.name}/{pred.arity} is grounded "
+                f"by process {process!r}"
+            )
+        row = tuple(self.table.extend_assignment({}, a) for a in f.args)
         current = self.world.pred_base.get((pred.name, pred.arity))
         rows = current.tuples | {row} if current is not None else frozenset({row})
-        concept = self.table.intern_atom(
-            pred,
-            tuple(("v", f"x{i}") for i in range(1, pred.arity + 1)),
-        )
-        self.world = self.world.with_base(concept, Relation(pred.arity, rows))
-        self._refresh_particulars()
+        self.world = self.world.with_base(self._canonical(pred), Relation(pred.arity, rows))
 
     def know_term(self, term: AbstractedTerm):
         self.memory, atom, added = epistemic.assert_experience(
@@ -146,10 +165,11 @@ class Session:
         self.trace.extend(steps)
         return steps
 
-    def consolidate(self, tau) -> tuple[TraceStep, ...]:
+    def consolidate(self, tau: str) -> tuple[TraceStep, ...]:
+        """Consolidate at ``tau``, which the stamped knowledge makes a particular."""
         self.memory, steps = epistemic.consolidate(self.memory, tau, self.table)
         self.trace.extend(steps)
-        self._refresh_particulars()
+        self._add_particular(tau)
         return steps
 
     def answer(self, f: Formula) -> str:
@@ -167,7 +187,7 @@ class Session:
         """Run one KB directive; returns printable output, if any."""
         try:
             return self._execute(line)
-        except (ParseError, FormulaError, ConceptError, WorldError, GroundingError,
+        except (KBError, ParseError, FormulaError, ConceptError, WorldError, GroundingError,
                 epistemic.EpistemicError) as exc:
             raise KBError(str(exc), line_no) from exc
 
@@ -227,16 +247,18 @@ def dump_kb(session: Session) -> str:
 
     Loading the dump into an equally provisioned session (same
     processes registered) reproduces the state: dump(load(dump(s)))
-    equals dump(s) byte for byte.
+    equals dump(s) byte for byte.  A grounded predicate's relation is
+    written as its ``ground`` line, not as asserts.
     """
     out: list[str] = []
     for pred in session.vocabulary.declared():
         out.append(f"predicate {pred.name}/{pred.arity}")
     for name in sorted(session.declared_particulars):
         out.append(f"particular {name}")
-    for target, process in session.registry.bindings():
-        if "/" in target:  # concept-level binds are programmatic, not KB directives
-            out.append(f"ground {target.split('/')[0]} {process}")
+    for pred in session.vocabulary.declared():
+        process = session.registry.bound_process(pred.name, pred.arity)
+        if process is not None:
+            out.append(f"ground {pred.name} {process}")
     for atom in session.memory.permanent:
         if atom.provenance == (epistemic.RULE_EXPERIENCE,):  # only add_rule stores these
             parts = epistemic.decompose_implication(atom.content)
@@ -244,6 +266,8 @@ def dump_kb(session: Session) -> str:
             out.append(f"rule {antecedent} => {consequent}")
     assert_lines = []
     for (name, arity), rel in session.world.pred_base.items():
+        if session.registry.bound_process(name, arity) is not None:
+            continue  # its ground line stands for it
         pred = session.vocabulary.resolve(name, arity)
         for row in rel.sorted_rows():
             atom = Atom(pred, tuple(session.table.element_to_term(e) for e in row))

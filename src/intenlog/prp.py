@@ -147,9 +147,6 @@ class ConceptTable:
     def particulars(self) -> list[Particular]:
         return [self._particulars[n] for n in sorted(self._particulars)]
 
-    def particular_count(self) -> int:
-        return len(self._particulars)
-
     def concepts(self) -> list[Concept]:
         return sorted(self._concepts.values(), key=lambda u: u.id)
 

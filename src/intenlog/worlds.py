@@ -1,20 +1,22 @@
 """Worlds: extensionalization of concepts at a time instance.
 
 A world fixes the extensions of atomic concepts: a base relation per
-predicate, the relations its grounding processes return, and the Know
-relation of the memory it holds.  Composite extensions are computed
-homomorphically: indexed conjunction via natural join, negation via
-active-domain complement, positional quantification via projection,
-with the truth concept always extensionalized to truth.
+predicate, asserted or installed by a grounding process when it was
+bound, the relations of individually grounded atomic concepts, and the
+Know relation of the memory it holds.  Composite extensions are
+computed homomorphically: indexed conjunction via natural join,
+negation via active-domain complement, positional quantification via
+projection, with the truth concept always extensionalized to truth.
 
-A world is a value.  Updating its base, particulars or memory returns a
-new world that shares everything it did not replace, so a world held
-elsewhere never changes.  Every extension is memoized per world and
-concept.  Atoms read base relations through their column index (a
-ground atom is one membership test), which outlives a world as long as
-later worlds share the relation.  The base part of the active domain is
-fixed per world and collected once; grounded outputs are added at each
-call.
+A world is a value.  Updating its base, grounded concepts, particulars
+or memory returns a new world that shares everything it did not
+replace, so a world held elsewhere never changes.  Every extension is
+memoized per world and concept.  Atoms read base relations through
+their column index (a ground atom is one membership test), which
+outlives a world as long as later worlds share the relation.  The
+active domain is collected once per world: its particulars plus every
+element of its base and grounded relations.  Known concepts are not
+elements, so negating an open Know atom is an error.
 """
 
 from __future__ import annotations
@@ -55,10 +57,9 @@ class World:
     pred_base: Mapping[tuple[str, int], Relation] = field(default_factory=dict)
     particulars: frozenset = frozenset()
     memory: Memory | None = None
-    grounding: object | None = None
+    grounded: Mapping[int, Relation] = field(default_factory=dict)  # by concept id
     _memo: dict = field(default_factory=dict, init=False, repr=False)
-    _grounded: dict = field(default_factory=dict, init=False, repr=False)
-    _base_elements: frozenset | None = field(default=None, init=False, repr=False)
+    _domain: frozenset | None = field(default=None, init=False, repr=False)
 
     def with_base(self, concept: Concept, relation: Relation) -> "World":
         """A new world with the predicate's base relation replaced; the
@@ -78,29 +79,34 @@ class World:
             )
         pred = concept.predicate
         pred_base = {**self.pred_base, (pred.name, pred.arity): relation}
-        return World(pred_base, self.particulars, self.memory, self.grounding)
+        return World(pred_base, self.particulars, self.memory, self.grounded)
+
+    def with_grounded(self, concept: Concept, relation: Relation) -> "World":
+        """A new world in which an atomic concept reads ``relation``."""
+        grounded = {**self.grounded, concept.id: relation}
+        return World(self.pred_base, self.particulars, self.memory, grounded)
 
     def with_particulars(self, particulars) -> "World":
-        return World(self.pred_base, frozenset(particulars), self.memory, self.grounding)
+        return World(self.pred_base, frozenset(particulars), self.memory, self.grounded)
 
     def with_memory(self, memory: Memory) -> "World":
-        return World(self.pred_base, self.particulars, memory, self.grounding)
+        return World(self.pred_base, self.particulars, memory, self.grounded)
 
     def active_domain(self) -> frozenset:
-        """Elements of all base relations plus the declared particulars,
-        plus those of the grounded relations read so far."""
-        if self._base_elements is None:
-            rows = (row for rel in self.pred_base.values() for row in rel.tuples)
-            object.__setattr__(self, "_base_elements", frozenset(self.particulars).union(*rows))
-        grounded = (row for rel in self._grounded.values() for row in rel.tuples)
-        return self._base_elements.union(*grounded)
+        """The particulars plus every element of the base and grounded
+        relations."""
+        if self._domain is None:
+            relations = (*self.pred_base.values(), *self.grounded.values())
+            rows = (row for rel in relations for row in rel.tuples)
+            object.__setattr__(self, "_domain", frozenset(self.particulars).union(*rows))
+        return self._domain
 
 
 def extension(world: World, u) -> Relation | Element:
     """Extensionalize a concept in a world.
 
-    Particulars are their own extension.  Atomic concepts read base
-    extensions, grounding processes or the world's memory; composite
+    Particulars are their own extension.  Atomic concepts read the
+    world's grounded, base or memory-backed relations; composite
     concepts are computed structurally.
     """
     if isinstance(u, Particular):
@@ -123,18 +129,26 @@ def _compute(world: World, u: Concept) -> Relation:
         right = extension(world, u.children[1])
         return relalg.natural_join(left, right, u.pairs)
     if u.op == "neg":
-        return relalg.complement(extension(world, u.children[0]), world.active_domain())
+        inner = extension(world, u.children[0])
+        try:
+            return relalg.complement(inner, world.active_domain())
+        except relalg.RelAlgError:
+            know = _open_know_atom(u.children[0])
+            if know is None:
+                raise
+            raise WorldError(
+                f"cannot negate the open Know atom {know}: "
+                "known concepts are not elements of the active domain"
+            ) from None
     if u.op == "exists":
         return relalg.project_out(extension(world, u.children[0]), u.position)
     raise WorldError(f"cannot extensionalize {u!r}")
 
 
 def _atom_extension(world: World, u: Concept) -> Relation:
-    if world.grounding is not None:
-        rel = world.grounding.lookup_concept(world, u)
-        if rel is not None:
-            world._grounded[u.id] = rel
-            return rel
+    rel = world.grounded.get(u.id)
+    if rel is not None:
+        return rel
     pred = u.predicate
     if pred == IDENTITY_PREDICATE:
         return _identity_extension(world, u)
@@ -144,17 +158,20 @@ def _atom_extension(world: World, u: Concept) -> Relation:
         base = Relation(3, world.memory.know_tuples())
     else:
         base = world.pred_base.get((pred.name, pred.arity))
-        if base is None and world.grounding is not None:
-            base = world.grounding.lookup_predicate(world, pred.name, pred.arity)
-            if base is not None:
-                world._grounded[-u.id] = base
     if base is None:
         raise MissingExtensionError(u)
-    if base.arity != pred.arity:
-        raise WorldError(
-            f"base relation of arity {base.arity} for predicate {pred!r}"
-        )
     return _layout(u, base)
+
+
+def _open_know_atom(u: Concept) -> str | None:
+    """The first Know atom in the concept tree whose content is a
+    variable, as text."""
+    if u.op == "atom":
+        if u.predicate.name != KNOW_NAME or u.entries[-1][0] != "v":
+            return None
+        args = (f"?{e[1]}" if e[0] == "v" else repr(e[1]) for e in u.entries)
+        return f"u{u.id} {KNOW_NAME}({', '.join(args)})"
+    return next(filter(None, map(_open_know_atom, u.children)), None)
 
 
 def _layout(u: Concept, base: Relation) -> Relation:

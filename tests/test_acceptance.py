@@ -12,8 +12,20 @@ from intenlog.checks import (
     check_tarski,
     check_union,
 )
-from intenlog.demo import build_demo_session, fixture_text, retrieval_instances, run_demo
-from intenlog.grounding import render_nl
+from intenlog.demo import (
+    NL_QUERY,
+    build_demo_session,
+    fixture_text,
+    retrieval_instances,
+    run_demo,
+)
+from intenlog.grounding import (
+    corpus_process,
+    load_corpus,
+    pars,
+    render_nl,
+    retrieval_process,
+)
 from intenlog.kb import Session, dump_kb, load_kb
 from intenlog.parser import parse_formula
 from intenlog.syntax import AbstractedTerm, free_var_tuple, serialize
@@ -162,7 +174,13 @@ def test_acceptance_7_round_trips():
     once = dump_kb(demo_session)
     fresh = Session()
     fresh.templates = demo_session.templates
-    fresh.registry = demo_session.registry
+    corpus = load_corpus(fixture_text("corpus.txt"))
+    fresh.vocabulary.declare("Walk", 5)
+    query_concept = fresh.table.interpret(pars(NL_QUERY, fresh.templates, fresh.vocabulary))
+    fresh.registry.register_process(corpus_process("corpus_clips", corpus, fresh.table))
+    fresh.registry.register_process(
+        retrieval_process("find_matches", corpus, query_concept, fresh.table)
+    )
     load_kb(once, fresh)
     kb_ok = kb_ok and dump_kb(fresh) == once
 

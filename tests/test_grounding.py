@@ -2,10 +2,8 @@ import pytest
 
 from intenlog.demo import NL_COMMAND, NL_QUERY, build_demo_session
 from intenlog.grounding import (
-    EmotionMap,
     GroundingError,
     GroundingProcess,
-    GroundingRegistry,
     NotParseable,
     SDC,
     chunk_sdcs,
@@ -16,7 +14,7 @@ from intenlog.grounding import (
     render_nl,
     truth_process,
 )
-from intenlog.prp import ConceptTable
+from intenlog.kb import KBError, Session, dump_kb, dump_world, load_kb
 from intenlog.relalg import Relation
 from intenlog.syntax import (
     AbstractedTerm,
@@ -27,7 +25,7 @@ from intenlog.syntax import (
     Variable,
     Vocabulary,
 )
-from intenlog.worlds import MissingExtensionError, World, extension
+from intenlog.worlds import MissingExtensionError, extension
 
 TEMPLATES = load_templates(
     "verb walk past=walked pred=Walk/5 slots=figure,from,through,to\n"
@@ -64,45 +62,37 @@ class TestCorpusAndTemplates:
 
 class TestRegistry:
     def test_composite_bind_rejected(self):
-        table = ConceptTable()
-        registry = GroundingRegistry()
-        registry.register_process(truth_process("p", True))
-        u = table.neg(table.truth)
+        session = Session()
+        session.registry.register_process(truth_process("p", True))
+        u = session.table.neg(session.table.truth)
         with pytest.raises(GroundingError, match="atomic"):
-            registry.bind_concept(u, "p")
+            session.registry.bind_concept(u, "p")
 
     def test_duplicate_process_name(self):
-        registry = GroundingRegistry()
+        registry = Session().registry
         registry.register_process(truth_process("p", True))
         with pytest.raises(GroundingError, match="already registered"):
             registry.register_process(truth_process("p", False))
 
-    def test_unknown_kind(self):
-        with pytest.raises(GroundingError, match="kind"):
-            GroundingProcess("p", "NN", lambda w: Relation(0, frozenset()))
-
     def test_unbound_concept(self):
-        table = ConceptTable()
-        registry = GroundingRegistry()
-        world = World(grounding=registry)
-        pred = table.vocabulary.declare("stuff", 1)
-        u = table.intern_atom(pred, (("v", "x"),))
+        session = Session()
+        pred = session.vocabulary.declare("stuff", 1)
+        u = session.table.intern_atom(pred, (("v", "x"),))
         with pytest.raises(MissingExtensionError):
-            extension(world, u)
+            extension(session.world, u)
 
     def test_grounded_extension_is_stable(self):
-        vocab = Vocabulary()
-        vocab.declare("videoclips", 1)
-        table = ConceptTable(vocab)
+        session = load_kb("predicate videoclips/1\n")
         corpus = [("clip1", True), ("clip2", False)]
-        registry = GroundingRegistry()
-        registry.register_process(corpus_process("clips", corpus, table))
-        u = table.intern_atom(vocab.resolve("videoclips", 1), (("v", "y"),))
-        registry.bind_concept(u, "clips")
-        world = World(grounding=registry, particulars=frozenset(table.particulars()))
-        first = extension(world, u)
-        assert first is extension(world, u)
+        session.registry.register_process(corpus_process("clips", corpus, session.table))
+        u = session.table.intern_atom(
+            session.vocabulary.resolve("videoclips", 1), (("v", "y"),)
+        )
+        session.registry.bind_concept(u, "clips")
+        first = extension(session.world, u)
+        assert first is extension(session.world, u)
         assert len(first.tuples) == 2
+        assert session.world.pred_base[("videoclips", 1)].tuples == first.tuples
 
     def test_retrieval_output_within_the_clip_class(self):
         session, info = build_demo_session()
@@ -115,15 +105,93 @@ class TestRegistry:
         assert matched.tuples <= clip_class.tuples
         assert len(clip_class.tuples) == 10 and len(matched.tuples) == 3
 
-    def test_proposition_grounding(self, vocab):
-        table = ConceptTable(vocab)
-        query = pars(NL_QUERY, TEMPLATES, vocab)
-        u = table.interpret(query)
-        registry = GroundingRegistry()
-        registry.register_process(truth_process("sdc", True))
-        registry.bind_concept(u, "sdc")
-        world = World(grounding=registry, particulars=frozenset(table.particulars()))
-        assert extension(world, u).tuples == frozenset({()})
+    def test_proposition_grounding(self):
+        session = load_kb("predicate Walk/5\n")
+        u = session.table.interpret(pars(NL_QUERY, TEMPLATES, session.vocabulary))
+        session.registry.register_process(truth_process("sdc", True))
+        session.registry.bind_concept(u, "sdc")
+        assert session.world.grounded == {u.id: Relation(0, frozenset({()}))}
+        assert extension(session.world, u).tuples == frozenset({()})
+
+
+class TestBinding:
+    """A bind runs its process once and installs the relation in the
+    session's world; a world never calls a process."""
+
+    CLIPS = "predicate v/1\nparticular x\n"
+
+    def counting_session(self, runs):
+        session = Session()
+        rel = Relation(1, frozenset({(session.table.particular("c1"),)}))
+
+        def run():
+            runs.append(1)
+            return rel
+
+        session.registry.register_process(GroundingProcess("clips", run))
+        return session
+
+    def test_a_bind_runs_its_process_once(self):
+        runs = []
+        session = self.counting_session(runs)
+        load_kb(self.CLIPS + "ground v clips\n", session)
+        assert runs == [1]
+        for _ in range(3):
+            assert session.eval_formula(session.parse("v(c1)"))
+            assert session.eval_formula(session.parse("~ v(x)"))
+            session.execute("particular y")  # a write: a new world
+        assert runs == [1]
+
+    def test_a_held_world_does_not_see_a_later_bind(self):
+        session = self.counting_session([])
+        load_kb(self.CLIPS, session)
+        held = session.world
+        session.execute("ground v clips")
+        u = session.table.interpret(session.parse("v(?y)"))
+        with pytest.raises(MissingExtensionError):
+            extension(held, u)
+        assert extension(session.world, u).tuples == {(session.table.particular("c1"),)}
+
+    def test_the_bound_output_is_in_the_domain_before_any_read(self):
+        session = self.counting_session([])
+        load_kb(self.CLIPS + "ground v clips\n", session)
+        assert session.table.particular("c1") in session.world.active_domain()
+
+    def test_arity_is_checked_at_bind_time(self):
+        session = Session()
+        session.registry.register_process(truth_process("yes", True))
+        with pytest.raises(KBError, match="line 2: .*arity 0 for v/1"):
+            load_kb("predicate v/1\nground v yes\n", session)
+        assert ("v", 1) not in session.world.pred_base
+        assert session.registry.bound_process("v", 1) is None
+
+    @pytest.mark.parametrize("lines, message", [
+        (("ground v clips", "assert v(x)"), "line 4: cannot assert v\\(x\\): v/1 is grounded"),
+        (("assert v(x)", "ground v clips"), "line 4: cannot ground v/1: it already has asserted"),
+    ])
+    def test_assert_and_ground_exclude_each_other(self, lines, message):
+        session = self.counting_session([])
+        with pytest.raises(KBError, match=message):
+            load_kb(self.CLIPS + "\n".join(lines) + "\n", session)
+
+    def test_rebinding_replaces_the_relation(self):
+        session = self.counting_session([])
+        session.registry.register_process(
+            corpus_process("other", [("c2", True)], session.table)
+        )
+        load_kb(self.CLIPS + "ground v clips\nground v other\n", session)
+        assert session.eval_formula(session.parse("v(c2)"))
+        assert not session.eval_formula(session.parse("v(c1)"))
+
+    def test_dumps_write_ground_lines_and_list_grounded_relations(self):
+        session = self.counting_session([])
+        load_kb(self.CLIPS + "predicate w/1\nground v clips\nassert w(x)\n", session)
+        dumped = dump_kb(session)
+        assert "ground v clips" in dumped and "assert v(" not in dumped
+        fresh = self.counting_session([])
+        assert dump_kb(load_kb(dumped, fresh)) == dumped
+        c1 = session.table.particular("c1")
+        assert f"v/1: ({c1})" in dump_world(session).splitlines()
 
 
 class TestPars:
@@ -301,22 +369,3 @@ class TestRenderNL:
         text = render_nl(self.info["command"], self.table, self.session.templates)
         reparsed = pars(text, self.session.templates, self.session.vocabulary)
         assert reparsed == self.info["command"]
-
-
-class TestEmotionMap:
-    def test_set_get(self):
-        table = ConceptTable()
-        em = EmotionMap()
-        em.set("love", table.truth, 0.8)
-        assert em.get("love", table.truth) == 0.8
-
-    def test_unset_is_none(self):
-        table = ConceptTable()
-        em = EmotionMap()
-        assert em.get("fear", table.truth) is None
-
-    def test_range_enforced(self):
-        table = ConceptTable()
-        em = EmotionMap()
-        with pytest.raises(GroundingError, match="outside"):
-            em.set("joy", table.truth, 1.3)

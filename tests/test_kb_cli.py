@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from intenlog.cli import main, repl
-from intenlog.demo import build_demo_session, fixture_text
+from intenlog.demo import NL_QUERY, build_demo_session, fixture_text
+from intenlog.grounding import corpus_process, load_corpus, pars, retrieval_process
 from intenlog.kb import (
     KBError,
     Session,
@@ -16,7 +17,7 @@ from intenlog.kb import (
     dump_world,
     load_kb,
 )
-from intenlog.worlds import World
+from intenlog.worlds import WorldError
 
 
 class TestLoadKB:
@@ -78,9 +79,13 @@ class TestDumpKB:
         dumped = dump_kb(session)
         fresh = Session()
         fresh.templates = session.templates
-        fresh.registry = session.registry
-        fresh.world = World(fresh.world.pred_base, fresh.world.particulars,
-                            fresh.memory, fresh.registry)
+        corpus = load_corpus(fixture_text("corpus.txt"))
+        fresh.vocabulary.declare("Walk", 5)
+        query = fresh.table.interpret(pars(NL_QUERY, fresh.templates, fresh.vocabulary))
+        fresh.registry.register_process(corpus_process("corpus_clips", corpus, fresh.table))
+        fresh.registry.register_process(
+            retrieval_process("find_matches", corpus, query, fresh.table)
+        )
         load_kb(dumped, fresh)
         assert dump_kb(fresh) == dumped
 
@@ -99,21 +104,22 @@ class TestDumpKB:
 
 class TestWorldParticulars:
     def test_world_holds_every_interned_particular_after_a_write(self):
+        """The domain is the built-in and declared particulars plus the
+        elements of the world's relations; a constant that only a query
+        or a term mentions is interned but is no element."""
         session = load_kb("predicate p/1\npredicate q/1\nparticular a\nassert p(a)\n")
-
-        def current():
-            return session.world.particulars == frozenset(session.table.particulars())
-
+        table = session.table
         session.execute("assert p(fresh)")  # an undeclared constant
-        assert current()
         session.execute("assert q(<< p(inner) >>)")  # a new constant inside a term
-        assert current()
         session.eval_formula(session.parse("p(asked)"))  # a query interns one too
         session.execute("assert p(a)")
-        assert current()
+        inner = session.parse("p(inner)")
+        domain = session.world.active_domain()
+        assert {table.particular("fresh"), table.interpret(inner)} <= domain
+        assert table.particular("inner") not in domain
+        assert table.particular("asked") not in domain
         names = {p.name for p in session.world.particulars}
-        assert {"a", "fresh", "inner", "asked"} <= names
-        assert session.table.particular("asked") in session.world.active_domain()
+        assert names == {p.name for p in Session().table.particulars()} | {"a"}
 
 
 class TestSessionCommands:
@@ -140,6 +146,14 @@ class TestSessionCommands:
             session.chain(budget)
             depths = [a.depth for a in session.memory.atoms()]
             assert max(depths) == expect
+
+    def test_negating_an_open_know_atom_names_it(self):
+        session = load_kb("predicate p/1\nparticular a\nassert p(a)\n")
+        session.execute("know << p(?x) >>_{x}")
+        with pytest.raises(WorldError, match=r"open Know atom u\d+ Know\(in_present, me, \?x\)"):
+            session.eval_formula(session.parse("E{1} ~ Know(in_present, me, ?x)"))
+        known = session.memory.atoms()[0].content
+        assert known not in session.world.active_domain()
 
     def test_dumps_render(self):
         session = load_kb(fixture_text("chain.kb"))
@@ -194,6 +208,16 @@ class TestRepl:
             "walked from the couches in the room to the dining room table "
             "in the set of videoclips."
         ]
+
+    def test_negating_an_open_know_atom_is_a_reported_error(self):
+        out = self.run(
+            "predicate p/1\nknow << p(?x) >>_{x}\n"
+            "eval E{1} ~ Know(in_present, me, ?x)\neval Top\nquit\n"
+        )
+        assert out[0] == "k1"
+        assert out[1].startswith("error: cannot negate the open Know atom ")
+        assert "Know(in_present, me, ?x)" in out[1]
+        assert out[2] == "t"
 
     def test_errors_are_reported_not_fatal(self):
         out = self.run("assert nope(me)\neval Top\nquit\n")

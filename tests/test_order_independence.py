@@ -1,0 +1,159 @@
+"""Reads do not depend on evaluation order.
+
+A world's active domain is its particulars (built-in, declared and
+consolidation times) plus the elements of its relations, fixed when the
+world is built.  So no read changes a later one: not a grounded atom,
+whose process ran when it was bound, and not a query that mentions a
+constant nothing asserted.
+"""
+
+from __future__ import annotations
+
+import random
+
+from intenlog.demo import build_demo_session
+from intenlog.grounding import corpus_process
+from intenlog.kb import Session, load_kb
+from intenlog.syntax import (
+    AbstractedTerm,
+    Atom,
+    Conj,
+    Constant,
+    Exists,
+    Neg,
+    TimeValue,
+    Variable,
+    free_var_tuple,
+    serialize,
+    serialize_term,
+)
+from intenlog.worlds import satisfying_assignments
+
+KB = """\
+predicate p/1
+predicate q/2
+predicate g/1
+particular a
+particular b
+assert p(a)
+assert q(a, b)
+assert q(b, b)
+ground g clips
+know << p(a) >>
+know << q(?x, b) >>_{x}
+rule p(?x) => g(?x)
+"""
+
+# a: declared and asserted; c1, c2: only the grounded predicate emits
+# them; c3: only the individually grounded atom q(?x, ?x) emits it;
+# zzz1, zzz2: only queries mention them
+CONSTANTS = ("a", "b", "c1", "c3", "zzz1", "zzz2")
+VARIABLES = (Variable("x"), Variable("y"))
+
+
+def build_session():
+    """Grounded predicate, a concept bind, memory and a chain."""
+    session = Session()
+    table = session.table
+    session.registry.register_process(
+        corpus_process("clips", [("c1", True), ("c2", False)], table)
+    )
+    load_kb(KB, session)
+    diagonal = table.interpret(session.parse("q(?x, ?x)"))
+    session.registry.register_process(
+        corpus_process("diagonal", [("c3", True), ("a", True)], table)
+    )
+    session.registry.bind_concept(diagonal, "diagonal")
+    session.chain(1)
+    return session
+
+
+def random_formula(rng, vocabulary, depth: int):
+    if depth == 0 or rng.random() < 0.35:
+        return random_atom(rng, vocabulary)
+    op = rng.choice(("neg", "neg", "conj", "exists"))
+    if op == "neg":
+        return Neg(random_formula(rng, vocabulary, depth - 1))
+    body = random_formula(rng, vocabulary, depth - 1)
+    if op == "exists":
+        fv = free_var_tuple(body)
+        return Exists(rng.randint(1, len(fv)), body) if fv else Neg(body)
+    rhs = random_formula(rng, vocabulary, depth - 1)
+    lt, rt = free_var_tuple(body), free_var_tuple(rhs)
+    pairs = tuple((lt.index(v) + 1, rt.index(v) + 1) for v in rt if v in lt)
+    return Conj(body, rhs, pairs)
+
+
+def random_atom(rng, vocabulary):
+    def term():
+        if rng.random() < 0.6:
+            return rng.choice(VARIABLES)
+        return Constant(rng.choice(CONSTANTS))
+
+    p, q, g = (vocabulary.resolve(n, k) for n, k in (("p", 1), ("q", 2), ("g", 1)))
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Atom(p, (term(),))
+    if kind == 1:
+        return Atom(g, (term(),))
+    if kind == 2:
+        return Atom(q, (term(), term()))
+    if kind == 3:
+        return Atom(q, (Variable("x"), Variable("x")))  # the grounded concept
+    # a Know atom over a closed term, which may mention a query-only constant
+    content = AbstractedTerm(Atom(p, (Constant(rng.choice(CONSTANTS)),)))
+    time = rng.choice((TimeValue("in_present"), Variable("x")))
+    return Atom(vocabulary.resolve("Know", 3), (time, Constant("me"), content))
+
+
+def rows(session, text: str) -> list:
+    """The satisfying assignments, by element text, in a fixed order."""
+    table = session.table
+    found = satisfying_assignments(session.world, session.parse(text), table)
+    return sorted(
+        tuple((v.name, serialize_term(table.element_to_term(e))) for v, e in a.items())
+        for a in found
+    )
+
+
+def test_random_reads_agree_in_every_order():
+    for seed in range(12):
+        rng = random.Random(seed)
+        vocabulary = build_session().vocabulary
+        texts = [serialize(random_formula(rng, vocabulary, 3)) for _ in range(10)]
+        # each formula alone on its own fresh session
+        reference = {text: rows(build_session(), text) for text in texts}
+        session = build_session()
+        for _ in range(3):
+            order = texts[:]
+            rng.shuffle(order)
+            for text in order:
+                assert rows(session, text) == reference[text], (seed, text)
+                # a write that changes no fact still builds a new world
+                session.execute("assert p(a)")
+
+
+def test_open_negation_of_the_demo_clip_class_is_fixed_by_the_binds():
+    session, info = build_demo_session()
+    negation = session.parse("~ videoclips(?x)")
+
+    def not_clips():
+        return {next(iter(a.values()))
+                for a in satisfying_assignments(session.world, negation, session.table)}
+
+    before = not_clips()
+    assert info["query_concept"] in before
+    for cid, _ in info["corpus"]:
+        session.eval_formula(session.parse(
+            f"Find(in_present, me, {cid}, {serialize_term(AbstractedTerm(info['query']))})"
+        ))
+    assert not_clips() == before
+
+
+def test_a_query_only_constant_does_not_join_the_domain():
+    session = load_kb("predicate p/1\nparticular a\nassert p(a)\n")
+    assert len(session.world.active_domain()) == 7
+    session.eval_formula(session.parse("p(zzz)"))
+    session.execute("assert p(a)")
+    assert len(session.world.active_domain()) == 7
+    assert session.table.particular("zzz") not in session.world.active_domain()

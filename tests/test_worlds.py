@@ -239,7 +239,7 @@ def test_memoization_transparency():
         warm = [extension(w, u) for u in concepts]
         assert [extension(w, u) for u in reversed(concepts)] == warm[::-1]
         for u, expected in zip(concepts, warm):
-            fresh = World(w.pred_base, w.particulars, w.memory, w.grounding)
+            fresh = World(w.pred_base, w.particulars, w.memory, w.grounded)
             assert extension(fresh, u) == expected
         session.chain()
 
