@@ -9,12 +9,16 @@ for the indexed conjunction, ``~`` for negation, ``E{n}`` for the
 positional quantifier, infix ``=`` for identity and the constant
 ``Top``.  ``serialize`` in the syntax module is the inverse: parsing
 its output recovers the formula structurally.
+
+The tokenizer makes one pass over the text with one regular expression
+and keeps each token as a plain ``(kind, text, offset)`` tuple, with an
+``EOF`` token at the end.  Line and column are computed from the offset
+only when a ``ParseError`` is raised.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .syntax import (
     AbstractedTerm,
@@ -41,14 +45,6 @@ class ParseError(Exception):
         super().__init__(f"line {line}, col {col}: {message}")
         self.line = line
         self.col = col
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
 
 
 _TOKEN_RE = re.compile(
@@ -78,75 +74,72 @@ _PUNCT_KINDS = {
 }
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``offset`` in ``text``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The ``(kind, text, offset)`` tokens of ``text``, whitespace
+    dropped, ending with an ``EOF`` token at ``len(text)``."""
     tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    end = 0
+    for m in iter(_TOKEN_RE.scanner(text).match, None):
         kind = m.lastgroup
-        chunk = m.group()
-        if kind == "PUNCT":
-            kind = _PUNCT_KINDS[chunk]
-        elif kind == "IDENT" and chunk == "_":
-            kind = "UNDERSCORE"
+        end = m.end()
         if kind != "WS":
-            tokens.append(_Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(_Token("EOF", "", line, col))
+            chunk = m.group()
+            if kind == "PUNCT" or chunk == "_":
+                kind = _PUNCT_KINDS[chunk]
+            tokens.append((kind, chunk, m.start()))
+    if end < len(text):
+        raise ParseError(f"unexpected character {text[end]!r}", *_position(text, end))
+    tokens.append(("EOF", "", end))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str, vocabulary: Vocabulary):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.vocabulary = vocabulary
 
-    def peek(self, offset: int = 0) -> _Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def kind(self, ahead: int = 0) -> str:
+        """The kind of the next token, or of the one ``ahead`` after it;
+        only the EOF token has nothing after it."""
+        return self.tokens[self.pos + ahead][0]
+
+    def error(self, message: str, tok=None) -> ParseError:
+        """A ParseError at ``tok``, by default the next token."""
+        return ParseError(message, *_position(self.text, (tok or self.peek())[2]))
+
+    def expect(self, kind: str) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
+        if tok[0] != kind:
+            raise self.error(f"expected {kind}, found {tok[1] or 'end of input'!r}")
+        self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-            )
-        return self.advance()
-
     def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        raise self.error(message)
 
     def guard(self, build):
         """Run a constructor, converting invariant errors to parse errors."""
         try:
             return build()
         except FormulaError as exc:
-            tok = self.peek()
-            raise ParseError(str(exc), tok.line, tok.col) from exc
+            raise self.error(str(exc)) from exc
 
     # -- grammar ------------------------------------------------------------
 
     def formula(self) -> Formula:
         left = self.unary()
-        while self.peek().kind == "CONJ":
-            self.advance()
+        while self.kind() == "CONJ":
+            self.pos += 1
             self.expect("LBRACE")
             pairs = self.pair_list()
             self.expect("RBRACE")
@@ -156,80 +149,79 @@ class _Parser:
 
     def pair_list(self) -> tuple[tuple[int, int], ...]:
         pairs = []
-        while self.peek().kind == "LPAREN":
-            self.advance()
-            a = int(self.expect("INT").text)
+        while self.kind() == "LPAREN":
+            self.pos += 1
+            a = int(self.expect("INT")[1])
             self.expect("COMMA")
-            b = int(self.expect("INT").text)
+            b = int(self.expect("INT")[1])
             self.expect("RPAREN")
             pairs.append((a, b))
-            if self.peek().kind == "COMMA":
-                self.advance()
+            if self.kind() == "COMMA":
+                self.pos += 1
         return tuple(pairs)
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "TILDE":
-            self.advance()
+        kind, text, _ = self.peek()
+        if kind == "TILDE":
+            self.pos += 1
             body = self.unary()
             return Neg(body)
-        if tok.kind == "IDENT" and tok.text == "E" and self.peek(1).kind == "LBRACE":
-            self.advance()
-            self.advance()
-            n = int(self.expect("INT").text)
+        if kind == "IDENT" and text == "E" and self.kind(1) == "LBRACE":
+            self.pos += 2
+            n = int(self.expect("INT")[1])
             self.expect("RBRACE")
             body = self.unary()
             return self.guard(lambda: Exists(n, body))
         return self.primary()
 
     def primary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "LPAREN":
-            self.advance()
+        kind, text, _ = self.peek()
+        if kind == "LPAREN":
+            self.pos += 1
             f = self.formula()
             self.expect("RPAREN")
             return f
-        if tok.kind == "IDENT" and tok.text == "Top":
-            self.advance()
+        if kind == "IDENT" and text == "Top":
+            self.pos += 1
             return Top()
-        if tok.kind == "IDENT" and self.peek(1).kind == "LPAREN":
+        if kind == "IDENT" and self.kind(1) == "LPAREN":
             return self.atom()
-        if tok.kind in ("QVAR", "IDENT", "LABS"):
+        if kind in ("QVAR", "IDENT", "LABS"):
             left = self.term()
             self.expect("EQUALS")
             right = self.term()
             return Identity(left, right)
-        self.fail(f"expected a formula, found {tok.text or 'end of input'!r}")
+        self.fail(f"expected a formula, found {text or 'end of input'!r}")
 
     def atom(self) -> Formula:
         name_tok = self.expect("IDENT")
         self.expect("LPAREN")
         args: list[Term] = []
-        if self.peek().kind != "RPAREN":
+        if self.kind() != "RPAREN":
             args.append(self.term())
-            while self.peek().kind == "COMMA":
-                self.advance()
+            while self.kind() == "COMMA":
+                self.pos += 1
                 args.append(self.term())
         self.expect("RPAREN")
         try:
-            pred = self.vocabulary.resolve(name_tok.text, len(args))
+            pred = self.vocabulary.resolve(name_tok[1], len(args))
         except FormulaError as exc:
-            raise ParseError(str(exc), name_tok.line, name_tok.col) from exc
+            raise self.error(str(exc), name_tok) from exc
         return self.guard(lambda: Atom(pred, tuple(args)))
 
     def term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "QVAR":
-            self.advance()
-            return Variable(tok.text[1:])
-        if tok.kind == "IDENT":
-            self.advance()
-            if tok.text in TENSES:
-                return TimeValue(tok.text)
-            return Constant(tok.text)
-        if tok.kind == "LABS":
+        kind, text, _ = self.peek()
+        if kind == "QVAR":
+            self.pos += 1
+            return Variable(text[1:])
+        if kind == "IDENT":
+            self.pos += 1
+            if text in TENSES:
+                return TimeValue(text)
+            return Constant(text)
+        if kind == "LABS":
             return self.abstraction()
-        self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
+        self.fail(f"expected a term, found {text or 'end of input'!r}")
 
     def abstraction(self) -> AbstractedTerm:
         self.expect("LABS")
@@ -237,11 +229,11 @@ class _Parser:
         self.expect("RABS")
         alpha = None
         beta: tuple[Variable, ...] = ()
-        if self.peek().kind == "UNDERSCORE":
-            self.advance()
+        if self.kind() == "UNDERSCORE":
+            self.pos += 1
             alpha = self.var_list()
-        if self.peek().kind == "CARET":
-            self.advance()
+        if self.kind() == "CARET":
+            self.pos += 1
             beta = self.var_list()
         if alpha is None:
             beta_set = set(beta)
@@ -251,16 +243,16 @@ class _Parser:
     def var_list(self) -> tuple[Variable, ...]:
         self.expect("LBRACE")
         out = []
-        while self.peek().kind in ("IDENT", "QVAR"):
-            tok = self.advance()
-            out.append(Variable(tok.text.lstrip("?")))
+        while self.kind() in ("IDENT", "QVAR"):
+            out.append(Variable(self.peek()[1].lstrip("?")))
+            self.pos += 1
         self.expect("RBRACE")
         return tuple(out)
 
     def finish(self, value):
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+        kind, text, _ = self.peek()
+        if kind != "EOF":
+            self.fail(f"unexpected trailing input {text!r}")
         return value
 
 
