@@ -4,9 +4,10 @@ These drive the engine against independent oracles: the homomorphism
 suite recomputes every composite extension with the raw relational
 operators, the sentence suite evaluates with a brute-force substitution
 evaluator that reads base, grounded and Know relations directly and
-uses the concept layer only to intern, and the join suite uses a
-nested-loop reference join.  All generators are seeded, so every run
-is reproducible.
+uses the concept layer only to intern, the join suite uses a
+nested-loop reference join, and the parse suite round-trips random
+formulas through ``serialize`` and checks where mutated texts fail.
+All generators are seeded, so every run is reproducible.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import time
 
 from . import relalg, worlds
 from .epistemic import Memory
+from .parser import ParseError, parse_formula
 from .prp import ConceptTable
 from .relalg import Relation
 from .syntax import (
@@ -33,6 +35,7 @@ from .syntax import (
     Variable,
     Vocabulary,
     free_var_tuple,
+    serialize,
     substitute,
 )
 from .worlds import World, eval_sentence, extension
@@ -410,11 +413,58 @@ def check_join_bookkeeping() -> tuple[bool, str]:
     return True, "column order (x_i..y_j), arity 7, oracle agreement"
 
 
+_MUTATION_ALPHABET = " \n\t()<>{}_^~=,/\\?E0123xyabp#@"
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """Insert, delete or replace one to three characters of ``text``."""
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randint(0, len(text))
+        op, ch = rng.randrange(3), rng.choice(_MUTATION_ALPHABET)
+        if op == 0:
+            text = text[:pos] + ch + text[pos:]
+        elif op == 1:
+            text = text[:pos] + text[pos + 1:]
+        else:
+            text = text[:pos] + ch + text[pos + 1:]
+    return text
+
+
+def check_parse(cases: int = 1000, seed: int = 1879) -> tuple[bool, str]:
+    """Parsing inverts ``serialize`` on random formulas, and a mutated
+    text either parses or raises a ParseError located inside it."""
+    rng = random.Random(seed)
+    started = time.monotonic()
+    variables = [Variable(n) for n in ("x", "y", "z")]
+    rejected = 0
+    for case in range(cases):
+        vocabulary = Vocabulary()
+        arities = rng.choices(range(0, 4), k=4)
+        preds = [vocabulary.declare(f"p{i}_{a}", a) for i, a in enumerate(arities)]
+        f = _random_formula(rng, preds, variables, [3])
+        text = serialize(f)
+        if parse_formula(text, vocabulary) != f:
+            return False, f"case {case}: round trip changed {text!r}"
+        mutant = _mutate(rng, text)
+        try:
+            parse_formula(mutant, vocabulary)
+        except ParseError as exc:
+            lines = mutant.split("\n")
+            if not (1 <= exc.line <= len(lines) and 1 <= exc.col <= len(lines[exc.line - 1]) + 1):
+                return False, f"case {case}: {exc} lies outside {mutant!r}"
+            rejected += 1
+        except Exception as exc:
+            return False, f"case {case}: {type(exc).__name__}: {exc} on {mutant!r}"
+    elapsed = time.monotonic() - started
+    return True, f"{cases} round trips, {rejected} of {cases} mutants rejected in {elapsed:.1f}s"
+
+
 ALL_CHECKS = (
     ("homomorphism", check_homomorphism),
     ("tarski", check_tarski),
     ("union", check_union),
     ("join-bookkeeping", check_join_bookkeeping),
+    ("parse", check_parse),
 )
 
 
@@ -424,4 +474,5 @@ def run_all(report=print) -> int:
         ok, detail = fn()
         report(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         failed += 0 if ok else 1
+    report(f"{len(ALL_CHECKS) - failed}/{len(ALL_CHECKS)} suites passed")
     return failed

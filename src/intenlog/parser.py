@@ -124,9 +124,6 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def fail(self, message: str):
-        raise self.error(message)
-
     def guard(self, build):
         """Run a constructor, converting invariant errors to parse errors."""
         try:
@@ -191,7 +188,7 @@ class _Parser:
             self.expect("EQUALS")
             right = self.term()
             return Identity(left, right)
-        self.fail(f"expected a formula, found {text or 'end of input'!r}")
+        raise self.error(f"expected a formula, found {text or 'end of input'!r}")
 
     def atom(self) -> Formula:
         name_tok = self.expect("IDENT")
@@ -221,7 +218,7 @@ class _Parser:
             return Constant(text)
         if kind == "LABS":
             return self.abstraction()
-        self.fail(f"expected a term, found {text or 'end of input'!r}")
+        raise self.error(f"expected a term, found {text or 'end of input'!r}")
 
     def abstraction(self) -> AbstractedTerm:
         self.expect("LABS")
@@ -252,7 +249,7 @@ class _Parser:
     def finish(self, value):
         kind, text, _ = self.peek()
         if kind != "EOF":
-            self.fail(f"unexpected trailing input {text!r}")
+            raise self.error(f"unexpected trailing input {text!r}")
         return value
 
 

@@ -14,9 +14,12 @@ replace, so a world held elsewhere never changes.  Every extension is
 memoized per world and concept.  Atoms read base relations through
 their column index (a ground atom is one membership test), which
 outlives a world as long as later worlds share the relation.  The
-active domain is collected once per world: its particulars plus every
-element of its base and grounded relations.  Known concepts are not
-elements, so negating an open Know atom is an error.
+active domain (its particulars plus every element of its base and
+grounded relations) and the Know relation of its memory, which every
+Know atom reads, are each built once per world.  An identity
+with a constant holds only of that constant, and only when it is a
+domain element.  Known concepts are not elements, so negating an open
+Know atom is an error.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ class World:
     grounded: Mapping[int, Relation] = field(default_factory=dict)  # by concept id
     _memo: dict = field(default_factory=dict, init=False, repr=False)
     _domain: frozenset | None = field(default=None, init=False, repr=False)
+    _know: Relation | None = field(default=None, init=False, repr=False)
 
     def with_base(self, concept: Concept, relation: Relation) -> "World":
         """A new world with the predicate's base relation replaced; the
@@ -100,6 +104,12 @@ class World:
             rows = (row for rel in relations for row in rel.tuples)
             object.__setattr__(self, "_domain", frozenset(self.particulars).union(*rows))
         return self._domain
+
+    def know_relation(self) -> Relation:
+        """The Know relation of the world's memory, built once per world."""
+        if self._know is None:
+            object.__setattr__(self, "_know", Relation(3, self.memory.know_tuples()))
+        return self._know
 
 
 def extension(world: World, u) -> Relation | Element:
@@ -155,7 +165,7 @@ def _atom_extension(world: World, u: Concept) -> Relation:
     if pred.name == KNOW_NAME and pred.arity == 3:
         if world.memory is None:
             raise MissingExtensionError(u)
-        base = Relation(3, world.memory.know_tuples())
+        base = world.know_relation()
     else:
         base = world.pred_base.get((pred.name, pred.arity))
     if base is None:
@@ -209,11 +219,11 @@ def _identity_extension(world: World, u: Concept) -> Relation:
     kinds = [e[0] for e in u.entries]
     if kinds == ["g", "g"]:
         return relalg.truth(u.entries[0][1] == u.entries[1][1])
+    domain = world.active_domain()
     if "g" in kinds:
         element = next(e[1] for e in u.entries if e[0] == "g")
-        return Relation(1, frozenset({(element,)}))
+        return Relation(1, frozenset({(element,)} if element in domain else ()))
     left, right = u.entries[0][1], u.entries[1][1]
-    domain = world.active_domain()
     if left == right:
         return Relation(1, frozenset((e,) for e in domain))
     return Relation(2, frozenset((e, e) for e in domain))

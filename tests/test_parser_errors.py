@@ -15,7 +15,8 @@ import random
 
 import pytest
 
-from intenlog import load_kb
+from intenlog import load_kb, parser
+from intenlog.checks import check_parse
 from intenlog.kb import KBError
 from intenlog.parser import ParseError, parse_formula, parse_term
 from intenlog.syntax import Vocabulary
@@ -162,3 +163,14 @@ def test_mutation_outcomes_are_pinned():
         for parse in (parse_formula, parse_term):
             digest.update(f"{text!r}\t{outcome(parse, text, vocab)}\n".encode())
     assert digest.hexdigest() == MUTATION_DIGEST
+
+
+def test_the_parse_check_passes():
+    ok, detail = check_parse(cases=300)
+    assert ok, detail
+
+
+def test_the_parse_check_rejects_an_error_outside_the_text(monkeypatch):
+    monkeypatch.setattr(parser, "_position", lambda text, offset: (1, len(text) + 2))
+    ok, detail = check_parse(cases=300)
+    assert not ok and "lies outside" in detail

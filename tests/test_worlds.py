@@ -117,10 +117,14 @@ class TestExtension:
         assert got == Relation(2, frozenset((e, e) for e in domain))
         ground = table.interpret(Identity(Constant("a"), Constant("a")))
         assert extension(world, ground) == relalg.TRUE
-        mixed = table.interpret(Identity(Variable("x"), Constant("a")))
-        assert extension(world, mixed) == Relation(
-            1, frozenset({(table.particular("a"),)})
+        inside = table.interpret(Identity(Variable("x"), Constant("clip1")))
+        assert extension(world, inside) == Relation(
+            1, frozenset({(table.particular("clip1"),)})
         )
+        # a constant outside the active domain equals no element of it
+        outside = table.interpret(Identity(Variable("x"), Constant("zzz")))
+        assert table.particular("zzz") not in domain
+        assert extension(world, outside) == Relation(1, frozenset())
 
 
 class TestWithBase:
@@ -193,6 +197,19 @@ class TestEvalSentence:
             except MissingExtensionError:
                 continue
             assert engine == tarski_eval(world, f, {}, table)
+
+
+    @pytest.mark.parametrize("text, truth", [
+        ("E{1} (?x = zzz)", False),
+        ("E{1} ~ (?x = zzz)", True),
+        ("E{1} (?x = a)", True),
+        ("E{1} ~ (?x = a)", True),
+    ])
+    def test_identity_with_a_constant_agrees_with_the_oracle(self, text, truth):
+        session = load_kb("predicate p/1\nparticular a\nparticular b\nassert p(a)\n")
+        f = session.parse(text)
+        assert eval_sentence(session.world, f, session.table) is truth
+        assert tarski_eval(session.world, f, {}, session.table) is truth
 
 
 class TestSatisfyingAssignments:
@@ -426,3 +443,32 @@ def test_derived_worlds_collect_their_own_domain(setup):
     assert newcomer in w1.active_domain() and extra in w2.active_domain()
     assert w4.active_domain() == {newcomer, clips[0]}
     assert world.active_domain() == first
+
+
+KNOW_READS = (
+    "Know(in_present, me, << p(a) >>)",
+    "Know(in_present, me, << p(b) >>)",
+    "E{1} Know(?t, me, << p(a) >>)",
+)
+
+
+def test_the_know_relation_is_built_once_per_world(monkeypatch):
+    session = load_kb("predicate p/1\nparticular a\nparticular b\nknow << p(a) >>\n")
+    calls = []
+    know_tuples = Memory.know_tuples
+    monkeypatch.setattr(Memory, "know_tuples", lambda m: calls.append(m) or know_tuples(m))
+    truths = [session.eval_formula(session.parse(t)) for t in KNOW_READS]
+    assert truths == [True, False, True]
+    assert len(calls) == 1
+
+
+def test_a_world_with_new_memory_reads_its_own_know_relation():
+    session = load_kb("predicate p/1\nparticular a\nparticular b\nknow << p(a) >>\n")
+    world = session.world
+    before = [eval_sentence(world, session.parse(t), session.table) for t in KNOW_READS]
+    session.execute("know << p(b) >>")
+    derived = world.with_memory(session.memory)
+    after = [eval_sentence(derived, session.parse(t), session.table) for t in KNOW_READS]
+    assert before == [True, False, True]
+    assert after == [True, True, True]
+    assert derived.know_relation() != world.know_relation()
