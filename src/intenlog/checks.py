@@ -2,11 +2,13 @@
 
 These drive the engine against independent oracles: the homomorphism
 suite recomputes every composite extension with the raw relational
-operators, the sentence suite evaluates with a brute-force substitution
-evaluator that reads base, grounded and Know relations directly and
-uses the concept layer only to intern, the join suite uses a
-nested-loop reference join, and the parse suite round-trips random
-formulas through ``serialize`` and checks where mutated texts fail.
+operators (a negation under a join or a quantifier against the full
+complement), the sentence suite evaluates with a brute-force
+substitution evaluator that reads base, grounded and Know relations
+directly and uses the concept layer only to intern, the join suite
+uses a nested-loop reference join, and the parse suite round-trips
+random formulas through ``serialize`` and checks where mutated texts
+fail.
 All generators are seeded, so every run is reproducible.
 """
 
@@ -186,22 +188,26 @@ def _random_world(rng: random.Random, table: ConceptTable, vocabulary: Vocabular
     return world, preds, domain
 
 
-def _random_concept(rng: random.Random, table: ConceptTable, preds, depth: int):
+def _random_concept(rng: random.Random, table: ConceptTable, preds, depth: int, atoms=()):
+    """A random concept tree over the canonical atoms of ``preds`` and
+    the given other ``atoms``."""
     if depth == 0 or rng.random() < 0.3:
+        if atoms and rng.random() < 0.4:
+            return rng.choice(atoms)
         pred = rng.choice(preds)
         return table.intern_atom(
             pred, tuple(("v", f"x{k}") for k in range(1, pred.arity + 1))
         )
     op = rng.choice(("conj", "neg", "exists"))
     if op == "neg":
-        return table.neg(_random_concept(rng, table, preds, depth - 1))
+        return table.neg(_random_concept(rng, table, preds, depth - 1, atoms))
     if op == "exists":
-        u = _random_concept(rng, table, preds, depth - 1)
+        u = _random_concept(rng, table, preds, depth - 1, atoms)
         if u.arity == 0:
             return table.neg(u)
         return table.exists(rng.randint(1, u.arity), u)
-    u = _random_concept(rng, table, preds, depth - 1)
-    v = _random_concept(rng, table, preds, depth - 1)
+    u = _random_concept(rng, table, preds, depth - 1, atoms)
+    v = _random_concept(rng, table, preds, depth - 1, atoms)
     # keep every node within arity 3 so complements stay desk-sized
     n_pairs = rng.randint(max(0, u.arity + v.arity - 3), min(u.arity, v.arity))
     firsts = rng.sample(range(1, u.arity + 1), n_pairs) if n_pairs else []
@@ -234,21 +240,33 @@ def _check_laws(world: World, u, table: ConceptTable, failures: list):
 
 
 def check_homomorphism(cases: int = 1000, seed: int = 2026) -> tuple[bool, str]:
-    """Extensionalization commutes with the algebra on random trees."""
+    """Extensionalization commutes with the algebra on random trees over
+    base, individually grounded and Know atoms.  Each case also joins the
+    open Know relation, whose third column holds known concepts outside
+    the active domain, with the negation of its tree."""
     rng = random.Random(seed)
     started = time.monotonic()
     failures: list[str] = []
+    variables = [Variable(n) for n in ("x", "y", "z")]
     for case in range(cases):
         vocabulary = Vocabulary()
         table = ConceptTable(vocabulary)
-        world, preds, _ = _random_world(rng, table, vocabulary)
+        world, preds, domain = _random_world(rng, table, vocabulary)
+        world, leaves = _grounded_and_known(rng, world, table, preds, domain, variables)
         if extension(world, table.truth) != relalg.TRUE:
             failures.append(f"case {case}: truth law failed")
         diagonal = Relation(2, frozenset((e, e) for e in world.active_domain()))
         if extension(world, table.identity_concept) != diagonal:
             failures.append(f"case {case}: identity law failed")
-        u = _random_concept(rng, table, preds, rng.randint(1, 4))
+        atoms = [table.interpret(f) for f in leaves]
+        u = _random_concept(rng, table, preds, rng.randint(1, 4), atoms)
         _check_laws(world, u, table, failures)
+        if u.arity:
+            know = table.intern_atom(
+                vocabulary.resolve(KNOW_NAME, 3), (("v", "t"), ("v", "s"), ("v", "c"))
+            )
+            pairs = ((rng.choice((1, 3)), rng.randint(1, u.arity)),)
+            _check_laws(world, table.conj(know, table.neg(u), pairs), table, failures)
         if failures:
             return False, f"case {case}: " + "; ".join(failures[:3])
     elapsed = time.monotonic() - started

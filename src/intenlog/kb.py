@@ -60,7 +60,7 @@ class Session:
         self.registry = GroundingRegistry(self._install)
         self.templates = TemplateSet()
         self.budget = budget
-        self.declared_particulars: list[str] = []
+        self.declared_particulars: dict[str, None] = {}  # in declaration order
         self.trace: list[TraceStep] = []
         self.world = World({}, frozenset(self.table.particulars()), Memory())
 
@@ -99,8 +99,7 @@ class Session:
             self.world = self.world.with_particulars(self.world.particulars | {particular})
 
     def declare_particular(self, name: str) -> None:
-        if name not in self.declared_particulars:
-            self.declared_particulars.append(name)
+        self.declared_particulars[name] = None
         self._add_particular(name)
 
     def ground_predicate(self, name: str, process_name: str) -> None:
@@ -135,9 +134,7 @@ class Session:
                 f"by process {process!r}"
             )
         row = tuple(self.table.extend_assignment({}, a) for a in f.args)
-        current = self.world.pred_base.get((pred.name, pred.arity))
-        rows = current.tuples | {row} if current is not None else frozenset({row})
-        self.world = self.world.with_base(self._canonical(pred), Relation(pred.arity, rows))
+        self.world = self.world.with_row(self._canonical(pred), row)
 
     def know_term(self, term: AbstractedTerm):
         self.memory, atom, added = epistemic.assert_experience(
@@ -191,12 +188,23 @@ class Session:
                 epistemic.EpistemicError) as exc:
             raise KBError(str(exc), line_no) from exc
 
+    def _parse_at(self, parse, text: str, col: int):
+        """Parse ``text``, which starts at 0-based column ``col`` of its
+        directive's line; a ``ParseError`` gives the column in that line."""
+        try:
+            return parse(text, self.vocabulary)
+        except ParseError as exc:
+            if exc.line > 1:
+                raise
+            raise ParseError(exc.message, 1, exc.col + col) from exc.__cause__
+
     def _execute(self, line: str) -> str | None:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             return None
         head, _, rest = stripped.partition(" ")
         rest = rest.strip()
+        start = len(line.rstrip()) - len(rest)  # rest's column in the line
         if head == "predicate":
             m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)/([0-9]+)", rest)
             if m is None:
@@ -218,13 +226,14 @@ class Session:
             if "=>" not in rest:
                 raise KBError(f"expected 'rule <formula> => <formula>', got {rest!r}")
             left, right = rest.split("=>", 1)
-            self.add_rule(self.parse(left), self.parse(right))
+            self.add_rule(self._parse_at(parse_formula, left, start),
+                          self._parse_at(parse_formula, right, start + len(left) + 2))
             return None
         if head == "assert":
-            self.assert_fact(self.parse(rest))
+            self.assert_fact(self._parse_at(parse_formula, rest, start))
             return None
         if head == "know":
-            term = parse_term(rest, self.vocabulary)
+            term = self._parse_at(parse_term, rest, start)
             if not isinstance(term, AbstractedTerm):
                 raise KBError(f"know expects an abstracted term, got {rest!r}")
             atom = self.know_term(term)

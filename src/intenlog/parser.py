@@ -43,6 +43,7 @@ from .syntax import (
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line}, col {col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 

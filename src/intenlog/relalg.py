@@ -9,11 +9,21 @@ order of the domain never matters), and column-eliminating projection,
 which collapses a unary relation to a truth value when its last column
 goes.
 
+A negation under a join or a projection never builds the universe:
+``join_complement`` is the join with a complement, computed as an
+anti-join that ranges only the unjoined columns of the negated operand
+over the domain, and ``project_complement`` is the projection of a
+complement, computed by counting the rows that extend each remaining
+tuple.  Both reject, as ``complement`` does, a negated operand with an
+element outside the domain.
+
 Everything here is a pure function over immutable values.  The one
 cache is a relation's column index (``Relation.index``), which joins and
 atom reads group rows by: built on first use and kept on the value it
 describes, it is excluded from equality, hashing and repr, so no caller
-can observe it except by its speed.
+can observe it except by its speed.  ``Relation.with_row`` adds one row
+and carries every index built so far, sharing all buckets but the one
+the row joins; so a bucket never changes once built.
 """
 
 from __future__ import annotations
@@ -60,7 +70,8 @@ class Relation:
             )
 
     def index(self, cols: tuple[int, ...]) -> dict[tuple, list[tuple]]:
-        """The rows grouped by their values at the 0-based columns ``cols``."""
+        """The rows grouped by their values at the 0-based columns ``cols``;
+        a bucket is never changed once built."""
         found = self._index.get(cols)
         if found is None:
             found = {}
@@ -68,6 +79,24 @@ class Relation:
                 found.setdefault(tuple(row[c] for c in cols), []).append(row)
             self._index[cols] = found
         return found
+
+    def with_row(self, row: tuple) -> Relation:
+        """This relation plus ``row``, or itself when it holds the row.
+        Only the new row is checked, and each index built so far carries
+        over with the row added to one bucket."""
+        if type(row) is not tuple or len(row) != self.arity:
+            raise RelAlgError(f"row {row!r} is not a tuple of length {self.arity}")
+        if row in self.tuples:
+            return self
+        out = object.__new__(Relation)
+        object.__setattr__(out, "arity", self.arity)
+        object.__setattr__(out, "tuples", self.tuples | {row})
+        index = {}
+        for cols, buckets in self._index.items():
+            key = tuple(row[c] for c in cols)
+            index[cols] = {**buckets, key: [*buckets.get(key, ()), row]}
+        object.__setattr__(out, "_index", index)
+        return out
 
     def __bool__(self):
         return bool(self.tuples)
@@ -123,20 +152,76 @@ def natural_join(r1: Relation, r2: Relation, pairs) -> Relation:
     return Relation(out_arity, frozenset(rows))
 
 
+def _check_domain(r: Relation, domain: frozenset) -> None:
+    """The precondition of a complement of positive arity: a nonempty
+    domain that holds every element of ``r``."""
+    if not domain:
+        raise RelAlgError("complement requested over an empty active domain")
+    if not domain.issuperset(itertools.chain.from_iterable(r.tuples)):
+        e = next(e for row in r.tuples for e in row if e not in domain)
+        raise RelAlgError(f"tuple element {e!r} outside the active domain")
+
+
 def complement(r: Relation, domain: frozenset) -> Relation:
     """Complement within the active domain, a frozenset of elements that
     stands in for the full domain; on arity 0 it flips truth."""
     if r.arity == 0:
         return truth(not r.tuples)
-    if not domain:
-        raise RelAlgError("complement requested over an empty active domain")
-    for row in r.tuples:
-        for e in row:
-            if e not in domain:
-                raise RelAlgError(f"tuple element {e!r} outside the active domain")
+    _check_domain(r, domain)
     universe = itertools.product(domain, repeat=r.arity)
     rows = frozenset(t for t in universe if t not in r.tuples)
     return Relation(r.arity, rows)
+
+
+def join_complement(r1: Relation, r2: Relation, pairs, domain: frozenset) -> Relation:
+    """``natural_join(r1, complement(r2, domain), pairs)`` without the
+    complement: a row of ``r1`` whose join key lies in the domain is
+    extended by every tuple over the domain, in the unjoined columns of
+    ``r2``, that no row of ``r2`` with that key holds."""
+    pairs = join_pairs(pairs, r1.arity, r2.arity)
+    if r2.arity:
+        _check_domain(r2, domain)
+    firsts = [a - 1 for a, _ in pairs]
+    seconds = tuple(b - 1 for _, b in pairs)
+    keep = [i for i in range(r2.arity) if i not in seconds]
+    if not keep:  # the key is a whole row of r2: a membership test needs no index
+        order = [a - 1 for a, _ in sorted(pairs, key=lambda pair: pair[1])]
+        keys = ((t1, tuple(t1[a] for a in order)) for t1 in r1.tuples)
+        rows = frozenset(t1 for t1, key in keys
+                         if key not in r2.tuples and domain.issuperset(key))
+        return Relation(r1.arity, rows)
+    buckets = r2.index(seconds)
+    missing: dict[tuple, list[tuple]] = {}  # by join key: the rests to add
+    rows = set()
+    for t1 in r1.tuples:
+        key = tuple(t1[a] for a in firsts)
+        rests = missing.get(key)
+        if rests is None:
+            rests = missing[key] = []
+            if domain.issuperset(key):  # else no row of the complement has the key
+                held = {tuple(t2[i] for i in keep) for t2 in buckets.get(key, ())}
+                universe = itertools.product(domain, repeat=len(keep))
+                rests.extend(t for t in universe if t not in held)
+        rows.update(t1 + rest for rest in rests)
+    return Relation(r1.arity + len(keep), frozenset(rows))
+
+
+def project_complement(r: Relation, n: int, domain: frozenset) -> Relation:
+    """``project_out(complement(r, domain), n)`` without the complement:
+    a tuple over the domain in the other columns survives when fewer
+    than |domain| rows of ``r`` extend it at column ``n``."""
+    k = r.arity
+    if k:
+        _check_domain(r, domain)
+    if not 1 <= n <= k:
+        raise RelAlgError(f"projection position {n} out of range for arity {k}")
+    if k == 1:
+        return truth(len(r.tuples) < len(domain))
+    extensions = r.index(tuple(c for c in range(k) if c != n - 1))
+    size = len(domain)
+    rows = frozenset(t for t in itertools.product(domain, repeat=k - 1)
+                     if len(extensions.get(t, ())) < size)
+    return Relation(k - 1, rows)
 
 
 def project_out(r: Relation, n: int) -> Relation:

@@ -7,14 +7,22 @@ Know relation of the memory it holds.  Composite extensions are
 computed homomorphically: indexed conjunction via natural join,
 negation via active-domain complement, positional quantification via
 projection, with the truth concept always extensionalized to truth.
+A negation under a conjunction (as its right operand) or under a
+quantifier is never extensionalized on its own: the node reads the
+negated concept and calls ``relalg.join_complement`` or
+``relalg.project_complement``, so only a bare negation builds the
+complement over the active domain.
 
 A world is a value.  Updating its base, grounded concepts, particulars
 or memory returns a new world that shares everything it did not
 replace, so a world held elsewhere never changes.  Every extension is
 memoized per world and concept.  Atoms read base relations through
 their column index (a ground atom is one membership test), which
-outlives a world as long as later worlds share the relation.  The
-active domain (its particulars plus every element of its base and
+outlives a world as long as later worlds share the relation; an atom
+over distinct variables reads the relation itself.  A write
+(``with_row``) adds one row to a base relation, which carries its
+indexes over, and carries the active domain over when it was built.
+The active domain (its particulars plus every element of its base and
 grounded relations) and the Know relation of its memory, which every
 Know atom reads, are each built once per world.  An identity
 with a constant holds only of that constant, and only when it is a
@@ -85,6 +93,19 @@ class World:
         pred_base = {**self.pred_base, (pred.name, pred.arity): relation}
         return World(pred_base, self.particulars, self.memory, self.grounded)
 
+    def with_row(self, concept: Concept, row: tuple) -> "World":
+        """A new world with ``row`` added to the base relation of the
+        predicate whose canonical atom is ``concept``; it starts with this
+        world's active domain plus the row's elements, if that was built."""
+        pred = concept.predicate
+        current = self.pred_base.get((pred.name, pred.arity))
+        if current is None:
+            current = Relation(pred.arity, frozenset())
+        world = self.with_base(concept, current.with_row(row))
+        if self._domain is not None:
+            object.__setattr__(world, "_domain", self._domain.union(row))
+        return world
+
     def with_grounded(self, concept: Concept, relation: Relation) -> "World":
         """A new world in which an atomic concept reads ``relation``."""
         grounded = {**self.grounded, concept.id: relation}
@@ -136,23 +157,35 @@ def _compute(world: World, u: Concept) -> Relation:
         return _atom_extension(world, u)
     if u.op == "conj":
         left = extension(world, u.children[0])
-        right = extension(world, u.children[1])
-        return relalg.natural_join(left, right, u.pairs)
+        right = u.children[1]
+        if right.op == "neg":
+            return _negated(world, right, lambda inner, domain: relalg.join_complement(
+                left, inner, u.pairs, domain))
+        return relalg.natural_join(left, extension(world, right), u.pairs)
     if u.op == "neg":
-        inner = extension(world, u.children[0])
-        try:
-            return relalg.complement(inner, world.active_domain())
-        except relalg.RelAlgError:
-            know = _open_know_atom(u.children[0])
-            if know is None:
-                raise
-            raise WorldError(
-                f"cannot negate the open Know atom {know}: "
-                "known concepts are not elements of the active domain"
-            ) from None
+        return _negated(world, u, relalg.complement)
     if u.op == "exists":
-        return relalg.project_out(extension(world, u.children[0]), u.position)
+        body = u.children[0]
+        if body.op == "neg":
+            return _negated(world, body, lambda inner, domain: relalg.project_complement(
+                inner, u.position, domain))
+        return relalg.project_out(extension(world, body), u.position)
     raise WorldError(f"cannot extensionalize {u!r}")
+
+
+def _negated(world: World, neg: Concept, operator) -> Relation:
+    """``operator(inner, domain)``, for the concept under ``neg`` and the
+    world's active domain: a complement, or a join or projection of one."""
+    try:
+        return operator(extension(world, neg.children[0]), world.active_domain())
+    except relalg.RelAlgError:
+        know = _open_know_atom(neg.children[0])
+        if know is None:
+            raise
+        raise WorldError(
+            f"cannot negate the open Know atom {know}: "
+            "known concepts are not elements of the active domain"
+        ) from None
 
 
 def _atom_extension(world: World, u: Concept) -> Relation:
@@ -205,6 +238,8 @@ def _layout(u: Concept, base: Relation) -> Relation:
             )
     if not positions:
         return relalg.truth(tuple(e for _, e in ground) in base.tuples)
+    if not ground and not equal:
+        return base  # the projection below would be the identity
     rows = base.tuples
     if ground:
         cols, values = zip(*ground)

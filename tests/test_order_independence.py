@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+from intenlog.checks import tarski_eval
 from intenlog.demo import build_demo_session
 from intenlog.grounding import corpus_process
 from intenlog.kb import Session, load_kb
@@ -27,7 +28,7 @@ from intenlog.syntax import (
     serialize,
     serialize_term,
 )
-from intenlog.worlds import satisfying_assignments
+from intenlog.worlds import extension, satisfying_assignments
 
 KB = """\
 predicate p/1
@@ -157,3 +158,51 @@ def test_a_query_only_constant_does_not_join_the_domain():
     session.execute("assert p(a)")
     assert len(session.world.active_domain()) == 7
     assert session.table.particular("zzz") not in session.world.active_domain()
+
+
+def query_kb(rng) -> str:
+    """A small fact base over the predicates of the kb_query benchmark."""
+    lines = ["predicate u0/1", "predicate u1/1", "predicate r0/2", "predicate t0/3"]
+    lines += [f"particular c{i}" for i in range(5)]
+    for name, arity, count in (("u0", 1, 3), ("u1", 1, 5), ("r0", 2, 12), ("t0", 3, 6)):
+        for _ in range(count):
+            args = ", ".join(f"c{rng.randrange(5)}" for _ in range(arity))
+            lines.append(f"assert {name}({args})")
+    return "\n".join(lines) + "\n"
+
+
+def negation_reads(rng) -> list[str]:
+    """The four negation shapes of kb_query, with seeded constants, and a
+    join with a negation that keeps a column of its own."""
+    c = lambda: f"c{rng.randrange(6)}"  # noqa: E731 (c5 is in no fact)
+    u = lambda: rng.choice(("u0", "u1"))  # noqa: E731
+    return [
+        f"E{{1}} ({u()}(?x) /\\{{(1,1)}} ~ r0(?x, {c()}))",
+        f"E{{1}} (r0({c()}, ?y) /\\{{(1,1)}} ~ {u()}(?y))",
+        f"E{{1}} ~ r0({c()}, ?y)",
+        "E{1} E{1} ~ r0(?x, ?y)",
+        f"E{{1}} E{{1}} E{{1}} (t0(?x, ?y, {c()}) /\\{{(2,1)}} ~ r0(?y, ?z))",
+    ]
+
+
+def bare_negation(f):
+    """The negation the read puts under a join (as its right operand) or E."""
+    while not isinstance(f, Neg):
+        f = f.rhs if isinstance(f, Conj) else f.body
+    return f
+
+
+def test_negation_reads_do_not_depend_on_the_memo():
+    for seed in range(20):
+        rng = random.Random(seed)
+        text = query_kb(rng)
+        for read in negation_reads(rng):
+            fresh = load_kb(text)
+            f = fresh.parse(read)
+            truth = fresh.eval_formula(f)
+            primed = load_kb(text)
+            neg = primed.table.interpret(bare_negation(f))
+            extension(primed.world, neg)  # the bare ~B, memoized first
+            assert neg.id in primed.world._memo
+            assert primed.eval_formula(primed.parse(read)) == truth, (seed, read)
+            assert tarski_eval(primed.world, f, {}, primed.table) == truth, (seed, read)

@@ -112,8 +112,21 @@ def test_kb_error_carries_the_line_prefix():
     text = "predicate p/1\nparticular a\n\nassert p(a\n"
     with pytest.raises(KBError) as info:
         load_kb(text)
-    assert str(info.value) == "line 4: line 1, col 4: expected RPAREN, found 'end of input'"
+    assert str(info.value) == "line 4: line 1, col 11: expected RPAREN, found 'end of input'"
     assert info.value.line == 4
+
+
+@pytest.mark.parametrize("line, message", [
+    ("  assert   p(a   ", "line 1, col 15: expected RPAREN, found 'end of input'"),
+    ("rule p(?x) => q(?x)", "line 1, col 15: undeclared predicate q"),
+    ("rule p(?x) /\\{} @ => p(?x)", "line 1, col 17: unexpected character '@'"),
+    ("know << p(a) >> ?x", "line 1, col 17: unexpected trailing input '?x'"),
+    ("assert", "line 1, col 7: expected a formula, found 'end of input'"),
+])
+def test_kb_parse_errors_give_the_column_in_the_line(line, message):
+    with pytest.raises(KBError) as info:
+        load_kb(f"predicate p/1\n{line}\n")
+    assert str(info.value) == f"line 2: {message}"
 
 
 VALID = [

@@ -11,7 +11,9 @@ from intenlog.relalg import (
     Relation,
     TRUE,
     complement,
+    join_complement,
     natural_join,
+    project_complement,
     project_out,
     truth,
     truth_collapse,
@@ -199,3 +201,95 @@ class TestRelationValue:
             assert r == rel(2, ("a", "b"), ("b", "a"))
         with pytest.raises(RelAlgError, match="length"):
             Relation(2, [["a", "b", "c"]])
+
+
+def random_rel(rng, arity, elements, max_rows=8):
+    rows = {tuple(rng.choice(elements) for _ in range(arity))
+            for _ in range(rng.randint(0, max_rows))}
+    return Relation(arity, frozenset(rows))
+
+
+def outcome(fn, *args):
+    """The result of ``fn(*args)``, or the message of its RelAlgError."""
+    try:
+        return fn(*args)
+    except RelAlgError as exc:
+        return f"RelAlgError: {exc}"
+
+
+class TestNegationOperators:
+    """``join_complement`` and ``project_complement`` against the
+    compositions they stand for, on seeded random relations over domains
+    of one to three elements; ``z`` never lies in the domain."""
+
+    def test_join_complement_is_the_join_with_the_complement(self):
+        rng = random.Random(2)
+        for _ in range(600):
+            domain = frozenset("abc"[: rng.randint(1, 3)])
+            k, j = rng.randint(0, 3), rng.randint(0, 3)
+            r1 = random_rel(rng, k, sorted(domain) + ["z"])  # keys outside the domain
+            inside = sorted(domain) if rng.random() < 0.9 else sorted(domain) + ["z"]
+            r2 = random_rel(rng, j, inside)
+            n = rng.randint(0, min(k, j))
+            pairs = tuple(zip(rng.sample(range(1, k + 1), n), rng.sample(range(1, j + 1), n)))
+            want = outcome(lambda: natural_join(r1, complement(r2, domain), pairs))
+            assert outcome(join_complement, r1, r2, pairs, domain) == want, (r1, r2, pairs)
+
+    def test_project_complement_is_the_projection_of_the_complement(self):
+        rng = random.Random(3)
+        for _ in range(600):
+            domain = frozenset("abc"[: rng.randint(1, 3)])
+            k = rng.randint(0, 3)
+            inside = sorted(domain) if rng.random() < 0.9 else sorted(domain) + ["z"]
+            # up to every tuple, so that some prefixes are fully extended
+            r = random_rel(rng, k, inside, max_rows=len(domain) ** k)
+            n = rng.randint(1, max(k, 1))
+            want = outcome(lambda: project_out(complement(r, domain), n))
+            assert outcome(project_complement, r, n, domain) == want, (r, n)
+
+    def test_an_operand_outside_the_domain_fails_as_complement_does(self):
+        r2 = rel(2, ("a", "z"))
+        message = outcome(complement, r2, AD)
+        assert message == "RelAlgError: tuple element 'z' outside the active domain"
+        assert outcome(join_complement, rel(1, ("a",)), r2, ((1, 1),), AD) == message
+        assert outcome(join_complement, rel(1, ("z",)), r2, (), AD) == message
+        assert outcome(project_complement, r2, 1, AD) == message
+        empty = "RelAlgError: complement requested over an empty active domain"
+        assert outcome(join_complement, FALSE, rel(1, ("a",)), (), frozenset()) == empty
+        assert outcome(project_complement, rel(1), 1, frozenset()) == empty
+
+    def test_counting_needs_no_universe(self):
+        domain = frozenset("abc")
+        assert project_complement(rel(1, ("a",), ("b",), ("c",)), 1, domain) == FALSE
+        assert project_complement(rel(1, ("a",)), 1, domain) == TRUE
+        full_row = rel(2, ("a", "a"), ("b", "a"), ("c", "a"), ("a", "b"))
+        assert project_complement(full_row, 1, domain) == rel(1, ("b",), ("c",))
+
+
+class TestWithRow:
+    def test_matches_a_fresh_relation_and_carries_every_index(self):
+        rng = random.Random(4)
+        elements = list("abcd")
+        for _ in range(300):
+            k = rng.randint(0, 3)
+            r = random_rel(rng, k, elements)
+            for _ in range(rng.randint(0, 3)):
+                r.index(tuple(sorted(rng.sample(range(k), rng.randint(0, k)))))
+            before = {cols: {key: list(rows) for key, rows in buckets.items()}
+                      for cols, buckets in r._index.items()}
+            row = tuple(rng.choice(elements) for _ in range(k))
+            grown = r.with_row(row)
+            fresh = Relation(k, r.tuples | {row})
+            assert grown == fresh and hash(grown) == hash(fresh)
+            assert (grown is r) == (row in r.tuples)
+            assert set(grown._index) == set(before)
+            for cols in before:
+                carried = {key: sorted(rows) for key, rows in grown._index[cols].items()}
+                assert carried == {key: sorted(rows) for key, rows in fresh.index(cols).items()}
+                assert r._index[cols] == before[cols]  # the parent's index is untouched
+
+    def test_only_a_tuple_of_the_arity_is_added(self):
+        r = rel(2, ("a", "b"))
+        for row in (("a",), ("a", "b", "c"), ["a", "b"]):
+            with pytest.raises(RelAlgError, match="not a tuple of length 2"):
+                r.with_row(row)

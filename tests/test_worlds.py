@@ -472,3 +472,87 @@ def test_a_world_with_new_memory_reads_its_own_know_relation():
     assert before == [True, False, True]
     assert after == [True, True, True]
     assert derived.know_relation() != world.know_relation()
+
+
+def test_a_written_world_carries_the_domain_of_a_fresh_one():
+    rng = random.Random(47)
+    for _ in range(60):
+        vocab = Vocabulary()
+        table = ConceptTable(vocab)
+        world, preds, domain = _random_world(rng, table, vocab)
+        newcomer = table.particular("newcomer")
+        for pred in [p for p in preds if p.arity]:
+            if rng.random() < 0.5:
+                world.active_domain()  # built, so the write carries it over
+            canonical = table.intern_atom(
+                pred, tuple(("v", f"x{k}") for k in range(1, pred.arity + 1))
+            )
+            row = tuple(rng.choice(domain + [newcomer]) for _ in range(pred.arity))
+            world = world.with_row(canonical, row)
+            fresh = World(dict(world.pred_base), world.particulars, world.memory, world.grounded)
+            assert world.active_domain() == fresh.active_domain()
+            assert row in world.pred_base[(pred.name, pred.arity)].tuples
+
+
+NEGATION_READS = (
+    "E{1} E{1} ~ r(?x, ?y)",
+    "E{1} (u(?x) /\\{(1,1)} ~ r(?x, c))",
+    "E{1} (r(c, ?y) /\\{(1,1)} ~ u(?y))",
+    "E{1} ~ r(c, ?y)",
+)
+NEGATION_KB = """\
+predicate u/1
+predicate r/2
+particular a
+particular b
+particular c
+assert u(a)
+assert u(b)
+assert u(c)
+assert r(a, c)
+assert r(c, b)
+assert r(b, b)
+"""
+
+
+def test_negation_under_a_join_or_quantifier_builds_no_complement(monkeypatch):
+    session = load_kb(NEGATION_KB)
+    calls = []
+    complement = relalg.complement
+    monkeypatch.setattr(relalg, "complement", lambda *a: calls.append(a) or complement(*a))
+    truths = [session.eval_formula(session.parse(t)) for t in NEGATION_READS]
+    assert truths == [True, True, False, True]
+    assert truths == [tarski_eval(session.world, session.parse(t), {}, session.table)
+                      for t in NEGATION_READS]
+    assert calls == []
+    assert session.eval_formula(session.parse("E{1} ~ u(?x)")) is True
+    assert calls == []
+    session.eval_formula(session.parse("E{1} (~ r(a, ?y) /\\{} u(c))"))  # a negated left operand
+    assert len(calls) == 1
+
+
+def test_a_write_rebuilds_no_index(monkeypatch):
+    session = load_kb(NEGATION_KB)
+    for text in ("r(?x, c)", "r(c, ?y)", "E{1} E{1} ~ r(?x, ?y)"):
+        satisfying_assignments(session.world, session.parse(text), session.table)
+    indexed = set(session.world.pred_base[("r", 2)]._index)
+    assert indexed == {(0,), (1,)}
+    builds = []
+    index = Relation.index
+
+    def counted_index(rel, cols):
+        if cols not in rel._index:
+            builds.append(cols)
+        return index(rel, cols)
+
+    monkeypatch.setattr(Relation, "index", counted_index)
+    session.execute("assert r(a, b)")
+    session.execute("assert r(a, b)")
+    reads = [satisfying_assignments(session.world, session.parse(t), session.table)
+             for t in ("r(?x, b)", "r(a, ?y)", "E{1} ~ r(?x, ?y)")]
+    assert builds == []
+    assert set(session.world.pred_base[("r", 2)]._index) == indexed
+    a, b, c = (session.table.particular(n) for n in "abc")
+    x, y = Variable("x"), Variable("y")
+    assert reads[0] == [{x: a}, {x: b}, {x: c}]
+    assert reads[1] == [{y: b}, {y: c}]
