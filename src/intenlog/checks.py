@@ -36,7 +36,6 @@ from .syntax import (
     Top,
     Variable,
     Vocabulary,
-    free_var_tuple,
     serialize,
     substitute,
 )
@@ -60,18 +59,26 @@ def brute_force_join(r1: Relation, r2: Relation, pairs) -> Relation:
 
 
 def _scan_free(f: Formula, bound: frozenset) -> list[str]:
-    """Oracle-side free variable scan, written independently of
-    syntax.free_var_tuple: collects names left to right via a generator."""
+    """Oracle-side free variable scan, written independently of the
+    tuples the syntax stores: collects names left to right via a
+    generator.  An abstracted-term argument contributes its beta
+    (still free) variables in their listed order."""
+
+    def arg_names(args, hidden):
+        for a in args:
+            if isinstance(a, Variable):
+                names = (a.name,)
+            elif isinstance(a, AbstractedTerm):
+                names = tuple(v.name for v in a.beta)
+            else:
+                names = ()
+            yield from (n for n in names if n not in hidden)
 
     def walk(g, hidden):
         if isinstance(g, Atom):
-            for a in g.args:
-                if isinstance(a, Variable) and a.name not in hidden:
-                    yield a.name
+            yield from arg_names(g.args, hidden)
         elif isinstance(g, Identity):
-            for a in (g.left, g.right):
-                if isinstance(a, Variable) and a.name not in hidden:
-                    yield a.name
+            yield from arg_names((g.left, g.right), hidden)
         elif isinstance(g, Conj):
             left = list(walk(g.lhs, hidden))
             right = list(walk(g.rhs, hidden))
@@ -289,14 +296,14 @@ def _random_formula(rng, preds, variables, budget: list, leaves=()) -> Formula:
         return Neg(_random_formula(rng, preds, variables, budget, leaves))
     if op == "exists":
         body = _random_formula(rng, preds, variables, budget, leaves)
-        fv = free_var_tuple(body)
+        fv = body.free_vars
         if not fv:
             return Neg(body)
         return Exists(rng.randint(1, len(fv)), body)
     lhs = _random_formula(rng, preds, variables, budget, leaves)
     rhs = _random_formula(rng, preds, variables, budget, leaves)
-    lt, rt = free_var_tuple(lhs), free_var_tuple(rhs)
-    shared = [v for v in rt if v in set(lt)]
+    lt, rt = lhs.free_vars, rhs.free_vars
+    shared = [v for v in rt if v in lt]
     pairs = tuple((lt.index(v) + 1, rt.index(v) + 1) for v in shared)
     return Conj(lhs, rhs, pairs)
 
@@ -328,7 +335,7 @@ def _grounded_and_known(rng, world: World, table: ConceptTable, preds, domain, v
         args = [rng.choice(variables) for _ in range(pred.arity)]
         args[rng.randrange(pred.arity)] = Constant(rng.choice(domain).name)
         bound = Atom(pred, tuple(args))
-        width = len(free_var_tuple(bound))
+        width = len(bound.free_vars)
         rows = {tuple(rng.choice(domain) for _ in range(width)) for _ in range(rng.randint(0, 4))}
         world = world.with_grounded(table.interpret(bound), Relation(width, frozenset(rows)))
         leaves.append(bound)
@@ -347,7 +354,7 @@ def check_tarski(cases: int = 1000, seed: int = 1939) -> tuple[bool, str]:
         world, preds, domain = _random_world(rng, table, vocabulary, max_domain=4)
         world, leaves = _grounded_and_known(rng, world, table, preds, domain, variables)
         f = _random_formula(rng, preds, variables, [3], leaves)
-        leftover = free_var_tuple(f)
+        leftover = f.free_vars
         if leftover:
             f = substitute(
                 f, {v: Constant(rng.choice(domain).name) for v in leftover}
@@ -409,10 +416,10 @@ def check_join_bookkeeping() -> tuple[bool, str]:
         tuple(Variable(n) for n in ("x_l", "y_i", "x_j", "y_j")),
     )
     combined = Conj(phi, psi, ((4, 1), (2, 3)))
-    tuple_names = tuple(v.name for v in free_var_tuple(combined))
+    tuple_names = tuple(v.name for v in combined.free_vars)
     if tuple_names != ("x_i", "x_j", "x_k", "x_l", "x_m", "y_i", "y_j"):
         return False, f"column order {tuple_names}"
-    if len(free_var_tuple(combined)) != 7:
+    if len(combined.free_vars) != 7:
         return False, "arity is not 7"
     a, b, c, d, e, ff, g = (table.particular(ch) for ch in "abcdefg")
     r1 = Relation(5, frozenset({(a, b, c, d, e), (a, b, c, a, e)}))

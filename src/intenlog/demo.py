@@ -25,7 +25,7 @@ from .grounding import (
 )
 from .kb import Session, load_kb
 from .prp import Concept
-from .syntax import AbstractedTerm, free_var_tuple, serialize
+from .syntax import AbstractedTerm, serialize
 from .worlds import eval_sentence, satisfying_assignments
 
 NL_QUERY = "The person walked from the couches in the room to the dining room table"
@@ -156,7 +156,7 @@ def run_demo(budget: int = 3, tau: str = DEFAULT_TAU, trace_out: str | None = No
     found = sorted(next(iter(g.values())).name for g in rows)
     check(found == positives, "retrieval extension", f"{found} != {positives}")
 
-    term = AbstractedTerm(command, free_var_tuple(command), ())
+    term = AbstractedTerm(command, command.free_vars, ())
     experience = session.know_term(term)
     report(f"know     {render_nl(experience, table, session.templates)}")
 

@@ -193,7 +193,7 @@ def apply_T_open(
     if not rel.tuples:
         return None
     base = table.recover(atom.content)
-    variables = free_var_tuple(base)
+    variables = base.free_vars
     instances = []
     for row in rel.sorted_rows():
         bindings = {v: table.element_to_term(e) for v, e in zip(variables, row)}
@@ -246,10 +246,9 @@ def implication_formula(antecedent: Formula, consequent: Formula) -> Formula:
     not(antecedent and not(consequent)), joining shared variables."""
     at = free_var_tuple(antecedent)
     negated = Neg(consequent)
-    ct = free_var_tuple(negated)
-    pairs = tuple(
-        (i + 1, ct.index(v) + 1) for i, v in enumerate(at) if v in set(ct)
-    )
+    ct = negated.free_vars
+    shared = set(ct)
+    pairs = tuple((i + 1, ct.index(v) + 1) for i, v in enumerate(at) if v in shared)
     return Neg(Conj(antecedent, negated, pairs))
 
 

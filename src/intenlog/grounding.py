@@ -38,7 +38,6 @@ from .syntax import (
     TimeValue,
     Variable,
     Vocabulary,
-    free_var_tuple,
 )
 from .worlds import is_canonical_atom
 
@@ -365,7 +364,7 @@ def _pars_retrieval(tokens, verb_index, template, tense, templates, vocabulary) 
         plural = sub[-1]
         sub = sub[:-6]
     query = pars(sub, templates, vocabulary)
-    if free_var_tuple(query):
+    if query.free_vars:
         raise NotParseable("the requirement clause must be a sentence")
     pred = vocabulary.resolve(template.pred_name, template.pred_arity)
     variable = Variable("y")

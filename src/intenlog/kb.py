@@ -38,7 +38,6 @@ from .syntax import (
     FormulaError,
     Predicate,
     Vocabulary,
-    free_var_tuple,
     serialize,
     serialize_term,
 )
@@ -124,7 +123,7 @@ class Session:
         """Add a ground atom to the world's base extension of its predicate."""
         if not isinstance(f, Atom):
             raise KBError(f"only atoms can be asserted, got {serialize(f)}")
-        if free_var_tuple(f):
+        if f.free_vars:
             raise KBError(f"cannot assert an open formula: {serialize(f)}")
         pred = f.predicate
         process = self.registry.bound_process(pred.name, pred.arity)

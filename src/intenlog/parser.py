@@ -36,7 +36,6 @@ from .syntax import (
     Top,
     Variable,
     Vocabulary,
-    free_var_tuple,
 )
 
 
@@ -235,7 +234,7 @@ class _Parser:
             beta = self.var_list()
         if alpha is None:
             beta_set = set(beta)
-            alpha = tuple(v for v in free_var_tuple(body) if v not in beta_set)
+            alpha = tuple(v for v in body.free_vars if v not in beta_set)
         return self.guard(lambda: AbstractedTerm(body, alpha, beta))
 
     def var_list(self) -> tuple[Variable, ...]:

@@ -10,7 +10,9 @@ extensions coincide.
 
 Handles are opaque objects carrying an integer id and an arity;
 equality is identity.  The table is append-only: concepts are never
-mutated or removed, so handles are freely shareable.
+mutated or removed, so handles are freely shareable.  For the same
+reason the formula recovered from a concept is kept per concept id and
+built at most once, its sub-formulas shared with those of its parents.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .syntax import (
     Top,
     Variable,
     Vocabulary,
-    free_var_tuple,
     substitute,
 )
 
@@ -115,6 +116,7 @@ class ConceptTable:
         self.vocabulary = vocabulary if vocabulary is not None else Vocabulary()
         self._particulars: dict[str, Particular] = {}
         self._concepts: dict[tuple, Concept] = {}
+        self._recovered: dict[int, Formula] = {}
         self._next_id = 1
         for name in _RESERVED:
             self.particular(name)
@@ -337,18 +339,27 @@ class ConceptTable:
             return Constant(element.name)
         if isinstance(element, Concept):
             body = self.recover(element)
-            return AbstractedTerm(body, free_var_tuple(body), ())
+            return AbstractedTerm(body, body.free_vars, ())
         raise ConceptError(f"not a domain element: {element!r}")
 
     # -- recovery -------------------------------------------------------
 
     def recover(self, u: Concept) -> Formula:
-        """Rebuild the formula a concept was interned from.
+        """The formula a concept was interned from.
 
         Interpreting the result yields ``u`` again.  A conjunction whose
         operands share a free variable name that its pairs leave unjoined
-        has no formula form and raises ConceptError.
+        has no formula form and raises ConceptError, on every call.  The
+        formula is built once per concept and kept: concepts never change
+        and formulas are immutable.
         """
+        found = self._recovered.get(u.id)
+        if found is None:
+            found = self._recovered[u.id] = self._rebuild(u)
+        return found
+
+    def _rebuild(self, u: Concept) -> Formula:
+        """Build the formula of ``u`` from its children's recovered ones."""
         if u.op == "truth":
             return Top()
         if u.op == "atom":

@@ -6,7 +6,10 @@ column pairs, and ``Exists(position, body)`` quantifies away one
 position of the body's free-variable tuple.  Every well-formed formula
 therefore carries a canonical tuple of free variables, ordered by first
 appearance scanning the formula left to right; the column arithmetic of
-the relational layer mirrors that tuple exactly.
+the relational layer mirrors that tuple exactly.  Each formula value
+stores that tuple as ``free_vars``, computed once when it is built from
+its children's stored tuples, so reading it never walks the formula.
+The stored tuple takes no part in equality, hashing or repr.
 
 Formulas and terms are immutable values; all validation happens at
 construction time, so anything you can hold is well formed.
@@ -14,8 +17,8 @@ construction time, so anything you can hold is well formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Union
+from dataclasses import dataclass, field
+from typing import ClassVar, Mapping, Union
 
 TENSES = ("in_past", "in_present", "in_future")
 
@@ -131,6 +134,29 @@ def _check_ground_term(value) -> None:
 # Predicates and formulas
 
 
+def _stored():
+    """The ``free_vars`` field: set once in ``__post_init__`` and left
+    out of ``__init__``, equality, hashing and repr."""
+    return field(init=False, repr=False, compare=False)
+
+
+def _args_free(args) -> tuple[Variable, ...]:
+    """Check that each argument is a term; return the free variables of
+    the argument list in first-appearance order."""
+    seen: list[Variable] = []
+    for a in args:
+        if isinstance(a, Variable):
+            if a not in seen:
+                seen.append(a)
+        elif isinstance(a, AbstractedTerm):
+            for v in a.beta:
+                if v not in seen:
+                    seen.append(v)
+        elif not isinstance(a, (Constant, TimeValue)):
+            raise FormulaError(f"not a term: {a!r}")
+    return tuple(seen)
+
+
 @dataclass(frozen=True)
 class Predicate:
     name: str
@@ -150,6 +176,8 @@ class Predicate:
 class Top:
     """The tautology formula; its free-variable tuple is empty."""
 
+    free_vars: ClassVar[tuple[Variable, ...]] = ()
+
     def __repr__(self):
         return "Top"
 
@@ -158,15 +186,16 @@ class Top:
 class Atom:
     predicate: Predicate
     args: tuple[Term, ...] = ()
+    free_vars: tuple[Variable, ...] = _stored()
 
     def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-        if len(self.args) != self.predicate.arity:
+        args = tuple(self.args)
+        object.__setattr__(self, "args", args)
+        if len(args) != self.predicate.arity:
             raise FormulaError(
-                f"{self.predicate!r} applied to {len(self.args)} argument(s)"
+                f"{self.predicate!r} applied to {len(args)} argument(s)"
             )
-        for a in self.args:
-            _check_term(a)
+        object.__setattr__(self, "free_vars", _args_free(args))
 
     def __repr__(self):
         return serialize(self)
@@ -176,10 +205,10 @@ class Atom:
 class Identity:
     left: Term
     right: Term
+    free_vars: tuple[Variable, ...] = _stored()
 
     def __post_init__(self):
-        _check_term(self.left)
-        _check_term(self.right)
+        object.__setattr__(self, "free_vars", _args_free((self.left, self.right)))
 
     def __repr__(self):
         return serialize(self)
@@ -199,6 +228,7 @@ class Conj:
     lhs: "Formula"
     rhs: "Formula"
     pairs: tuple[tuple[int, int], ...] = ()
+    free_vars: tuple[Variable, ...] = _stored()
 
     def __post_init__(self):
         norm = tuple(sorted({(int(a), int(b)) for a, b in self.pairs}))
@@ -206,22 +236,22 @@ class Conj:
         lt = free_var_tuple(self.lhs)
         rt = free_var_tuple(self.rhs)
         k, j = len(lt), len(rt)
-        firsts = [a for a, _ in norm]
-        seconds = [b for _, b in norm]
         for a, b in norm:
             if not (1 <= a <= k and 1 <= b <= j):
                 raise FormulaError(
                     f"join pair ({a},{b}) out of range for free arities ({k},{j})"
                 )
-        if len(set(firsts)) != len(firsts) or len(set(seconds)) != len(seconds):
+        seconds = {b for _, b in norm}
+        if len({a for a, _ in norm}) != len(norm) or len(seconds) != len(norm):
             raise FormulaError(f"duplicate column in join pairs {norm}")
-        surviving = [rt[p] for p in range(j) if p + 1 not in set(seconds)]
+        surviving = tuple(v for p, v in enumerate(rt, 1) if p not in seconds)
         left_names = {v.name for v in lt}
         for v in surviving:
             if v.name in left_names:
                 raise FormulaError(
                     f"shared free variable ?{v.name} must be joined by a pair"
                 )
+        object.__setattr__(self, "free_vars", lt + surviving)
 
     def __repr__(self):
         return serialize(self)
@@ -230,6 +260,10 @@ class Conj:
 @dataclass(frozen=True)
 class Neg:
     body: "Formula"
+    free_vars: tuple[Variable, ...] = _stored()
+
+    def __post_init__(self):
+        object.__setattr__(self, "free_vars", free_var_tuple(self.body))
 
     def __repr__(self):
         return serialize(self)
@@ -241,19 +275,23 @@ class Exists:
 
     position: int
     body: "Formula"
+    free_vars: tuple[Variable, ...] = _stored()
 
     def __post_init__(self):
-        k = len(free_var_tuple(self.body))
-        if not (1 <= self.position <= k):
+        bt = free_var_tuple(self.body)
+        p = self.position
+        if not (1 <= p <= len(bt)):
             raise FormulaError(
-                f"quantifier position {self.position} out of range for free arity {k}"
+                f"quantifier position {p} out of range for free arity {len(bt)}"
             )
+        object.__setattr__(self, "free_vars", bt[: p - 1] + bt[p:])
 
     def __repr__(self):
         return serialize(self)
 
 
 Formula = Union[Top, Atom, Identity, Conj, Neg, Exists]
+_FORMULAS = (Top, Atom, Identity, Conj, Neg, Exists)
 
 
 def bottom() -> Formula:
@@ -265,36 +303,11 @@ def bottom() -> Formula:
 # Free variables
 
 
-def term_free_vars(term: Term) -> tuple[Variable, ...]:
-    if isinstance(term, Variable):
-        return (term,)
-    if isinstance(term, AbstractedTerm):
-        return term.beta
-    return ()
-
-
 def free_var_tuple(f: Formula) -> tuple[Variable, ...]:
-    """The canonical free-variable tuple, ordered by first appearance."""
-    if isinstance(f, Top):
-        return ()
-    if isinstance(f, (Atom, Identity)):
-        args = f.args if isinstance(f, Atom) else (f.left, f.right)
-        seen: list[Variable] = []
-        for a in args:
-            for v in term_free_vars(a):
-                if v not in seen:
-                    seen.append(v)
-        return tuple(seen)
-    if isinstance(f, Conj):
-        lt = free_var_tuple(f.lhs)
-        rt = free_var_tuple(f.rhs)
-        joined = {b for _, b in f.pairs}
-        return lt + tuple(v for p, v in enumerate(rt, 1) if p not in joined)
-    if isinstance(f, Neg):
-        return free_var_tuple(f.body)
-    if isinstance(f, Exists):
-        bt = free_var_tuple(f.body)
-        return bt[: f.position - 1] + bt[f.position :]
+    """The canonical free-variable tuple, ordered by first appearance:
+    the one ``f`` stored when it was built."""
+    if isinstance(f, _FORMULAS):
+        return f.free_vars
     raise FormulaError(f"not a formula: {f!r}")
 
 
@@ -348,14 +361,12 @@ def _sub(f: Formula, binds: dict[Variable, Term]) -> Formula:
     if isinstance(f, Neg):
         return Neg(_sub(f.body, binds))
     if isinstance(f, Exists):
-        bt = free_var_tuple(f.body)
-        pivot = bt[f.position - 1]
+        pivot = f.body.free_vars[f.position - 1]
         body = _sub(f.body, {v: t for v, t in binds.items() if v != pivot})
-        new_bt = free_var_tuple(body)
-        return Exists(new_bt.index(pivot) + 1, body)
+        return Exists(body.free_vars.index(pivot) + 1, body)
     if isinstance(f, Conj):
-        lt = free_var_tuple(f.lhs)
-        rt = free_var_tuple(f.rhs)
+        lt = f.lhs.free_vars
+        rt = f.rhs.free_vars
         eff = dict(binds)
         changed = True
         while changed:
@@ -368,10 +379,11 @@ def _sub(f: Formula, binds: dict[Variable, Term]) -> Formula:
                 elif vr in eff and vl not in eff:
                     eff[vl] = eff[vr]
                     changed = True
-        lhs = _sub(f.lhs, {v: t for v, t in eff.items() if v in set(lt)})
-        rhs = _sub(f.rhs, {v: t for v, t in eff.items() if v in set(rt)})
-        new_lt = free_var_tuple(lhs)
-        new_rt = free_var_tuple(rhs)
+        left_vars, right_vars = set(lt), set(rt)
+        lhs = _sub(f.lhs, {v: t for v, t in eff.items() if v in left_vars})
+        rhs = _sub(f.rhs, {v: t for v, t in eff.items() if v in right_vars})
+        new_lt = lhs.free_vars
+        new_rt = rhs.free_vars
         pairs = []
         for i, j in f.pairs:
             vl, vr = lt[i - 1], rt[j - 1]

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from intenlog.demo import build_demo_session, fixture_text
+from intenlog.kb import load_kb
 from intenlog.prp import ConceptError, ConceptTable
 from intenlog.syntax import (
     AbstractedTerm,
@@ -219,3 +221,52 @@ class TestExtendAssignment:
 
     def test_element_to_term_tense(self, table):
         assert table.element_to_term(table.particular("in_past")) == TimeValue("in_past")
+
+
+# ---------------------------------------------------------------------------
+# Recovered formulas are kept per concept
+
+
+def chained_sessions():
+    kb = load_kb(fixture_text("chain.kb"))
+    kb.chain()
+    demo, info = build_demo_session()
+    demo.know_term(AbstractedTerm(info["command"], free_var_tuple(info["command"]), ()))
+    demo.chain()
+    return kb, demo
+
+
+def test_recover_returns_the_kept_formula_for_every_concept():
+    for session in chained_sessions():
+        table = session.table
+        for u in table.concepts():
+            f = table.recover(u)
+            assert table.recover(u) is f
+            assert table.interpret(f) is u
+
+
+def test_a_concept_without_formula_form_raises_every_time_and_is_not_kept(table):
+    phi = table.vocabulary.resolve("phi", 2)
+    psi = table.vocabulary.resolve("psi", 1)
+    shared = table.conj(
+        table.intern_atom(phi, var_entries("x", "y")), table.intern_atom(psi, var_entries("x")), ()
+    )
+    for u in (shared, table.neg(shared)):
+        for _ in range(2):
+            with pytest.raises(ConceptError, match="no formula form"):
+                table.recover(u)
+        assert u.id not in table._recovered
+
+
+def test_forward_chaining_builds_each_recovered_formula_once(monkeypatch):
+    session = load_kb(fixture_text("chain.kb"))
+    built: dict[int, int] = {}
+    rebuild = ConceptTable._rebuild
+
+    def counted(self, u):
+        built[u.id] = built.get(u.id, 0) + 1
+        return rebuild(self, u)
+
+    monkeypatch.setattr(ConceptTable, "_rebuild", counted)
+    session.chain()
+    assert built and max(built.values()) == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -22,7 +23,10 @@ from intenlog.syntax import (
     serialize,
     substitute,
 )
+from intenlog.checks import _scan_free
+from intenlog.epistemic import stamp_formula
 from intenlog.parser import ParseError, parse_formula, parse_term
+from intenlog.prp import ConceptTable
 
 
 def names(f):
@@ -308,3 +312,139 @@ def test_parse_serialize_round_trip_property():
     for _ in range(400):
         f = random_formula(rng, vocab)
         assert parse_formula(serialize(f), vocab) == f
+
+
+# ---------------------------------------------------------------------------
+# Stored free-variable tuples
+
+
+def naive_free(f):
+    """The canonical tuple by recursion over the whole formula."""
+    if isinstance(f, Top):
+        return ()
+    if isinstance(f, (Atom, Identity)):
+        out = []
+        for a in f.args if isinstance(f, Atom) else (f.left, f.right):
+            vs = (a,) if isinstance(a, Variable) else getattr(a, "beta", ())
+            out += [v for v in vs if v not in out]
+        return tuple(out)
+    if isinstance(f, Conj):
+        joined = {b for _, b in f.pairs}
+        rt = naive_free(f.rhs)
+        return naive_free(f.lhs) + tuple(v for p, v in enumerate(rt, 1) if p not in joined)
+    if isinstance(f, Neg):
+        return naive_free(f.body)
+    bt = naive_free(f.body)
+    return bt[: f.position - 1] + bt[f.position :]
+
+
+def subformulas(f):
+    """``f`` and every formula inside it, abstraction bodies included."""
+    yield f
+    if isinstance(f, Conj):
+        yield from subformulas(f.lhs)
+        yield from subformulas(f.rhs)
+    elif isinstance(f, (Neg, Exists)):
+        yield from subformulas(f.body)
+    elif isinstance(f, (Atom, Identity)):
+        for a in f.args if isinstance(f, Atom) else (f.left, f.right):
+            if isinstance(a, AbstractedTerm):
+                yield from subformulas(a.body)
+
+
+def rich_term(rng, vocab, depth):
+    roll = rng.random()
+    if roll < 0.55:
+        return Variable(rng.choice("uvwxyz"))
+    if roll < 0.75:
+        return Constant(rng.choice("abc"))
+    body = rich_formula(rng, vocab, depth - 1)
+    fv = list(body.free_vars)
+    rng.shuffle(fv)
+    k = rng.randint(1, len(fv)) if fv else 0
+    return AbstractedTerm(body, tuple(fv[:k]), tuple(fv[k:]))
+
+
+def rich_formula(rng, vocab, depth=3):
+    """Formulas with identities, Top, tensed atoms and open abstractions."""
+    if depth <= 0 or rng.random() < 0.35:
+        roll = rng.random()
+        if roll < 0.08:
+            return Top()
+        if roll < 0.2:
+            return Identity(rich_term(rng, vocab, 0), rich_term(rng, vocab, 0))
+        arity = rng.randint(1, 3)
+        args = [rich_term(rng, vocab, depth) for _ in range(arity)]
+        if rng.random() < 0.3:
+            args[0] = TimeValue(rng.choice(("in_past", "in_present", "in_future")))
+        return Atom(vocab.declare(f"h{arity}", arity), tuple(args))
+    op = rng.choice(("conj", "neg", "exists", "conj"))
+    if op == "neg":
+        return Neg(rich_formula(rng, vocab, depth - 1))
+    body = rich_formula(rng, vocab, depth - 1)
+    if op == "exists":
+        fv = body.free_vars
+        return Exists(rng.randint(1, len(fv)), body) if fv else Neg(body)
+    rhs = rich_formula(rng, vocab, depth - 1)
+    lt, rt = body.free_vars, rhs.free_vars
+    pairs = [(lt.index(v) + 1, rt.index(v) + 1) for v in rt if v in lt]
+    # sometimes also join two columns whose variables differ
+    open_l = [i for i in range(1, len(lt) + 1) if i not in {a for a, _ in pairs}]
+    open_r = [j for j in range(1, len(rt) + 1) if j not in {b for _, b in pairs}]
+    if open_l and open_r and rng.random() < 0.5:
+        pairs.append((rng.choice(open_l), rng.choice(open_r)))
+    return Conj(body, rhs, tuple(pairs))
+
+
+def test_oracle_scan_counts_beta_variables_in_order():
+    vocab = Vocabulary()
+    vocab.declare("q", 2)
+    vocab.declare("r", 2)
+    f = parse_formula("q(?y, << r(?x, ?z) >>_{z}^{x})", vocab)
+    assert _scan_free(f, frozenset()) == ["y", "x"]
+    assert names(f) == ("y", "x")
+
+
+def test_stored_free_tuples_match_a_naive_recursion_property():
+    rng = random.Random(504)
+    vocab = Vocabulary()
+    table, other = ConceptTable(vocab), ConceptTable(vocab)
+    checked = 0
+    for _ in range(300):
+        f = rich_formula(rng, vocab)
+        free = f.free_vars
+        bound = {v: Constant(rng.choice("abc")) for v in free if rng.random() < 0.5}
+        parsed = parse_formula(serialize(f), vocab)
+        copied = dataclasses.replace(f)
+        recovered = table.recover(table.interpret(f))
+        built = [f, parsed, copied, recovered, substitute(f, bound),
+                 stamp_formula(f, Constant("t1"), table)]
+        for g in built:
+            for h in subformulas(g):
+                assert free_var_tuple(h) == h.free_vars == naive_free(h)
+                assert [v.name for v in h.free_vars] == _scan_free(h, frozenset())
+                checked += 1
+        # equal formulas built different ways are interchangeable values
+        twins = [
+            (f, parsed),
+            (f, copied),
+            (recovered, other.recover(other.interpret(parsed))),
+            (substitute(f, bound), substitute(parsed, bound)),
+        ]
+        for a, b in twins:
+            assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        # the stored tuple takes no part in equality, hashing or repr
+        if not isinstance(f, Top):
+            object.__setattr__(copied, "free_vars", ("tampered",))
+            assert copied == f and hash(copied) == hash(f) and repr(copied) == repr(f)
+    assert checked > 3000
+
+
+def test_free_var_tuple_rejects_what_is_not_a_formula():
+    for value in (Variable("x"), 3, Constant("a"), "p(?x)"):
+        with pytest.raises(FormulaError, match="not a formula"):
+            free_var_tuple(value)
+    with pytest.raises(FormulaError, match="not a formula"):
+        Neg(Variable("x"))
+    with pytest.raises(FormulaError, match="not a term"):
+        Atom(Predicate("p", 1), (3,))
