@@ -26,11 +26,15 @@ of their antecedent concept, firing only pairs in which the atom or the
 implication is new since the last AxK phase.  Pairs fire in the order
 of the naive all-pairs scan, so traces and atom ids do not depend on
 the evaluation strategy.
+
+Answering reads the memory's index of known proposition ids, built once
+per memory value and kept on it, so a question costs a few lookups and
+at most one extension, not a scan of memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .prp import Concept, ConceptTable, Particular, SELF_NAME
 from .syntax import (
@@ -47,7 +51,7 @@ from .syntax import (
     serialize,
     substitute,
 )
-from .worlds import MissingExtensionError, World, eval_sentence, extension
+from .worlds import MissingExtensionError, World, extension
 
 RULE_EXPERIENCE = "experience"
 RULE_T_GROUND = "T_a"
@@ -90,6 +94,7 @@ class Memory:
     temporary: tuple[KnowAtom, ...] = ()
     permanent: tuple[KnowAtom, ...] = ()
     next_id: int = 1
+    _known: frozenset | None = field(default=None, init=False, repr=False, compare=False)
 
     def atoms(self) -> tuple[KnowAtom, ...]:
         return self.temporary + self.permanent
@@ -120,6 +125,30 @@ class Memory:
     def know_tuples(self) -> frozenset:
         """The Know relation this memory backs: one triple per held atom."""
         return frozenset((a.time, a.subject, a.content) for a in self.atoms())
+
+    def known_ids(self) -> frozenset:
+        """The ids of the propositions this memory knows, built once per
+        memory value: each arity-0 content, and each non-conj node on the
+        conjunction spine of one."""
+        if self._known is None:
+            object.__setattr__(self, "_known", _proposition_index(self.atoms()))
+        return self._known
+
+
+def _proposition_index(atoms) -> frozenset:
+    known: set[int] = set()
+    for atom in atoms:
+        if atom.content.arity != 0:
+            continue
+        known.add(atom.content.id)
+        spine = [atom.content]
+        while spine:
+            u = spine.pop()
+            if u.op == "conj":  # propositions join no columns
+                spine.extend(u.children)
+            else:
+                known.add(u.id)
+    return frozenset(known)
 
 
 class _WorkingSet:
@@ -280,7 +309,8 @@ def forward_chain(
     re-firing an old pair could only rederive a held atom.
     Introspection is bounded: Ax4 only fires on atoms nested less
     deeply than ``budget``.  Termination follows from the budget, the
-    finite world and deduplication of atoms.
+    finite world and deduplication of atoms.  A run that derives
+    nothing returns ``memory`` itself.
     """
     if budget < 0:
         raise EpistemicError("budget must be >= 0")
@@ -353,7 +383,7 @@ def forward_chain(
                 content = apply_4(atom, table)
                 changed |= derive(RULE_AX4, (atom.id,), atom, content, atom.depth + 1)[1]
 
-    return ws.freeze(), tuple(steps)
+    return (ws.freeze() if steps else memory), tuple(steps)
 
 
 def stamp_formula(f: Formula, tau, table: ConceptTable) -> Formula:
@@ -419,30 +449,21 @@ def answer(memory: Memory, world: World, query: Formula, table: ConceptTable) ->
     Yes when the query is a held proposition or a conjunct on the
     conjunction spine of one, or evaluates true in the world; no when
     its negation does (evaluation is closed-world over the active
-    domain); unknown when the query cannot be decided either way.
+    domain); unknown when the query cannot be decided either way.  The
+    memory side is a lookup in ``Memory.known_ids``, built once per
+    memory value, so answers over one memory do not rescan it.
     """
     if free_var_tuple(query):
         raise EpistemicError("queries must be sentences")
-    known: set[int] = set()
-    for atom in memory.atoms():
-        if atom.content.arity != 0:
-            continue
-        known.add(atom.content.id)
-        spine = [atom.content]
-        while spine:
-            u = spine.pop()
-            if u.op == "conj":  # propositions join no columns
-                spine.extend(u.children)
-            else:
-                known.add(u.id)
+    known = memory.known_ids()
     concept = table.interpret(query)
     if concept.id in known:
         return "yes"
     if table.neg(concept).id in known:
         return "no"
-    if isinstance(query, Neg) and table.interpret(query.body).id in known:
+    if isinstance(query, Neg) and concept.children[0].id in known:
         return "no"
     try:
-        return "yes" if eval_sentence(world, query, table) else "no"
+        return "yes" if extension(world, concept).tuples else "no"
     except MissingExtensionError:
         return "unknown"

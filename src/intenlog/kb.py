@@ -69,7 +69,9 @@ class Session:
 
     @memory.setter
     def memory(self, value: Memory) -> None:
-        self.world = self.world.with_memory(value)
+        # a write that left memory unchanged keeps the world and its memo
+        if value is not self.world.memory:
+            self.world = self.world.with_memory(value)
 
     def _canonical(self, pred: Predicate):
         """The atom over distinct variables that base relations attach to."""

@@ -1,7 +1,9 @@
+import random
 from dataclasses import replace
 
 import pytest
 
+from intenlog import epistemic
 from intenlog.epistemic import (
     EpistemicError,
     KnowAtom,
@@ -33,7 +35,13 @@ from intenlog.syntax import (
     Vocabulary,
     free_var_tuple,
 )
-from intenlog.worlds import World, eval_sentence, satisfying_assignments
+from intenlog.worlds import (
+    MissingExtensionError,
+    World,
+    eval_sentence,
+    satisfying_assignments,
+)
+from tests.test_chain_digest import KB_COUNT, chain_kb, random_kb
 
 
 class Scenario:
@@ -444,6 +452,18 @@ class TestValueContract:
             again, steps = forward_chain(first, session.world, session.table, budget)
             assert steps == () and again == first
 
+    def test_unchanged_memory_keeps_the_world_and_its_memo(self):
+        session = load_kb(self.RULES + "know << p(?x) >>_{x}\nknow << q(a) >>\n")
+        session.chain(2)
+        assert session.answer(session.parse("p(a) /\\{} ~ r(a)")) == "no"
+        world, memo = session.world, dict(session.world._memo)
+        assert memo
+        session.execute("know << q(a) >>")
+        assert session.world is world and session.world._memo == memo
+        assert session.chain(2) == ()
+        assert session.world is world
+        assert all(session.world._memo[k] is v for k, v in memo.items())
+
 
 class TestConsolidate:
     def test_moves_and_stamps(self, scenario):
@@ -570,3 +590,100 @@ def test_stamp_formula_leaves_tenseless_atoms_alone(scenario=None):
     table = ConceptTable(vocab)
     f = Atom(vocab.resolve("videoclips", 1), (Constant("clip1"),))
     assert stamp_formula(f, Constant("t1"), table) == f
+
+
+def reference_answer(memory, world, query, table):
+    """A naive ``answer``: rescan every memory atom on each call, then
+    interpret and evaluate the sentence again through ``eval_sentence``."""
+    if free_var_tuple(query):
+        raise EpistemicError("queries must be sentences")
+    known = set()
+    for atom in memory.atoms():
+        if atom.content.arity != 0:
+            continue
+        known.add(atom.content.id)
+        spine = [atom.content]
+        while spine:
+            u = spine.pop()
+            if u.op == "conj":
+                spine.extend(u.children)
+            else:
+                known.add(u.id)
+    concept = table.interpret(query)
+    if concept.id in known:
+        return "yes"
+    if table.neg(concept).id in known:
+        return "no"
+    if isinstance(query, Neg) and table.interpret(query.body).id in known:
+        return "no"
+    try:
+        return "yes" if eval_sentence(world, query, table) else "no"
+    except MissingExtensionError:
+        return "unknown"
+
+
+def test_answer_matches_the_rescanning_reference_property():
+    """On every random KB of the chain digest, after load, chain,
+    consolidate and one more experience, every question plain and
+    negated gets the reference's answer and interns the same concepts."""
+    for seed in range(KB_COUNT):
+        text, budget, questions = random_kb(seed)
+        plain = [q for q in questions if not q.startswith("~")]
+        extra = f"know << {random.Random(seed).choice(plain)} >>"
+        session, reference = load_kb(text), load_kb(text)
+        for step in ("load", "chain", "consolidate", "know"):
+            for s in (session, reference):
+                if step == "chain":
+                    s.chain(budget)
+                elif step == "consolidate":
+                    s.consolidate("t1")
+                elif step == "know":
+                    s.execute(extra)
+            for q in questions:
+                got = session.answer(session.parse(q))
+                want = reference_answer(
+                    reference.memory, reference.world, reference.parse(q), reference.table
+                )
+                assert got == want, (seed, step, q)
+            assert len(session.table.concepts()) == len(reference.table.concepts()), (
+                seed, step
+            )
+
+
+class TestKnownIndex:
+    def test_one_memory_builds_its_index_once(self, monkeypatch):
+        builds = []
+        build = epistemic._proposition_index
+
+        def counted(atoms):
+            builds.append(len(atoms))
+            return build(atoms)
+
+        monkeypatch.setattr(epistemic, "_proposition_index", counted)
+        text, budget, questions = chain_kb(19)
+        session = load_kb(text)
+        session.chain(budget)
+        assert len(questions) == 21 and not builds
+        for q in questions:
+            session.answer(session.parse(q))
+        assert builds == [len(session.memory.atoms())]
+
+    def test_a_new_memory_value_gets_its_own_index(self):
+        session = load_kb("predicate p/1\nparticular a\n")
+        query = session.parse("p(a)")
+        old = session.memory
+        assert session.answer(query) == "unknown"
+        session.execute("know << p(a) >>")
+        assert session.memory is not old
+        assert session.answer(query) == "yes"
+        assert answer(old, session.world, query, session.table) == "unknown"
+        assert answer(replace(session.memory), session.world, query, session.table) == "yes"
+
+    def test_the_index_is_not_part_of_the_value(self):
+        memory = load_kb("predicate p/0\nknow << p() >>\n").memory
+        before = (repr(memory), hash(memory))
+        assert memory.known_ids()
+        copy = replace(memory)
+        assert copy == memory and hash(copy) == hash(memory)
+        assert (repr(memory), hash(memory)) == before and "_known" not in repr(memory)
+        assert copy._known is None and copy.known_ids() == memory.known_ids()
