@@ -71,6 +71,9 @@ class Session:
     def memory(self, value: Memory) -> None:
         # a write that left memory unchanged keeps the world and its memo
         if value is not self.world.memory:
+            # the write that made the memory pays for its known index,
+            # so no question costs more for being the first one asked
+            value.known_ids()
             self.world = self.world.with_memory(value)
 
     def _canonical(self, pred: Predicate):

@@ -112,10 +112,22 @@ class World:
         return World(self.pred_base, self.particulars, self.memory, grounded)
 
     def with_particulars(self, particulars) -> "World":
-        return World(self.pred_base, frozenset(particulars), self.memory, self.grounded)
+        """A new world with these particulars; when they only add to this
+        world's, it starts with this world's active domain plus them, if
+        that was built."""
+        particulars = frozenset(particulars)
+        world = World(self.pred_base, particulars, self.memory, self.grounded)
+        if self._domain is not None and particulars >= self.particulars:
+            object.__setattr__(world, "_domain", self._domain | particulars)
+        return world
 
     def with_memory(self, memory: Memory) -> "World":
-        return World(self.pred_base, self.particulars, memory, self.grounded)
+        """A new world over ``memory``; it keeps this world's active
+        domain, if that was built, since memory adds nothing to it."""
+        world = World(self.pred_base, self.particulars, memory, self.grounded)
+        if self._domain is not None:
+            object.__setattr__(world, "_domain", self._domain)
+        return world
 
     def active_domain(self) -> frozenset:
         """The particulars plus every element of the base and grounded

@@ -662,11 +662,20 @@ class TestKnownIndex:
         monkeypatch.setattr(epistemic, "_proposition_index", counted)
         text, budget, questions = chain_kb(19)
         session = load_kb(text)
+        builds.clear()
         session.chain(budget)
-        assert len(questions) == 21 and not builds
+        # the session builds the index when it installs the chained memory,
+        # so no answer pays for it
+        size = len(session.memory.atoms())
+        assert len(questions) == 21 and builds == [size]
         for q in questions:
             session.answer(session.parse(q))
-        assert builds == [len(session.memory.atoms())]
+        assert builds == [size]
+        # a memory no session installed builds it on its first answer
+        copy = replace(session.memory)
+        for q in questions:
+            answer(copy, session.world, session.parse(q), session.table)
+        assert builds == [size, size]
 
     def test_a_new_memory_value_gets_its_own_index(self):
         session = load_kb("predicate p/1\nparticular a\n")

@@ -494,6 +494,27 @@ def test_a_written_world_carries_the_domain_of_a_fresh_one():
             assert row in world.pred_base[(pred.name, pred.arity)].tuples
 
 
+def test_new_memory_or_particulars_carry_the_domain_of_a_fresh_one():
+    rng = random.Random(53)
+    for _ in range(60):
+        vocab = Vocabulary()
+        table = ConceptTable(vocab)
+        world, _, domain = _random_world(rng, table, vocab)
+        newcomer = table.particular("newcomer")
+        for _ in range(6):
+            if rng.random() < 0.7:
+                world.active_domain()  # built, so the update may carry it over
+            if rng.random() < 0.3:
+                world = world.with_memory(Memory(next_id=rng.randint(1, 9)))
+            else:
+                # grown, kept, or shrunk: only the first two may reuse the domain
+                kept = rng.sample(domain, rng.randint(0, len(domain)))
+                extra = [newcomer] if rng.random() < 0.5 else []
+                world = world.with_particulars(kept + extra)
+            fresh = World(dict(world.pred_base), world.particulars, world.memory, world.grounded)
+            assert world.active_domain() == fresh.active_domain()
+
+
 NEGATION_READS = (
     "E{1} E{1} ~ r(?x, ?y)",
     "E{1} (u(?x) /\\{(1,1)} ~ r(?x, c))",
