@@ -127,7 +127,7 @@ def tarski_eval(world: World, f: Formula, env: dict, table: ConceptTable) -> boo
         row = tuple(_resolve(a, env, table) for a in f.args)
         pred = f.predicate
         if pred.name == KNOW_NAME and pred.arity == 3:
-            return row in world.memory.know_tuples()
+            return any(row == (a.time, a.subject, a.content) for a in world.memory.atoms())
         base = world.pred_base.get((pred.name, pred.arity))
         if base is None:
             raise worlds.MissingExtensionError(table.interpret(f))

@@ -27,16 +27,20 @@ implication is new since the last AxK phase.  Pairs fire in the order
 of the naive all-pairs scan, so traces and atom ids do not depend on
 the evaluation strategy.
 
-Answering reads the memory's index of known proposition ids, built once
-per memory value and kept on it, so a question costs a few lookups and
-at most one extension, not a scan of memory.
+Each memory value carries its index of known proposition ids, built
+with it, and the Know relation that Know atoms read, built on first
+read; worlds that share a memory share both.  A question costs a few
+lookups and at most one extension, not a scan of memory.  A trace step
+keeps its formula and renders the sentence when it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .prp import Concept, ConceptTable, Particular, SELF_NAME
+from .relalg import Relation
 from .syntax import (
     AbstractedTerm,
     Atom,
@@ -86,7 +90,11 @@ class TraceStep:
     rule: str
     inputs: tuple[int, ...]
     output: int
-    sentence: str
+    formula: Formula
+
+    @property
+    def sentence(self) -> str:
+        return serialize(self.formula)
 
 
 @dataclass(frozen=True)
@@ -94,7 +102,12 @@ class Memory:
     temporary: tuple[KnowAtom, ...] = ()
     permanent: tuple[KnowAtom, ...] = ()
     next_id: int = 1
-    _known: frozenset | None = field(default=None, init=False, repr=False, compare=False)
+    # the ids of the propositions this memory knows: each arity-0
+    # content, and each non-conj node on the conjunction spine of one
+    known_ids: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "known_ids", _proposition_index(self.atoms()))
 
     def atoms(self) -> tuple[KnowAtom, ...]:
         return self.temporary + self.permanent
@@ -122,17 +135,10 @@ class Memory:
         atom, added = ws.add(getattr(ws, store), time, subject, content, provenance, depth)
         return (ws.freeze() if added else self), atom, added
 
-    def know_tuples(self) -> frozenset:
+    @cached_property
+    def know_relation(self) -> Relation:
         """The Know relation this memory backs: one triple per held atom."""
-        return frozenset((a.time, a.subject, a.content) for a in self.atoms())
-
-    def known_ids(self) -> frozenset:
-        """The ids of the propositions this memory knows, built once per
-        memory value: each arity-0 content, and each non-conj node on the
-        conjunction spine of one."""
-        if self._known is None:
-            object.__setattr__(self, "_known", _proposition_index(self.atoms()))
-        return self._known
+        return Relation(3, frozenset(a.key() for a in self.atoms()))
 
 
 def _proposition_index(atoms) -> frozenset:
@@ -337,9 +343,7 @@ def forward_chain(
         )
         if added:
             rank[atom.id] = (0, len(ws.temporary) - 1)
-            steps.append(
-                TraceStep(rule, inputs, atom.id, serialize(table.recover(content)))
-            )
+            steps.append(TraceStep(rule, inputs, atom.id, table.recover(content)))
         return atom, added
 
     changed = True
@@ -421,8 +425,11 @@ def consolidate(
 
     The content of every temporary atom is rebuilt with the timestamp
     inserted and present tense shifted to past, then re-interned; the
-    temporary store ends up empty, so consolidating again is a no-op.
+    temporary store ends up empty, so consolidating again is a no-op
+    that returns ``memory`` itself.
     """
+    if not memory.temporary:
+        return memory, ()
     tau_term = tau if isinstance(tau, Constant) else Constant(str(tau))
     steps: list[TraceStep] = []
     ws = _WorkingSet((), memory.permanent, memory.next_id)
@@ -434,12 +441,7 @@ def consolidate(
             ("consolidated", tau_term.name, atom.id), atom.depth,
         )
         if added:
-            steps.append(
-                TraceStep(
-                    RULE_CONSOLIDATE, (atom.id,), derived.id,
-                    serialize(table.recover(content)),
-                )
-            )
+            steps.append(TraceStep(RULE_CONSOLIDATE, (atom.id,), derived.id, table.recover(content)))
     return ws.freeze(), tuple(steps)
 
 
@@ -450,12 +452,12 @@ def answer(memory: Memory, world: World, query: Formula, table: ConceptTable) ->
     conjunction spine of one, or evaluates true in the world; no when
     its negation does (evaluation is closed-world over the active
     domain); unknown when the query cannot be decided either way.  The
-    memory side is a lookup in ``Memory.known_ids``, built once per
+    memory side is a lookup in ``Memory.known_ids``, built with the
     memory value, so answers over one memory do not rescan it.
     """
     if free_var_tuple(query):
         raise EpistemicError("queries must be sentences")
-    known = memory.known_ids()
+    known = memory.known_ids
     concept = table.interpret(query)
     if concept.id in known:
         return "yes"

@@ -71,9 +71,6 @@ class Session:
     def memory(self, value: Memory) -> None:
         # a write that left memory unchanged keeps the world and its memo
         if value is not self.world.memory:
-            # the write that made the memory pays for its known index,
-            # so no question costs more for being the first one asked
-            value.known_ids()
             self.world = self.world.with_memory(value)
 
     def _canonical(self, pred: Predicate):
@@ -147,8 +144,7 @@ class Session:
         if added:
             self.trace.append(
                 TraceStep(
-                    epistemic.RULE_EXPERIENCE, (), atom.id,
-                    serialize(self.table.recover(atom.content)),
+                    epistemic.RULE_EXPERIENCE, (), atom.id, self.table.recover(atom.content)
                 )
             )
         return atom

@@ -294,11 +294,6 @@ Formula = Union[Top, Atom, Identity, Conj, Neg, Exists]
 _FORMULAS = (Top, Atom, Identity, Conj, Neg, Exists)
 
 
-def bottom() -> Formula:
-    """The contradiction formula, negation of the tautology."""
-    return Neg(Top())
-
-
 # ---------------------------------------------------------------------------
 # Free variables
 
@@ -309,10 +304,6 @@ def free_var_tuple(f: Formula) -> tuple[Variable, ...]:
     if isinstance(f, _FORMULAS):
         return f.free_vars
     raise FormulaError(f"not a formula: {f!r}")
-
-
-def free_arity(f: Formula) -> int:
-    return len(free_var_tuple(f))
 
 
 # ---------------------------------------------------------------------------

@@ -23,16 +23,17 @@ over distinct variables reads the relation itself.  A write
 (``with_row``) adds one row to a base relation, which carries its
 indexes over, and carries the active domain over when it was built.
 The active domain (its particulars plus every element of its base and
-grounded relations) and the Know relation of its memory, which every
-Know atom reads, are each built once per world.  An identity
-with a constant holds only of that constant, and only when it is a
-domain element.  Known concepts are not elements, so negating an open
-Know atom is an error.
+grounded relations) is built once per world.  Know atoms read the Know
+relation of the world's memory, which worlds sharing that memory share.
+An identity with a constant holds only of that constant, and only when
+it is a domain element.  Known concepts are not elements, so negating
+an open Know atom is an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
 from . import relalg
@@ -70,8 +71,6 @@ class World:
     memory: Memory | None = None
     grounded: Mapping[int, Relation] = field(default_factory=dict)  # by concept id
     _memo: dict = field(default_factory=dict, init=False, repr=False)
-    _domain: frozenset | None = field(default=None, init=False, repr=False)
-    _know: Relation | None = field(default=None, init=False, repr=False)
 
     def with_base(self, concept: Concept, relation: Relation) -> "World":
         """A new world with the predicate's base relation replaced; the
@@ -102,8 +101,8 @@ class World:
         if current is None:
             current = Relation(pred.arity, frozenset())
         world = self.with_base(concept, current.with_row(row))
-        if self._domain is not None:
-            object.__setattr__(world, "_domain", self._domain.union(row))
+        if "_domain" in vars(self):
+            vars(world)["_domain"] = self._domain.union(row)
         return world
 
     def with_grounded(self, concept: Concept, relation: Relation) -> "World":
@@ -117,32 +116,28 @@ class World:
         that was built."""
         particulars = frozenset(particulars)
         world = World(self.pred_base, particulars, self.memory, self.grounded)
-        if self._domain is not None and particulars >= self.particulars:
-            object.__setattr__(world, "_domain", self._domain | particulars)
+        if "_domain" in vars(self) and particulars >= self.particulars:
+            vars(world)["_domain"] = self._domain | particulars
         return world
 
     def with_memory(self, memory: Memory) -> "World":
         """A new world over ``memory``; it keeps this world's active
         domain, if that was built, since memory adds nothing to it."""
         world = World(self.pred_base, self.particulars, memory, self.grounded)
-        if self._domain is not None:
-            object.__setattr__(world, "_domain", self._domain)
+        if "_domain" in vars(self):
+            vars(world)["_domain"] = self._domain
         return world
+
+    @cached_property
+    def _domain(self) -> frozenset:
+        relations = (*self.pred_base.values(), *self.grounded.values())
+        rows = (row for rel in relations for row in rel.tuples)
+        return frozenset(self.particulars).union(*rows)
 
     def active_domain(self) -> frozenset:
         """The particulars plus every element of the base and grounded
         relations."""
-        if self._domain is None:
-            relations = (*self.pred_base.values(), *self.grounded.values())
-            rows = (row for rel in relations for row in rel.tuples)
-            object.__setattr__(self, "_domain", frozenset(self.particulars).union(*rows))
         return self._domain
-
-    def know_relation(self) -> Relation:
-        """The Know relation of the world's memory, built once per world."""
-        if self._know is None:
-            object.__setattr__(self, "_know", Relation(3, self.memory.know_tuples()))
-        return self._know
 
 
 def extension(world: World, u) -> Relation | Element:
@@ -210,7 +205,7 @@ def _atom_extension(world: World, u: Concept) -> Relation:
     if pred.name == KNOW_NAME and pred.arity == 3:
         if world.memory is None:
             raise MissingExtensionError(u)
-        base = world.know_relation()
+        base = world.memory.know_relation
     else:
         base = world.pred_base.get((pred.name, pred.arity))
     if base is None:

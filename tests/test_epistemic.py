@@ -464,6 +464,16 @@ class TestValueContract:
         assert session.world is world
         assert all(session.world._memo[k] is v for k, v in memo.items())
 
+    def test_a_repeated_consolidate_keeps_the_world_and_its_memo(self):
+        session = load_kb("predicate p/1\nparticular a\nknow << p(a) >>\n")
+        session.consolidate("t1")
+        assert session.eval_formula(session.parse("Know(in_present, me, << p(a) >>)"))
+        assert session.answer(session.parse("p(a)")) == "yes"
+        world, memo = session.world, dict(session.world._memo)
+        assert memo
+        assert session.consolidate("t1") == ()
+        assert session.world is world and session.world._memo == memo
+
 
 class TestConsolidate:
     def test_moves_and_stamps(self, scenario):
@@ -664,15 +674,16 @@ class TestKnownIndex:
         session = load_kb(text)
         builds.clear()
         session.chain(budget)
-        # the session builds the index when it installs the chained memory,
-        # so no answer pays for it
+        # chaining builds the index with the memory it returns, so no
+        # answer pays for it
         size = len(session.memory.atoms())
         assert len(questions) == 21 and builds == [size]
         for q in questions:
             session.answer(session.parse(q))
         assert builds == [size]
-        # a memory no session installed builds it on its first answer
+        # a copy of the memory builds its own when it is made
         copy = replace(session.memory)
+        assert builds == [size, size]
         for q in questions:
             answer(copy, session.world, session.parse(q), session.table)
         assert builds == [size, size]
@@ -691,8 +702,10 @@ class TestKnownIndex:
     def test_the_index_is_not_part_of_the_value(self):
         memory = load_kb("predicate p/0\nknow << p() >>\n").memory
         before = (repr(memory), hash(memory))
-        assert memory.known_ids()
+        assert memory.known_ids and memory.know_relation.tuples
         copy = replace(memory)
         assert copy == memory and hash(copy) == hash(memory)
-        assert (repr(memory), hash(memory)) == before and "_known" not in repr(memory)
-        assert copy._known is None and copy.known_ids() == memory.known_ids()
+        assert (repr(memory), hash(memory)) == before
+        assert "known_ids" not in repr(memory) and "know_relation" not in repr(memory)
+        assert copy.known_ids == memory.known_ids
+        assert copy.know_relation == memory.know_relation

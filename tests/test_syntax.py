@@ -17,8 +17,6 @@ from intenlog.syntax import (
     Top,
     Variable,
     Vocabulary,
-    bottom,
-    free_arity,
     free_var_tuple,
     serialize,
     substitute,
@@ -67,17 +65,17 @@ class TestFreeVarTuple:
 
     def test_top_is_closed(self):
         assert names(Top()) == ()
-        assert names(bottom()) == ()
+        assert names(Neg(Top())) == ()
 
 
 class TestConj:
     def test_arity_law(self):
         f = Conj(PHI, PSI, ((4, 1), (2, 3)))
-        assert free_arity(f) == 5 + 4 - 2
+        assert len(f.free_vars) == 5 + 4 - 2
 
     def test_empty_pairs_is_cartesian(self):
         f = Conj(atom("p", "x", "y"), atom("q", "z"), ())
-        assert free_arity(f) == 3
+        assert len(f.free_vars) == 3
 
     def test_out_of_range_pair_rejected(self):
         with pytest.raises(FormulaError, match=r"\(6,1\)"):
@@ -94,7 +92,7 @@ class TestConj:
 
 class TestExists:
     def test_in_range(self):
-        assert free_arity(Exists(1, atom("p", "x", "y"))) == 1
+        assert len(Exists(1, atom("p", "x", "y")).free_vars) == 1
 
     def test_out_of_range_rejected(self):
         with pytest.raises(FormulaError, match="out of range"):
@@ -225,7 +223,7 @@ class TestParser:
             parse_formula(text, self.vocab)
 
     def test_negated_top_is_contradiction(self):
-        assert parse_formula("~ Top", self.vocab) == bottom()
+        assert parse_formula("~ Top", self.vocab) == Neg(Top())
 
     def test_arity_mismatch(self):
         with pytest.raises(ParseError, match="arity mismatch"):
@@ -302,7 +300,7 @@ def test_conj_arity_law_property():
         f = random_formula(rng, vocab)
         if isinstance(f, Conj):
             seen += 1
-            assert free_arity(f) == free_arity(f.lhs) + free_arity(f.rhs) - len(f.pairs)
+            assert len(f.free_vars) == len(f.lhs.free_vars) + len(f.rhs.free_vars) - len(f.pairs)
     assert seen > 50
 
 

@@ -1,4 +1,5 @@
 import random
+from functools import cached_property
 
 import pytest
 
@@ -368,14 +369,19 @@ class TestLayoutOracle:
         rng = random.Random(44)
         vocab = Vocabulary()
         table = ConceptTable(vocab)
-        domain = [table.particular(n) for n in "abc"]
+        particulars = [table.particular(n) for n in "ab"]
+        q = table.intern_atom(vocab.declare("q", 0), ())
+        contents = [q, table.neg(q)]  # a known content is a concept
+        domain = particulars + contents
         know = vocab.resolve(KNOW_NAME, 3)
         for _ in range(40):
             memory = Memory()
             for _ in range(rng.randint(0, 12)):
-                memory, _, _ = memory.add_temporary(*(rng.choice(domain) for _ in range(3)), ())
-            rows = memory.know_tuples()
-            world = World(particulars=frozenset(domain), memory=memory)
+                memory, _, _ = memory.add_temporary(
+                    rng.choice(domain), rng.choice(domain), rng.choice(contents), ()
+                )
+            rows = frozenset((a.time, a.subject, a.content) for a in memory.atoms())
+            world = World(particulars=frozenset(particulars), memory=memory)
             shape = rng.choice(("ground", "partly", "repeated"))
             entries = _random_entries(rng, 3, domain, shape)
             if all(e[0] == "v" for e in entries):
@@ -452,14 +458,36 @@ KNOW_READS = (
 )
 
 
-def test_the_know_relation_is_built_once_per_world(monkeypatch):
+@pytest.fixture
+def know_builds(monkeypatch):
+    """The memories whose Know relation is built while the test runs."""
+    built = []
+    build = Memory.know_relation.func
+    counted = cached_property(lambda memory: built.append(memory) or build(memory))
+    counted.__set_name__(Memory, "know_relation")
+    monkeypatch.setattr(Memory, "know_relation", counted)
+    return built
+
+
+def test_the_know_relation_is_built_once_per_world(know_builds):
     session = load_kb("predicate p/1\nparticular a\nparticular b\nknow << p(a) >>\n")
-    calls = []
-    know_tuples = Memory.know_tuples
-    monkeypatch.setattr(Memory, "know_tuples", lambda m: calls.append(m) or know_tuples(m))
     truths = [session.eval_formula(session.parse(t)) for t in KNOW_READS]
     assert truths == [True, False, True]
-    assert len(calls) == 1
+    assert know_builds == [session.memory]
+
+
+def test_one_memory_builds_its_know_relation_once_across_writes(know_builds):
+    session = load_kb("predicate p/1\nparticular a\nparticular b\nknow << p(a) >>\n")
+    every_row = session.table.interpret(session.parse("Know(?t, ?s, ?c)"))
+    read, relations = session.parse(KNOW_READS[0]), []
+    for fact in (None, "p(a)", "p(b)", "p(c)"):
+        if fact:
+            session.execute(f"assert {fact}")
+        assert session.eval_formula(read)
+        relations.append(extension(session.world, every_row))
+    # four worlds over one memory value read one relation
+    assert len({id(w) for w in relations}) == 1
+    assert know_builds == [session.memory]
 
 
 def test_a_world_with_new_memory_reads_its_own_know_relation():
@@ -471,7 +499,7 @@ def test_a_world_with_new_memory_reads_its_own_know_relation():
     after = [eval_sentence(derived, session.parse(t), session.table) for t in KNOW_READS]
     assert before == [True, False, True]
     assert after == [True, True, True]
-    assert derived.know_relation() != world.know_relation()
+    assert derived.memory.know_relation != world.memory.know_relation
 
 
 def test_a_written_world_carries_the_domain_of_a_fresh_one():
