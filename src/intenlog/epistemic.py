@@ -144,6 +144,10 @@ class Memory:
 def _proposition_index(atoms) -> frozenset:
     known: set[int] = set()
     for atom in atoms:
+        if not isinstance(atom.content, Concept):
+            raise EpistemicError(
+                f"known content must be a concept, got {atom.content!r} in k{atom.id}"
+            )
         if atom.content.arity != 0:
             continue
         known.add(atom.content.id)

@@ -19,6 +19,15 @@ KB grammar, one directive per line, ``#`` comments:
 Directives execute in order; asserting an undeclared predicate,
 referencing an unregistered process, or both asserting and grounding
 one predicate is an error naming the line.
+
+``load_kb`` writes each run of consecutive ``assert`` and ``particular``
+lines as one batch: their new rows and particulars are collected
+privately and published as one world, so loading is linear in the size
+of the KB.  ``predicate`` lines, comments and blank lines do not end a
+run; the batch is published before any other directive, at the end of
+the input, and when a line raises, so after an error the session holds
+every line before the failing one.  A directive run on its own (through
+``execute``, as the repl does) publishes its write at once.
 """
 
 from __future__ import annotations
@@ -62,6 +71,10 @@ class Session:
         self.declared_particulars: dict[str, None] = {}  # in declaration order
         self.trace: list[TraceStep] = []
         self.world = World({}, frozenset(self.table.particulars()), Memory())
+        # the write batch that load_kb opens: new rows by canonical atom
+        # and new particulars; None while every write publishes at once
+        self._rows: dict[Concept, set[tuple]] | None = None
+        self._particulars: set | None = None
 
     @property
     def memory(self) -> Memory:
@@ -96,8 +109,12 @@ class Session:
 
     def _add_particular(self, name: str) -> None:
         particular = self.table.particular(name)
-        if particular not in self.world.particulars:
+        if particular in self.world.particulars:
+            return
+        if self._particulars is None:
             self.world = self.world.with_particulars(self.world.particulars | {particular})
+        else:
+            self._particulars.add(particular)
 
     def declare_particular(self, name: str) -> None:
         self.declared_particulars[name] = None
@@ -122,7 +139,8 @@ class Session:
     # -- facts and knowledge ------------------------------------------------
 
     def assert_fact(self, f: Formula) -> None:
-        """Add a ground atom to the world's base extension of its predicate."""
+        """Add a ground atom to the world's base extension of its predicate:
+        at once, or when the open write batch is published."""
         if not isinstance(f, Atom):
             raise KBError(f"only atoms can be asserted, got {serialize(f)}")
         if f.free_vars:
@@ -134,8 +152,22 @@ class Session:
                 f"cannot assert {serialize(f)}: {pred.name}/{pred.arity} is grounded "
                 f"by process {process!r}"
             )
+        worlds.check_base_predicate(pred)
         row = tuple(self.table.extend_assignment({}, a) for a in f.args)
-        self.world = self.world.with_row(self._canonical(pred), row)
+        concept = self._canonical(pred)
+        if self._rows is None:
+            self.world = self.world.with_rows({concept: (row,)})
+            return
+        held = self.world.pred_base.get((pred.name, pred.arity))
+        if held is None or row not in held.tuples:
+            self._rows.setdefault(concept, set()).add(row)
+
+    def _publish(self) -> None:
+        """Publish the open batch's rows and particulars as one world, if
+        it holds any."""
+        if self._rows or self._particulars:
+            self.world = self.world.with_rows(self._rows, self._particulars)
+            self._rows, self._particulars = {}, set()
 
     def know_term(self, term: AbstractedTerm):
         self.memory, atom, added = epistemic.assert_experience(
@@ -216,6 +248,10 @@ class Session:
                 raise KBError(f"expected 'particular <name>', got {rest!r}")
             self.declare_particular(rest)
             return None
+        if head == "assert":
+            self.assert_fact(self._parse_at(parse_formula, rest, start))
+            return None
+        self._publish()  # every other directive reads or replaces the world
         if head == "ground":
             parts = rest.split()
             if len(parts) != 2:
@@ -228,9 +264,6 @@ class Session:
             left, right = rest.split("=>", 1)
             self.add_rule(self._parse_at(parse_formula, left, start),
                           self._parse_at(parse_formula, right, start + len(left) + 2))
-            return None
-        if head == "assert":
-            self.assert_fact(self._parse_at(parse_formula, rest, start))
             return None
         if head == "know":
             term = self._parse_at(parse_term, rest, start)
@@ -246,8 +279,13 @@ def load_kb(source, session: Session | None = None) -> Session:
     if session is None:
         session = Session()
     lines = source.splitlines() if isinstance(source, str) else list(source)
-    for no, line in enumerate(lines, 1):
-        session.execute(line, no)
+    session._rows, session._particulars = {}, set()  # open the write batch
+    try:
+        for no, line in enumerate(lines, 1):
+            session.execute(line, no)
+    finally:
+        session._publish()
+        session._rows = session._particulars = None
     return session
 
 

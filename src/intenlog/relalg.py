@@ -21,9 +21,10 @@ Everything here is a pure function over immutable values.  The one
 cache is a relation's column index (``Relation.index``), which joins and
 atom reads group rows by: built on first use and kept on the value it
 describes, it is excluded from equality, hashing and repr, so no caller
-can observe it except by its speed.  ``Relation.with_row`` adds one row
-and carries every index built so far, sharing all buckets but the one
-the row joins; so a bucket never changes once built.
+can observe it except by its speed.  ``Relation.with_rows`` adds many
+rows in one write and carries every index built so far, sharing all
+buckets but those the new rows join; so a bucket never changes once
+built.
 """
 
 from __future__ import annotations
@@ -80,21 +81,31 @@ class Relation:
             self._index[cols] = found
         return found
 
-    def with_row(self, row: tuple) -> Relation:
-        """This relation plus ``row``, or itself when it holds the row.
-        Only the new row is checked, and each index built so far carries
-        over with the row added to one bucket."""
-        if type(row) is not tuple or len(row) != self.arity:
-            raise RelAlgError(f"row {row!r} is not a tuple of length {self.arity}")
-        if row in self.tuples:
+    def with_rows(self, rows) -> Relation:
+        """This relation plus ``rows``, or itself when it holds them all.
+        Each index built so far carries over with the new rows added to
+        their buckets; every other bucket is shared."""
+        new = set()
+        for row in rows:
+            if type(row) is not tuple or len(row) != self.arity:
+                raise RelAlgError(f"row {row!r} is not a tuple of length {self.arity}")
+            if row not in self.tuples:
+                new.add(row)
+        if not new:
             return self
         out = object.__new__(Relation)
         object.__setattr__(out, "arity", self.arity)
-        object.__setattr__(out, "tuples", self.tuples | {row})
+        object.__setattr__(out, "tuples", self.tuples | new)
         index = {}
         for cols, buckets in self._index.items():
-            key = tuple(row[c] for c in cols)
-            index[cols] = {**buckets, key: [*buckets.get(key, ()), row]}
+            grown = index[cols] = dict(buckets)
+            copied = {}  # the buckets this relation owns, by key
+            for row in new:
+                key = tuple(row[c] for c in cols)
+                bucket = copied.get(key)
+                if bucket is None:
+                    bucket = copied[key] = grown[key] = [*buckets.get(key, ())]
+                bucket.append(row)
         object.__setattr__(out, "_index", index)
         return out
 

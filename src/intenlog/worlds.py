@@ -20,8 +20,10 @@ memoized per world and concept.  Atoms read base relations through
 their column index (a ground atom is one membership test), which
 outlives a world as long as later worlds share the relation; an atom
 over distinct variables reads the relation itself.  A write
-(``with_row``) adds one row to a base relation, which carries its
-indexes over, and carries the active domain over when it was built.
+(``with_rows``) adds many rows, across predicates, and particulars in
+one new world: each base relation it grows carries its built indexes
+over, and the world carries the active domain over, grown by the new
+elements, when it was built.
 The active domain (its particulars plus every element of its base and
 grounded relations) is built once per world.  Know atoms read the Know
 relation of the world's memory, which worlds sharing that memory share.
@@ -34,12 +36,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from . import relalg
 from .prp import Concept, ConceptTable, Element, IDENTITY_PREDICATE, Particular
 from .relalg import Relation
-from .syntax import Formula, KNOW_NAME, free_var_tuple
+from .syntax import Formula, KNOW_NAME, Predicate, free_var_tuple
 
 if TYPE_CHECKING:
     from .epistemic import Memory
@@ -53,6 +55,24 @@ class MissingExtensionError(WorldError):
     def __init__(self, concept: Concept):
         super().__init__(f"no base extension or grounding for concept u{concept.id}")
         self.concept = concept
+
+
+def check_base_predicate(pred: Predicate) -> None:
+    """Reject the epistemic predicate, which memory backs, as the owner
+    of a base relation."""
+    if pred.name == KNOW_NAME:
+        raise WorldError("the epistemic predicate is memory-backed, not base-assigned")
+
+
+def _base_key(concept) -> tuple[str, int]:
+    """The key of the base relation that ``concept``, a predicate's
+    canonical atom, reads."""
+    if not isinstance(concept, Concept) or not is_canonical_atom(concept):
+        raise WorldError(
+            "base extensions attach to atomic concepts over distinct variables only"
+        )
+    check_base_predicate(concept.predicate)
+    return concept.predicate.name, concept.predicate.arity
 
 
 def is_canonical_atom(u: Concept) -> bool:
@@ -75,34 +95,38 @@ class World:
     def with_base(self, concept: Concept, relation: Relation) -> "World":
         """A new world with the predicate's base relation replaced; the
         concept is the predicate's canonical atom."""
-        if not isinstance(concept, Concept) or not is_canonical_atom(concept):
-            raise WorldError(
-                "base extensions attach to atomic concepts over distinct variables only"
-            )
-        if concept.predicate.name == KNOW_NAME:
-            raise WorldError(
-                "the epistemic predicate is memory-backed, not base-assigned"
-            )
+        key = _base_key(concept)
         if relation.arity != concept.arity:
             raise WorldError(
                 f"arity mismatch: relation/{relation.arity} on concept of arity "
                 f"{concept.arity}"
             )
-        pred = concept.predicate
-        pred_base = {**self.pred_base, (pred.name, pred.arity): relation}
+        pred_base = {**self.pred_base, key: relation}
         return World(pred_base, self.particulars, self.memory, self.grounded)
 
-    def with_row(self, concept: Concept, row: tuple) -> "World":
-        """A new world with ``row`` added to the base relation of the
-        predicate whose canonical atom is ``concept``; it starts with this
-        world's active domain plus the row's elements, if that was built."""
-        pred = concept.predicate
-        current = self.pred_base.get((pred.name, pred.arity))
-        if current is None:
-            current = Relation(pred.arity, frozenset())
-        world = self.with_base(concept, current.with_row(row))
-        if "_domain" in vars(self):
-            vars(world)["_domain"] = self._domain.union(row)
+    def with_rows(self, rows: Mapping[Concept, Iterable[tuple]], particulars=()) -> "World":
+        """A new world with each collection in ``rows`` added to the base
+        relation of the predicate whose canonical atom keys it, and with
+        ``particulars`` added to its own; it starts with this world's
+        active domain plus the new elements, if that was built."""
+        pred_base = dict(self.pred_base)
+        domain = vars(self).get("_domain")
+        for concept, new in rows.items():
+            key = _base_key(concept)
+            current = pred_base.get(key)
+            if current is None:
+                current = Relation(concept.arity, frozenset())
+            pred_base[key] = current.with_rows(new)
+            if domain is not None:
+                domain = domain.union(*new)
+        held = self.particulars
+        if particulars:
+            held = frozenset(held).union(particulars)
+            if domain is not None:
+                domain = domain.union(particulars)
+        world = World(pred_base, held, self.memory, self.grounded)
+        if domain is not None:
+            vars(world)["_domain"] = domain
         return world
 
     def with_grounded(self, concept: Concept, relation: Relation) -> "World":

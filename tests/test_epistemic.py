@@ -709,3 +709,12 @@ class TestKnownIndex:
         assert "known_ids" not in repr(memory) and "know_relation" not in repr(memory)
         assert copy.known_ids == memory.known_ids
         assert copy.know_relation == memory.know_relation
+
+    def test_a_content_that_is_not_a_concept_is_named(self):
+        a = ConceptTable(Vocabulary()).particular("a")
+        for add in (Memory().add_temporary, Memory().add_permanent):
+            with pytest.raises(EpistemicError,
+                               match=r"^known content must be a concept, got a in k1$"):
+                add(a, a, a, ())
+        with pytest.raises(EpistemicError, match=r"got a in k7$"):
+            Memory(permanent=(KnowAtom(7, a, a, a, ("experience",)),))

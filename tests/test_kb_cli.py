@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import subprocess
 import sys
 
@@ -7,7 +8,13 @@ import pytest
 
 from intenlog.cli import main, repl
 from intenlog.demo import NL_QUERY, build_demo_session, fixture_text
-from intenlog.grounding import corpus_process, load_corpus, pars, retrieval_process
+from intenlog.grounding import (
+    corpus_process,
+    load_corpus,
+    pars,
+    retrieval_process,
+    truth_process,
+)
 from intenlog.kb import (
     KBError,
     Session,
@@ -51,6 +58,103 @@ class TestLoadKB:
         session = load_kb("# hello\n\npredicate p/0\nassert p()\n")
         assert session.eval_formula(session.parse("p()"))
 
+
+DUMPS = (dump_kb, dump_concepts, dump_world, dump_memory)
+# a bad line -> its error, after "line N: "
+BAD_LINES = {
+    "assert mystery(c0)": "line 1, col 8: undeclared predicate mystery",
+    "assert open1(?x)": "cannot assert an open formula: open1(?x)",
+    "assert gbad()": "cannot assert gbad(): gbad/0 is grounded by process 'yes'",
+    "assert Know(c0, c1, c2)": "the epistemic predicate is memory-backed, not base-assigned",
+    "particular 9c": "expected 'particular <name>', got '9c'",
+    "assert p1(c0,, c1)": "line 1, col 14: expected a term, found ','",
+    "ground gfact yes": "cannot ground gfact/0: it already has asserted facts",
+}
+
+
+def random_load_kb(rng: random.Random, bad: str | None) -> list[str]:
+    """KB lines mixing every directive; ``bad``, if given, goes at a random
+    position after the four lines that declare what it names."""
+    names = [f"c{i}" for i in range(5)]
+    preds = {}  # name -> arity, in declaration order
+    grounded = 0
+    lines = ["predicate open1/1", "predicate gbad/0", "ground gbad yes", "predicate gfact/0"]
+    for _ in range(rng.randint(5, 40)):
+        unary = [p for p, a in preds.items() if a == 1]
+        kind = rng.random()
+        if kind < 0.12 or not preds:
+            name = f"p{len(preds)}"
+            preds[name] = rng.randint(0, 3)
+            lines.append(f"predicate {name}/{preds[name]}")
+        elif kind < 0.3:
+            lines.append(f"particular {rng.choice(names)}")
+        elif kind < 0.65:
+            name = rng.choice(list(preds))
+            args = ", ".join(rng.choice(names) for _ in range(preds[name]))
+            lines.append(f"assert {name}({args})")
+        elif kind < 0.7 and len(unary) > 1:
+            first, second = rng.sample(unary, 2)
+            lines.append(f"rule {first}(?x) => {second}(?x)")
+        elif kind < 0.75 and unary:
+            lines.append(f"know << {rng.choice(unary)}({rng.choice(names)}) >>")
+        elif kind < 0.8:
+            lines += [f"predicate g{grounded}/0", f"ground g{grounded} yes"]
+            grounded += 1
+        elif kind < 0.9:
+            lines.append(rng.choice(("", "# a comment", "   ")))
+        else:
+            lines.append(f"assert {lines[-1].partition(' ')[2]}"
+                         if lines[-1].startswith("assert") else "particular c0")
+    if bad is not None:
+        at = rng.randint(4, len(lines))
+        lines[at:at] = ["assert gfact()", bad] if bad.startswith("ground") else [bad]
+    return lines
+
+
+def provisioned_session() -> Session:
+    session = Session()
+    session.registry.register_process(truth_process("yes", True))
+    return session
+
+
+def run_lines(lines, load: bool):
+    """The dumps, the world's particulars and the error after running
+    ``lines`` through ``load_kb`` or line by line through ``execute``, and
+    the dumps after one more live write."""
+    session = provisioned_session()
+    error = None
+    try:
+        if load:
+            load_kb("\n".join(lines), session)
+        else:
+            for no, line in enumerate(lines, 1):
+                session.execute(line, no)
+    except KBError as exc:
+        error = (str(exc), exc.line)
+    state = [d(session) for d in DUMPS]
+    state.append(sorted(p.name for p in session.world.particulars))
+    session.execute("particular late")
+    session.execute("assert open1(late)")
+    state += [d(session) for d in DUMPS]
+    return error, state
+
+
+class TestLoadBatch:
+    def test_load_equals_running_each_line(self):
+        rng = random.Random(61)
+        met = set()
+        for case in range(240):
+            bad = rng.choice(sorted(BAD_LINES)) if case % 2 else None
+            lines = random_load_kb(rng, bad)
+            got, want = run_lines(lines, True), run_lines(lines, False)
+            assert got == want, (case, lines)
+            if bad is None:
+                assert got[0] is None, (case, got[0])
+            else:
+                no = lines.index(bad) + 1
+                assert got[0] == (f"line {no}: {BAD_LINES[bad]}", no), (case, lines)
+                met.add(bad)
+        assert met == set(BAD_LINES)
 
 class TestDumpKB:
     def test_round_trip_is_fixed_point(self):

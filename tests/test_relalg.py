@@ -266,7 +266,7 @@ class TestNegationOperators:
         assert project_complement(full_row, 1, domain) == rel(1, ("b",), ("c",))
 
 
-class TestWithRow:
+class TestWithRows:
     def test_matches_a_fresh_relation_and_carries_every_index(self):
         rng = random.Random(4)
         elements = list("abcd")
@@ -277,11 +277,12 @@ class TestWithRow:
                 r.index(tuple(sorted(rng.sample(range(k), rng.randint(0, k)))))
             before = {cols: {key: list(rows) for key, rows in buckets.items()}
                       for cols, buckets in r._index.items()}
-            row = tuple(rng.choice(elements) for _ in range(k))
-            grown = r.with_row(row)
-            fresh = Relation(k, r.tuples | {row})
+            rows = [tuple(rng.choice(elements) for _ in range(k))
+                    for _ in range(rng.randint(0, 4))]
+            grown = r.with_rows(rows)
+            fresh = Relation(k, r.tuples | set(rows))
             assert grown == fresh and hash(grown) == hash(fresh)
-            assert (grown is r) == (row in r.tuples)
+            assert (grown is r) == r.tuples.issuperset(rows)
             assert set(grown._index) == set(before)
             for cols in before:
                 carried = {key: sorted(rows) for key, rows in grown._index[cols].items()}
@@ -291,5 +292,6 @@ class TestWithRow:
     def test_only_a_tuple_of_the_arity_is_added(self):
         r = rel(2, ("a", "b"))
         for row in (("a",), ("a", "b", "c"), ["a", "b"]):
-            with pytest.raises(RelAlgError, match="not a tuple of length 2"):
-                r.with_row(row)
+            for rows in ([row], [("c", "d"), row], [("a", "b"), row]):
+                with pytest.raises(RelAlgError, match=r"^row .* is not a tuple of length 2$"):
+                    r.with_rows(rows)

@@ -515,11 +515,14 @@ def test_a_written_world_carries_the_domain_of_a_fresh_one():
             canonical = table.intern_atom(
                 pred, tuple(("v", f"x{k}") for k in range(1, pred.arity + 1))
             )
-            row = tuple(rng.choice(domain + [newcomer]) for _ in range(pred.arity))
-            world = world.with_row(canonical, row)
+            rows = {tuple(rng.choice(domain + [newcomer]) for _ in range(pred.arity))
+                    for _ in range(rng.randint(1, 3))}
+            particulars = rng.sample(domain + [newcomer], rng.randint(0, 2))
+            world = world.with_rows({canonical: rows}, particulars)
             fresh = World(dict(world.pred_base), world.particulars, world.memory, world.grounded)
             assert world.active_domain() == fresh.active_domain()
-            assert row in world.pred_base[(pred.name, pred.arity)].tuples
+            assert rows <= world.pred_base[(pred.name, pred.arity)].tuples
+            assert world.particulars.issuperset(particulars)
 
 
 def test_new_memory_or_particulars_carry_the_domain_of_a_fresh_one():
@@ -605,3 +608,53 @@ def test_a_write_rebuilds_no_index(monkeypatch):
     x, y = Variable("x"), Variable("y")
     assert reads[0] == [{x: a}, {x: b}, {x: c}]
     assert reads[1] == [{y: b}, {y: c}]
+
+
+def test_a_load_carries_a_built_domain_and_indexes_that_match_fresh_ones():
+    rng = random.Random(67)
+    names = [f"c{i}" for i in range(6)]
+
+    def kb_text(preds):
+        lines = []
+        for _ in range(rng.randint(1, 12)):
+            if rng.random() < 0.3:
+                lines.append(f"particular {rng.choice(names)}")
+            else:
+                name, arity = rng.choice(preds)
+                args = ", ".join(rng.choice(names) for _ in range(arity))
+                lines.append(f"assert {name}({args})")
+        return "\n".join(lines)
+
+    carried = 0
+    for _ in range(60):
+        preds = [(f"p{i}", rng.randint(1, 3)) for i in range(rng.randint(1, 3))]
+        declared = "".join(f"predicate {name}/{arity}\n" for name, arity in preds)
+        session = load_kb(declared + kb_text(preds))
+        before = session.world
+        before.active_domain()
+        for rel in before.pred_base.values():
+            for _ in range(rng.randint(0, 2)):
+                rel.index(tuple(sorted(rng.sample(range(rel.arity), rng.randint(1, rel.arity)))))
+        load_kb(kb_text(preds), session)
+        world = session.world
+        fresh = World(dict(world.pred_base), world.particulars, world.memory, world.grounded)
+        assert world.active_domain() == fresh.active_domain()
+        for key, rel in world.pred_base.items():
+            assert set(rel._index) == set(before.pred_base.get(key, rel)._index)
+            for cols, buckets in rel._index.items():
+                rebuilt = Relation(rel.arity, rel.tuples).index(cols)
+                assert {k: sorted(rows, key=relalg.row_key) for k, rows in buckets.items()} == {
+                    k: sorted(rows, key=relalg.row_key) for k, rows in rebuilt.items()}
+                carried += 1
+    assert carried > 60
+
+
+def test_a_load_that_adds_nothing_keeps_the_world():
+    text = "predicate p/2\nparticular a\nparticular b\nassert p(a, b)\nassert p(b, b)\n"
+    session = load_kb(text)
+    world = session.world
+    load_kb("# again\n" + text + "\nassert p(a, b)\nparticular a\n", session)
+    assert session.world is world
+    load_kb("particular a\nassert p(b, a)\n", session)
+    assert session.world is not world
+    assert session.world.pred_base[("p", 2)].tuples > world.pred_base[("p", 2)].tuples
