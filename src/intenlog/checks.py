@@ -438,7 +438,10 @@ def check_join_bookkeeping() -> tuple[bool, str]:
     return True, "column order (x_i..y_j), arity 7, oracle agreement"
 
 
-_MUTATION_ALPHABET = " \n\t()<>{}_^~=,/\\?E0123xyabp#@"
+# A non-ASCII letter and digits (é, ², ٣) and Unicode whitespace (no-break
+# space, form feed) besides the grammar's own characters: the tokenizer's
+# letters and digits are ASCII only, while any Unicode space separates.
+_MUTATION_ALPHABET = " \n\t()<>{}_^~=,/\\?E0123xyabp#@\u00e9\u00b2\u0663\u00a0\x0c"
 
 
 def _mutate(rng: random.Random, text: str) -> str:

@@ -15,7 +15,7 @@ from .demo import DEFAULT_TAU, run_demo, write_trace
 from .epistemic import EpistemicError
 from .grounding import GroundingError, load_corpus, load_templates, corpus_process
 from .kb import KBError, Session, dump_concepts, dump_kb, dump_memory, dump_world, load_kb
-from .parser import ParseError
+from .parser import ParseError, parse_formula
 from .prp import ConceptError
 from .relalg import RelAlgError
 from .syntax import FormulaError
@@ -88,10 +88,12 @@ def repl(session: Session, stdin=sys.stdin, report=print) -> int:
 def _repl_command(session: Session, line: str) -> str | None:
     head, _, rest = line.partition(" ")
     rest = rest.strip()
-    if head == "eval":
-        return "t" if session.eval_formula(session.parse(rest)) else "f"
-    if head == "answer":
-        return session.answer(session.parse(rest))
+    if head in ("eval", "answer"):
+        # a parse error gives its column in the line, as a directive's does
+        f = session._parse_at(parse_formula, rest, len(line) - len(rest))
+        if head == "eval":
+            return "t" if session.eval_formula(f) else "f"
+        return session.answer(f)
     if head == "chain":
         budget = session.budget
         if rest:
@@ -111,7 +113,11 @@ def _repl_command(session: Session, line: str) -> str | None:
         steps = session.consolidate(parts[1])
         return f"{len(steps)} atom(s) consolidated at {parts[1]}"
     if head == "render":
-        return session.render(int(rest.lstrip("k")))
+        try:
+            atom_id = int(rest.lstrip("k"))
+        except ValueError:
+            raise KBError("usage: render <atom-id>") from None
+        return session.render(atom_id)
     if head == "dump":
         if rest == "concepts":
             return dump_concepts(session).rstrip("\n")

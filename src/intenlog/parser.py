@@ -10,15 +10,21 @@ positional quantifier, infix ``=`` for identity and the constant
 ``Top``.  ``serialize`` in the syntax module is the inverse: parsing
 its output recovers the formula structurally.
 
-The tokenizer makes one pass over the text with one regular expression
-and keeps each token as a plain ``(kind, text, offset)`` tuple, with an
-``EOF`` token at the end.  Line and column are computed from the offset
-only when a ``ParseError`` is raised.
+The tokenizer is one ``findall`` of one regular expression, which skips
+the whitespace before each token and ends in a catch-all for any other
+character.  A token's kind comes from its text, else from its first
+character.  Letters and digits are ASCII only, so a character such as
+``é`` or ``²``, like a lone ``?``, ``<``, ``>`` or ``/``, is an unexpected
+character.  The descent reads the parallel lists of kinds and texts by
+index, without a call per token.  Token offsets, and from them line and
+column, are computed by scanning the text again only when a
+``ParseError`` is raised.
 """
 
 from __future__ import annotations
 
 import re
+import string
 
 from .syntax import (
     AbstractedTerm,
@@ -48,30 +54,16 @@ class ParseError(Exception):
 
 
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<WS>\s+)
-  | (?P<LABS><<)
-  | (?P<RABS>>>)
-  | (?P<CONJ>/\\)
-  | (?P<QVAR>\?[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<INT>[0-9]+)
-  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<PUNCT>[(),={}^~_])
-    """,
-    re.VERBOSE,
+    r"\s*([A-Za-z_][A-Za-z0-9_]*|\?[A-Za-z_][A-Za-z0-9_]*|[0-9]+|<<|>>|/\\|\S)"
 )
 
-_PUNCT_KINDS = {
-    "(": "LPAREN",
-    ")": "RPAREN",
-    ",": "COMMA",
-    "=": "EQUALS",
-    "{": "LBRACE",
-    "}": "RBRACE",
-    "^": "CARET",
-    "~": "TILDE",
-    "_": "UNDERSCORE",
-}
+# A token's kind by its text, else by its first character; a kind of
+# None marks an unexpected character.
+_KINDS = {"<<": "LABS", ">>": "RABS", "/\\": "CONJ", "(": "LPAREN", ")": "RPAREN",
+          ",": "COMMA", "=": "EQUALS", "{": "LBRACE", "}": "RBRACE", "^": "CARET",
+          "~": "TILDE", "_": "UNDERSCORE", "?": None}
+_FIRST = {**dict.fromkeys(string.ascii_letters + "_", "IDENT"),
+          **dict.fromkeys(string.digits, "INT"), "?": "QVAR"}
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -79,186 +71,181 @@ def _position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """The ``(kind, text, offset)`` tokens of ``text``, whitespace
-    dropped, ending with an ``EOF`` token at ``len(text)``."""
-    tokens = []
-    end = 0
-    for m in iter(_TOKEN_RE.scanner(text).match, None):
-        kind = m.lastgroup
-        end = m.end()
-        if kind != "WS":
-            chunk = m.group()
-            if kind == "PUNCT" or chunk == "_":
-                kind = _PUNCT_KINDS[chunk]
-            tokens.append((kind, chunk, m.start()))
-    if end < len(text):
-        raise ParseError(f"unexpected character {text[end]!r}", *_position(text, end))
-    tokens.append(("EOF", "", end))
-    return tokens
+def _tokenize(text: str) -> tuple[list[str], list[str]]:
+    """The kinds and the texts of the tokens of ``text``, each list
+    ending with an ``EOF`` token; a ParseError at an unexpected character."""
+    texts = _TOKEN_RE.findall(text)
+    kinds = [_KINDS[t] if t in _KINDS else _FIRST.get(t[0]) for t in texts]
+    if None in kinds:
+        bad = kinds.index(None)
+        offset = _offsets(text)[bad]
+        raise ParseError(f"unexpected character {texts[bad]!r}", *_position(text, offset))
+    kinds.append("EOF")
+    texts.append("")
+    return kinds, texts
+
+
+def _offsets(text: str) -> list[int]:
+    """The offset of each token of ``text``, ``len(text)`` for ``EOF``;
+    computed only for an error."""
+    return [m.start(1) for m in _TOKEN_RE.finditer(text)] + [len(text)]
 
 
 class _Parser:
     def __init__(self, text: str, vocabulary: Vocabulary):
         self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
         self.vocabulary = vocabulary
+        self.kinds, self.texts = _tokenize(text)
+        self.pos = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
+    def error(self, message: str, index: int | None = None) -> ParseError:
+        """A ParseError at token ``index``, by default the next token."""
+        offset = _offsets(self.text)[self.pos if index is None else index]
+        return ParseError(message, *_position(self.text, offset))
 
-    def kind(self, ahead: int = 0) -> str:
-        """The kind of the next token, or of the one ``ahead`` after it;
-        only the EOF token has nothing after it."""
-        return self.tokens[self.pos + ahead][0]
+    def expect(self, index: int, *kinds: str) -> int:
+        """Check the kinds of the tokens from ``index`` on; returns the
+        index after them."""
+        for i, kind in enumerate(kinds, index):
+            if self.kinds[i] != kind:
+                found = self.texts[i] or "end of input"
+                raise self.error(f"expected {kind}, found {found!r}", i)
+        return index + len(kinds)
 
-    def error(self, message: str, tok=None) -> ParseError:
-        """A ParseError at ``tok``, by default the next token."""
-        return ParseError(message, *_position(self.text, (tok or self.peek())[2]))
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            raise self.error(f"expected {kind}, found {tok[1] or 'end of input'!r}")
-        self.pos += 1
-        return tok
-
-    def guard(self, build):
-        """Run a constructor, converting invariant errors to parse errors."""
+    def run(self, rule):
+        """Parse the whole text with ``rule``; a construction invariant
+        that fails becomes a parse error at the token after the
+        construct, which is where the descent stands when it builds one."""
         try:
-            return build()
+            value = rule()
         except FormulaError as exc:
             raise self.error(str(exc)) from exc
+        if self.kinds[self.pos] != "EOF":
+            raise self.error(f"unexpected trailing input {self.texts[self.pos]!r}")
+        return value
 
     # -- grammar ------------------------------------------------------------
 
     def formula(self) -> Formula:
         left = self.unary()
-        while self.kind() == "CONJ":
-            self.pos += 1
-            self.expect("LBRACE")
-            pairs = self.pair_list()
-            self.expect("RBRACE")
-            right = self.unary()
-            left = self.guard(lambda: Conj(left, right, pairs))
+        kinds, texts = self.kinds, self.texts
+        while kinds[self.pos] == "CONJ":
+            i = self.expect(self.pos + 1, "LBRACE")
+            pairs = []
+            while kinds[i] == "LPAREN":
+                self.expect(i + 1, "INT", "COMMA", "INT", "RPAREN")
+                pairs.append((int(texts[i + 1]), int(texts[i + 3])))
+                i += 6 if kinds[i + 5] == "COMMA" else 5
+            self.pos = self.expect(i, "RBRACE")
+            left = Conj(left, self.unary(), tuple(pairs))
         return left
 
-    def pair_list(self) -> tuple[tuple[int, int], ...]:
-        pairs = []
-        while self.kind() == "LPAREN":
-            self.pos += 1
-            a = int(self.expect("INT")[1])
-            self.expect("COMMA")
-            b = int(self.expect("INT")[1])
-            self.expect("RPAREN")
-            pairs.append((a, b))
-            if self.kind() == "COMMA":
-                self.pos += 1
-        return tuple(pairs)
-
     def unary(self) -> Formula:
-        kind, text, _ = self.peek()
-        if kind == "TILDE":
-            self.pos += 1
-            body = self.unary()
-            return Neg(body)
-        if kind == "IDENT" and text == "E" and self.kind(1) == "LBRACE":
-            self.pos += 2
-            n = int(self.expect("INT")[1])
-            self.expect("RBRACE")
-            body = self.unary()
-            return self.guard(lambda: Exists(n, body))
-        return self.primary()
-
-    def primary(self) -> Formula:
-        kind, text, _ = self.peek()
-        if kind == "LPAREN":
-            self.pos += 1
+        """A primary formula under ``~`` and ``E{n}`` prefixes, which are
+        applied innermost first once the primary is parsed."""
+        kinds, texts = self.kinds, self.texts
+        i = self.pos
+        prefixes = []
+        while True:
+            if kinds[i] == "TILDE":
+                prefixes.append(None)
+                i += 1
+            elif texts[i] == "E" and kinds[i + 1] == "LBRACE":
+                i = self.expect(i + 2, "INT", "RBRACE")
+                prefixes.append(int(texts[i - 2]))
+            else:
+                break
+        self.pos = i
+        kind, text = kinds[i], texts[i]
+        if kind == "IDENT" and kinds[i + 1] == "LPAREN" and text != "Top":
+            f = self.atom()
+        elif kind == "LPAREN":
+            self.pos = i + 1
             f = self.formula()
-            self.expect("RPAREN")
-            return f
-        if kind == "IDENT" and text == "Top":
-            self.pos += 1
-            return Top()
-        if kind == "IDENT" and self.kind(1) == "LPAREN":
-            return self.atom()
-        if kind in ("QVAR", "IDENT", "LABS"):
+            self.pos = self.expect(self.pos, "RPAREN")
+        elif kind == "IDENT" and text == "Top":
+            self.pos = i + 1
+            f = Top()
+        elif kind in ("QVAR", "IDENT", "LABS"):
             left = self.term()
-            self.expect("EQUALS")
-            right = self.term()
-            return Identity(left, right)
-        raise self.error(f"expected a formula, found {text or 'end of input'!r}")
+            self.pos = self.expect(self.pos, "EQUALS")
+            f = Identity(left, self.term())
+        else:
+            raise self.error(f"expected a formula, found {text or 'end of input'!r}")
+        for n in reversed(prefixes):
+            f = Neg(f) if n is None else Exists(n, f)
+        return f
 
     def atom(self) -> Formula:
-        name_tok = self.expect("IDENT")
-        self.expect("LPAREN")
+        """``name(arg, ...)``; a constant or time-value argument is built
+        here, any other by ``term``."""
+        kinds, texts = self.kinds, self.texts
+        name = self.pos
+        i = name + 2
         args: list[Term] = []
-        if self.kind() != "RPAREN":
-            args.append(self.term())
-            while self.kind() == "COMMA":
-                self.pos += 1
-                args.append(self.term())
-        self.expect("RPAREN")
+        if kinds[i] != "RPAREN":
+            while True:
+                if kinds[i] == "IDENT":
+                    text = texts[i]
+                    args.append(TimeValue(text) if text in TENSES else Constant(text))
+                    i += 1
+                else:
+                    self.pos = i
+                    args.append(self.term())
+                    i = self.pos
+                if kinds[i] != "COMMA":
+                    break
+                i += 1
+        if kinds[i] != "RPAREN":
+            self.expect(i, "RPAREN")
+        self.pos = i + 1
         try:
-            pred = self.vocabulary.resolve(name_tok[1], len(args))
+            pred = self.vocabulary.resolve(texts[name], len(args))
         except FormulaError as exc:
-            raise self.error(str(exc), name_tok) from exc
-        return self.guard(lambda: Atom(pred, tuple(args)))
+            raise self.error(str(exc), name) from exc
+        return Atom(pred, tuple(args))
 
     def term(self) -> Term:
-        kind, text, _ = self.peek()
+        i = self.pos
+        kind, text = self.kinds[i], self.texts[i]
         if kind == "QVAR":
-            self.pos += 1
+            self.pos = i + 1
             return Variable(text[1:])
         if kind == "IDENT":
-            self.pos += 1
-            if text in TENSES:
-                return TimeValue(text)
-            return Constant(text)
+            self.pos = i + 1
+            return TimeValue(text) if text in TENSES else Constant(text)
         if kind == "LABS":
             return self.abstraction()
         raise self.error(f"expected a term, found {text or 'end of input'!r}")
 
     def abstraction(self) -> AbstractedTerm:
-        self.expect("LABS")
+        self.pos += 1
         body = self.formula()
-        self.expect("RABS")
-        alpha = None
-        beta: tuple[Variable, ...] = ()
-        if self.kind() == "UNDERSCORE":
-            self.pos += 1
-            alpha = self.var_list()
-        if self.kind() == "CARET":
-            self.pos += 1
-            beta = self.var_list()
+        self.pos = self.expect(self.pos, "RABS")
+        alpha = self.var_list() if self.kinds[self.pos] == "UNDERSCORE" else None
+        beta = self.var_list() if self.kinds[self.pos] == "CARET" else ()
         if alpha is None:
-            beta_set = set(beta)
-            alpha = tuple(v for v in body.free_vars if v not in beta_set)
-        return self.guard(lambda: AbstractedTerm(body, alpha, beta))
+            alpha = tuple(v for v in body.free_vars if v not in beta)
+        return AbstractedTerm(body, alpha, beta)
 
     def var_list(self) -> tuple[Variable, ...]:
-        self.expect("LBRACE")
+        """``{a ?b ...}`` after the ``_`` or ``^`` at the current token."""
+        kinds, texts = self.kinds, self.texts
+        i = self.expect(self.pos + 1, "LBRACE")
         out = []
-        while self.kind() in ("IDENT", "QVAR"):
-            out.append(Variable(self.peek()[1].lstrip("?")))
-            self.pos += 1
-        self.expect("RBRACE")
+        while kinds[i] in ("IDENT", "QVAR"):
+            out.append(Variable(texts[i].lstrip("?")))
+            i += 1
+        self.pos = self.expect(i, "RBRACE")
         return tuple(out)
-
-    def finish(self, value):
-        kind, text, _ = self.peek()
-        if kind != "EOF":
-            raise self.error(f"unexpected trailing input {text!r}")
-        return value
 
 
 def parse_formula(text: str, vocabulary: Vocabulary) -> Formula:
     """Parse a formula; raises ParseError with line and column on failure."""
     p = _Parser(text, vocabulary)
-    return p.finish(p.formula())
+    return p.run(p.formula)
 
 
 def parse_term(text: str, vocabulary: Vocabulary) -> Term:
     p = _Parser(text, vocabulary)
-    return p.finish(p.term())
+    return p.run(p.term)

@@ -12,7 +12,10 @@ its children's stored tuples, so reading it never walks the formula.
 The stored tuple takes no part in equality, hashing or repr.
 
 Formulas and terms are immutable values; all validation happens at
-construction time, so anything you can hold is well formed.
+construction time, so anything you can hold is well formed.  The parser
+builds a formula for every query, so each constructor checks each
+invariant once: a conjunction sorts and deduplicates its pairs only when
+it has two or more, and reads its children's stored tuples directly.
 """
 
 from __future__ import annotations
@@ -117,13 +120,9 @@ class AbstractedTerm:
 Term = Union[Variable, Constant, TimeValue, AbstractedTerm]
 
 
-def _check_term(value) -> None:
+def _check_ground_term(value) -> None:
     if not isinstance(value, (Variable, Constant, TimeValue, AbstractedTerm)):
         raise FormulaError(f"not a term: {value!r}")
-
-
-def _check_ground_term(value) -> None:
-    _check_term(value)
     if isinstance(value, Variable):
         raise FormulaError(f"expected a ground term, got variable {value!r}")
     if isinstance(value, AbstractedTerm) and not value.is_ground:
@@ -143,18 +142,18 @@ def _stored():
 def _args_free(args) -> tuple[Variable, ...]:
     """Check that each argument is a term; return the free variables of
     the argument list in first-appearance order."""
-    seen: list[Variable] = []
+    seen: dict[str, Variable] = {}  # variables are equal when their names are
     for a in args:
+        if isinstance(a, (Constant, TimeValue)):
+            continue
         if isinstance(a, Variable):
-            if a not in seen:
-                seen.append(a)
+            seen.setdefault(a.name, a)
         elif isinstance(a, AbstractedTerm):
             for v in a.beta:
-                if v not in seen:
-                    seen.append(v)
-        elif not isinstance(a, (Constant, TimeValue)):
+                seen.setdefault(v.name, v)
+        else:
             raise FormulaError(f"not a term: {a!r}")
-    return tuple(seen)
+    return tuple(seen.values())
 
 
 @dataclass(frozen=True)
@@ -189,8 +188,10 @@ class Atom:
     free_vars: tuple[Variable, ...] = _stored()
 
     def __post_init__(self):
-        args = tuple(self.args)
-        object.__setattr__(self, "args", args)
+        args = self.args
+        if type(args) is not tuple:
+            args = tuple(args)
+            object.__setattr__(self, "args", args)
         if len(args) != self.predicate.arity:
             raise FormulaError(
                 f"{self.predicate!r} applied to {len(args)} argument(s)"
@@ -231,26 +232,37 @@ class Conj:
     free_vars: tuple[Variable, ...] = _stored()
 
     def __post_init__(self):
-        norm = tuple(sorted({(int(a), int(b)) for a, b in self.pairs}))
-        object.__setattr__(self, "pairs", norm)
-        lt = free_var_tuple(self.lhs)
-        rt = free_var_tuple(self.rhs)
+        pairs = self.pairs  # normalized: sorted, distinct, int pairs
+        if type(pairs) is not tuple or len(pairs) > 1:
+            pairs = tuple(sorted({(int(a), int(b)) for a, b in pairs}))
+        elif pairs:
+            ((a, b),) = pairs
+            pairs = ((int(a), int(b)),)
+        object.__setattr__(self, "pairs", pairs)
+        lhs, rhs = self.lhs, self.rhs
+        if not (isinstance(lhs, _FORMULAS) and isinstance(rhs, _FORMULAS)):
+            bad = rhs if isinstance(lhs, _FORMULAS) else lhs
+            raise FormulaError(f"not a formula: {bad!r}")
+        lt, rt = lhs.free_vars, rhs.free_vars
         k, j = len(lt), len(rt)
-        for a, b in norm:
+        firsts, seconds = set(), set()
+        for a, b in pairs:
             if not (1 <= a <= k and 1 <= b <= j):
                 raise FormulaError(
                     f"join pair ({a},{b}) out of range for free arities ({k},{j})"
                 )
-        seconds = {b for _, b in norm}
-        if len({a for a, _ in norm}) != len(norm) or len(seconds) != len(norm):
-            raise FormulaError(f"duplicate column in join pairs {norm}")
-        surviving = tuple(v for p, v in enumerate(rt, 1) if p not in seconds)
-        left_names = {v.name for v in lt}
-        for v in surviving:
-            if v.name in left_names:
-                raise FormulaError(
-                    f"shared free variable ?{v.name} must be joined by a pair"
-                )
+            firsts.add(a)
+            seconds.add(b)
+        if len(firsts) != len(pairs) or len(seconds) != len(pairs):
+            raise FormulaError(f"duplicate column in join pairs {pairs}")
+        surviving = tuple([v for p, v in enumerate(rt, 1) if p not in seconds])
+        if lt and surviving:
+            left_names = {v.name for v in lt}
+            for v in surviving:
+                if v.name in left_names:
+                    raise FormulaError(
+                        f"shared free variable ?{v.name} must be joined by a pair"
+                    )
         object.__setattr__(self, "free_vars", lt + surviving)
 
     def __repr__(self):
@@ -449,9 +461,9 @@ class Vocabulary:
         return (predicate.name, predicate.arity) in self._preds
 
     def resolve(self, name: str, nargs: int) -> Predicate:
-        key = (name, nargs)
-        if key in self._preds:
-            return self._preds[key]
+        pred = self._preds.get((name, nargs))
+        if pred is not None:
+            return pred
         others = sorted(a for n, a in self._preds if n == name)
         if others:
             raise FormulaError(

@@ -323,6 +323,18 @@ class TestRepl:
         assert "Know(in_present, me, ?x)" in out[1]
         assert out[2] == "t"
 
+    def test_eval_and_answer_give_a_parse_error_column_in_the_line(self):
+        out = self.run("predicate p/1\nanswer   p(a\neval   p(a\neval\nquit\n")
+        assert out == [
+            "error: line 1, col 13: expected RPAREN, found 'end of input'",
+            "error: line 1, col 11: expected RPAREN, found 'end of input'",
+            "error: line 1, col 5: expected a formula, found 'end of input'",
+        ]
+
+    def test_a_malformed_render_id_answers_with_the_usage(self):
+        out = self.run("render k\nrender kx\nquit\n")
+        assert out == ["error: usage: render <atom-id>"] * 2
+
     def test_errors_are_reported_not_fatal(self):
         out = self.run("assert nope(me)\neval Top\nquit\n")
         assert out[0].startswith("error:")
@@ -353,6 +365,15 @@ class TestCliMain:
     def test_entry_point_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "intenlog.cli", "demo"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert "3 clips retrieved" in proc.stdout
+
+    def test_the_package_runs_as_a_module(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "intenlog", "demo"],
             capture_output=True,
             text=True,
         )

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 
 import pytest
 
 from intenlog import load_kb, parser
 from intenlog.checks import check_parse
 from intenlog.kb import KBError
-from intenlog.parser import ParseError, parse_formula, parse_term
+from intenlog.parser import ParseError, _offsets, _position, _tokenize, parse_formula, parse_term
 from intenlog.syntax import Vocabulary
 
 
@@ -187,3 +188,68 @@ def test_the_parse_check_rejects_an_error_outside_the_text(monkeypatch):
     monkeypatch.setattr(parser, "_position", lambda text, offset: (1, len(text) + 2))
     ok, detail = check_parse(cases=300)
     assert not ok and "lies outside" in detail
+
+
+# The scanner tokenizer that the findall tokenizer replaced: one match
+# object per token, whitespace included, each token with its offset.
+_REFERENCE_RE = re.compile(
+    r"""
+    (?P<WS>\s+)
+  | (?P<LABS><<)
+  | (?P<RABS>>>)
+  | (?P<CONJ>/\\)
+  | (?P<QVAR>\?[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<INT>[0-9]+)
+  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<PUNCT>[(),={}^~_])
+    """,
+    re.VERBOSE,
+)
+_REFERENCE_PUNCT = {
+    "(": "LPAREN", ")": "RPAREN", ",": "COMMA", "=": "EQUALS", "{": "LBRACE",
+    "}": "RBRACE", "^": "CARET", "~": "TILDE", "_": "UNDERSCORE",
+}
+
+
+def reference_tokens(text: str) -> list[tuple[str, str, int]]:
+    """The ``(kind, text, offset)`` tokens of ``text``, ending with an
+    ``EOF`` token; a ParseError at the first character no token matches."""
+    tokens = []
+    end = 0
+    for m in iter(_REFERENCE_RE.scanner(text).match, None):
+        kind = m.lastgroup
+        end = m.end()
+        if kind != "WS":
+            chunk = m.group()
+            if kind == "PUNCT" or chunk == "_":
+                kind = _REFERENCE_PUNCT[chunk]
+            tokens.append((kind, chunk, m.start()))
+    if end < len(text):
+        raise ParseError(f"unexpected character {text[end]!r}", *_position(text, end))
+    tokens.append(("EOF", "", end))
+    return tokens
+
+
+def tokens_or_error(tokenize, text: str):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+def findall_tokens(text: str) -> list[tuple[str, str, int]]:
+    kinds, texts = _tokenize(text)
+    return list(zip(kinds, texts, _offsets(text)))
+
+
+UNICODE = ["é", "²", "٣", "\u00a0", "\x0c", "?", "<", "/", "\\"]
+
+
+def test_the_tokenizer_agrees_with_the_scanner_reference():
+    texts = list(mutants())
+    for ch in UNICODE:
+        texts += [ch, f"p({ch}a)", f"{ch}p(a) /\\{{}}\n {ch}", f"<< p(?x) >>_{{x{ch}}} = a"]
+    for valid in VALID:
+        texts += [valid.replace(" ", ch, 1) for ch in UNICODE]
+    for text in texts:
+        assert tokens_or_error(findall_tokens, text) == tokens_or_error(reference_tokens, text), text
