@@ -241,7 +241,11 @@ class Session:
             m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)/([0-9]+)", rest)
             if m is None:
                 raise KBError(f"expected 'predicate <name>/<arity>', got {rest!r}")
-            self.declare_predicate(m.group(1), int(m.group(2)))
+            try:
+                arity = int(m.group(2))
+            except ValueError:
+                raise KBError(f"arity of {len(m.group(2))} digits is too long") from None
+            self.declare_predicate(m.group(1), arity)
             return None
         if head == "particular":
             if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", rest):

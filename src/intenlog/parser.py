@@ -18,7 +18,9 @@ character.  Letters and digits are ASCII only, so a character such as
 character.  The descent reads the parallel lists of kinds and texts by
 index, without a call per token.  Token offsets, and from them line and
 column, are computed by scanning the text again only when a
-``ParseError`` is raised.
+``ParseError`` is raised.  An integer with more digits than ``int``
+converts, and a nesting deeper than the interpreter's recursion limit,
+are located parse errors too.
 """
 
 from __future__ import annotations
@@ -103,6 +105,15 @@ class _Parser:
         offset = _offsets(self.text)[self.pos if index is None else index]
         return ParseError(message, *_position(self.text, offset))
 
+    def integer(self, index: int) -> int:
+        """The value of the ``INT`` token at ``index``; a ParseError there
+        when it has more digits than ``int`` converts."""
+        try:
+            return int(self.texts[index])
+        except ValueError:
+            digits = len(self.texts[index])
+            raise self.error(f"integer of {digits} digits is too long", index) from None
+
     def expect(self, index: int, *kinds: str) -> int:
         """Check the kinds of the tokens from ``index`` on; returns the
         index after them."""
@@ -115,11 +126,15 @@ class _Parser:
     def run(self, rule):
         """Parse the whole text with ``rule``; a construction invariant
         that fails becomes a parse error at the token after the
-        construct, which is where the descent stands when it builds one."""
+        construct, which is where the descent stands when it builds one,
+        and a descent deeper than the interpreter's recursion limit one
+        where it stopped."""
         try:
             value = rule()
         except FormulaError as exc:
             raise self.error(str(exc)) from exc
+        except RecursionError:
+            raise self.error("formula nested too deeply") from None
         if self.kinds[self.pos] != "EOF":
             raise self.error(f"unexpected trailing input {self.texts[self.pos]!r}")
         return value
@@ -134,7 +149,7 @@ class _Parser:
             pairs = []
             while kinds[i] == "LPAREN":
                 self.expect(i + 1, "INT", "COMMA", "INT", "RPAREN")
-                pairs.append((int(texts[i + 1]), int(texts[i + 3])))
+                pairs.append((self.integer(i + 1), self.integer(i + 3)))
                 i += 6 if kinds[i + 5] == "COMMA" else 5
             self.pos = self.expect(i, "RBRACE")
             left = Conj(left, self.unary(), tuple(pairs))
@@ -152,7 +167,7 @@ class _Parser:
                 i += 1
             elif texts[i] == "E" and kinds[i + 1] == "LBRACE":
                 i = self.expect(i + 2, "INT", "RBRACE")
-                prefixes.append(int(texts[i - 2]))
+                prefixes.append(self.integer(i - 2))
             else:
                 break
         self.pos = i

@@ -7,7 +7,9 @@ positional natural join, complement relative to a finite active domain
 (a frozenset of elements, so complement is set difference and the
 order of the domain never matters), and column-eliminating projection,
 which collapses a unary relation to a truth value when its last column
-goes.
+goes.  A join loops over the operand with fewer rows (the left one on
+a tie) and probes the column index of the other, which is usually a
+base relation whose index outlives the value.
 
 A negation under a join or a projection never builds the universe:
 ``join_complement`` is the join with a complement, computed as an
@@ -144,20 +146,29 @@ def natural_join(r1: Relation, r2: Relation, pairs) -> Relation:
     """Join on explicit column pairs; empty pairs give the Cartesian product.
 
     Output columns are all of ``r1`` followed by the non-joined columns
-    of ``r2`` in their original order.
+    of ``r2`` in their original order.  The loop runs over the operand
+    with fewer rows (``r1`` on a tie) and probes the other's column
+    index on its join columns, so a join with a large base relation,
+    whose index outlives the value, costs the small side plus the output.
     """
     pairs = join_pairs(pairs, r1.arity, r2.arity)
-    firsts = [a for a, _ in pairs]
-    seconds = [b for _, b in pairs]
-    keep = [i for i in range(r2.arity) if i + 1 not in set(seconds)]
+    firsts = tuple(a - 1 for a, _ in pairs)
+    seconds = tuple(b - 1 for _, b in pairs)
+    keep = [i for i in range(r2.arity) if i not in seconds]
     out_arity = r1.arity + len(keep)
     if not pairs:
         rows = {t1 + t2 for t1 in r1.tuples for t2 in r2.tuples}
         return Relation(out_arity, frozenset(rows))
-    buckets = r2.index(tuple(b - 1 for b in seconds))
     rows = set()
+    if len(r2.tuples) < len(r1.tuples):
+        buckets = r1.index(firsts)
+        for t2 in r2.tuples:
+            rest = tuple(t2[i] for i in keep)
+            rows.update(t1 + rest for t1 in buckets.get(tuple(t2[b] for b in seconds), ()))
+        return Relation(out_arity, frozenset(rows))
+    buckets = r2.index(seconds)
     for t1 in r1.tuples:
-        key = tuple(t1[a - 1] for a in firsts)
+        key = tuple(t1[a] for a in firsts)
         for t2 in buckets.get(key, ()):
             rows.add(t1 + tuple(t2[i] for i in keep))
     return Relation(out_arity, frozenset(rows))

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 
@@ -53,6 +54,13 @@ class TestLoadKB:
     def test_know_requires_abstracted_term(self):
         with pytest.raises(KBError, match="abstracted term"):
             load_kb("predicate p/0\nknow me")
+
+    def test_an_over_long_arity_names_the_line(self):
+        digits = "1" * 5000
+        with pytest.raises(KBError) as info:
+            load_kb(f"predicate q/1\npredicate p/{digits}\n")
+        assert str(info.value) == "line 2: arity of 5000 digits is too long"
+        assert info.value.line == 2
 
     def test_comments_and_blanks_ignored(self):
         session = load_kb("# hello\n\npredicate p/0\nassert p()\n")
@@ -334,6 +342,14 @@ class TestRepl:
     def test_a_malformed_render_id_answers_with_the_usage(self):
         out = self.run("render k\nrender kx\nquit\n")
         assert out == ["error: usage: render <atom-id>"] * 2
+
+    def test_deep_nesting_is_a_reported_error(self):
+        depth = sys.getrecursionlimit() + 200
+        nested = "(" * depth + "p(a)" + ")" * depth
+        out = self.run(f"predicate p/1\nparticular a\nassert p(a)\neval {nested}\neval p(a)\nquit\n")
+        assert len(out) == 2
+        assert re.fullmatch(r"error: line 1, col \d+: formula nested too deeply", out[0])
+        assert out[1] == "t"
 
     def test_errors_are_reported_not_fatal(self):
         out = self.run("assert nope(me)\neval Top\nquit\n")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+import sys
 
 import pytest
 
@@ -128,6 +129,35 @@ def test_kb_parse_errors_give_the_column_in_the_line(line, message):
     with pytest.raises(KBError) as info:
         load_kb(f"predicate p/1\n{line}\n")
     assert str(info.value) == f"line 2: {message}"
+
+
+LONG = "1" * 5000  # more digits than int() converts from text
+INT_LIMITED = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(LONG)
+
+
+@pytest.mark.skipif(not INT_LIMITED, reason="int() converts any number of digits here")
+@pytest.mark.parametrize("text, col", [
+    (f"E{{{LONG}}} p(?x)", 3),
+    (f"p(?x) /\\{{({LONG},1)}} p(?x)", 11),
+    (f"p(?x) /\\{{(1,{LONG})}} p(?x)", 13),
+    (f"p(a) /\\{{}}\n  E{{{LONG}}} p(?x)", 5),
+], ids=["quantifier", "pair-left", "pair-right", "second-line"])
+def test_an_over_long_integer_is_a_located_error(text, col):
+    with pytest.raises(ParseError) as info:
+        parse_formula(text, vocabulary())
+    assert info.value.message == "integer of 5000 digits is too long"
+    assert (info.value.line, info.value.col) == (text.count("\n") + 1, col)
+
+
+def test_nesting_past_the_recursion_limit_is_a_located_error():
+    depth = sys.getrecursionlimit() + 200
+    text = "(" * depth + "p(a)" + ")" * depth
+    with pytest.raises(ParseError) as info:
+        parse_formula(text, vocabulary())
+    assert info.value.message == "formula nested too deeply"
+    assert info.value.line == 1 and 1 <= info.value.col <= depth + 1
+    assert parse_formula("(" * 100 + "p(a)" + ")" * 100, vocabulary()) == parse_formula(
+        "p(a)", vocabulary())
 
 
 VALID = [

@@ -68,6 +68,37 @@ class TestNaturalJoin:
             assert len(got.tuples) <= len(r1.tuples) * len(r2.tuples)
             assert got.arity == k + j - n
 
+    def test_skewed_operands_with_prebuilt_indexes_match_the_oracle(self):
+        """The smaller operand is looped over and the larger one probed,
+        on either side; prebuilt indexes on any columns of either
+        operand change no result and no operand's value."""
+        rng = random.Random(78)
+        domain = list("abcdef")
+        for _ in range(400):
+            k, j = rng.randint(1, 3), rng.randint(1, 3)
+            sizes = [rng.randint(0, 40), rng.randint(0, 4)]
+            rng.shuffle(sizes)
+            r1 = random_rel(rng, k, domain, max_rows=sizes[0])
+            r2 = random_rel(rng, j, domain, max_rows=sizes[1])
+            for r in (r1, r2):
+                for _ in range(rng.randint(0, 2)):
+                    r.index(tuple(rng.sample(range(r.arity), rng.randint(1, r.arity))))
+            before = [(hash(r), repr(r), Relation(r.arity, r.tuples)) for r in (r1, r2)]
+            n = rng.randint(1, min(k, j))
+            pairs = tuple(zip(rng.sample(range(1, k + 1), n), rng.sample(range(1, j + 1), n)))
+            assert natural_join(r1, r2, pairs) == brute_force_join(r1, r2, pairs), (r1, r2, pairs)
+            assert [(hash(r), repr(r), r) for r in (r1, r2)] == before
+
+    def test_the_smaller_operand_is_never_indexed(self):
+        big = Relation(2, frozenset((f"e{i}", f"e{i % 7}") for i in range(200)))
+        matches = big.index((1,))[("e3",)]
+        for small_on_left in (True, False):
+            small = rel(1, ("e3",))
+            got = (natural_join(small, big, ((1, 2),)) if small_on_left
+                   else natural_join(big, small, ((2, 1),)))
+            assert len(got.tuples) == len(matches)
+            assert not small._index and set(big._index) == {(1,)}
+
 
 class TestComplement:
     def test_unary_subtracts_from_domain(self):

@@ -610,6 +610,50 @@ def test_a_write_rebuilds_no_index(monkeypatch):
     assert reads[1] == [{y: b}, {y: c}]
 
 
+JOIN_KB = """\
+predicate r/2
+predicate s/2
+particular a
+particular b
+particular c
+particular d
+assert r(a, b)
+assert r(b, c)
+assert r(c, d)
+assert r(d, a)
+assert r(a, c)
+assert r(b, d)
+assert s(b, c)
+assert s(c, c)
+assert s(d, a)
+"""
+
+
+def test_a_join_read_after_a_live_write_builds_no_index(monkeypatch):
+    """A join probes the larger operand, here the base relation ``r``,
+    whose index outlives the write, instead of indexing the operand
+    the read builds afresh."""
+    session = load_kb(JOIN_KB)
+    read = "E{2} (r(?x, ?y) /\\{(2,1)} s(?y, c))"
+    first = satisfying_assignments(session.world, session.parse(read), session.table)
+    builds = []
+    index = Relation.index
+
+    def counted_index(rel, cols):
+        if cols not in rel._index:
+            builds.append(cols)
+        return index(rel, cols)
+
+    monkeypatch.setattr(Relation, "index", counted_index)
+    session.execute("assert r(d, b)")
+    second = satisfying_assignments(session.world, session.parse(read), session.table)
+    assert builds == []
+    a, b, d = (session.table.particular(n) for n in "abd")
+    x = Variable("x")
+    assert first == [{x: a}, {x: b}]
+    assert second == [{x: a}, {x: b}, {x: d}]
+
+
 def test_a_load_carries_a_built_domain_and_indexes_that_match_fresh_ones():
     rng = random.Random(67)
     names = [f"c{i}" for i in range(6)]
