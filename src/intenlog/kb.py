@@ -170,15 +170,14 @@ class Session:
             self._rows, self._particulars = {}, set()
 
     def know_term(self, term: AbstractedTerm):
-        self.memory, atom, added = epistemic.assert_experience(
-            self.memory, term, {}, self.table
-        )
-        if added:
+        memory, atom, added = epistemic.assert_experience(self.memory, term, {}, self.table)
+        if added:  # recovered first: a content too deep to recover changes nothing
             self.trace.append(
                 TraceStep(
                     epistemic.RULE_EXPERIENCE, (), atom.id, self.table.recover(atom.content)
                 )
             )
+        self.memory = memory
         return atom
 
     # -- engine commands ------------------------------------------------
@@ -213,9 +212,13 @@ class Session:
         return parse_formula(text, self.vocabulary)
 
     def execute(self, line: str, line_no: int | None = None) -> str | None:
-        """Run one KB directive; returns printable output, if any."""
+        """Run one KB directive; returns printable output, if any.  A
+        formula the parser accepts but the engine recurses too deeply on
+        is reported as the parser reports a deeper one."""
         try:
             return self._execute(line)
+        except RecursionError:
+            raise KBError("formula nested too deeply", line_no) from None
         except (KBError, ParseError, FormulaError, ConceptError, WorldError, GroundingError,
                 epistemic.EpistemicError) as exc:
             raise KBError(str(exc), line_no) from exc

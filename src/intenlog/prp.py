@@ -9,10 +9,15 @@ and other intensional distinctions keep concepts apart even when their
 extensions coincide.
 
 Handles are opaque objects carrying an integer id and an arity;
-equality is identity.  The table is append-only: concepts are never
-mutated or removed, so handles are freely shareable.  For the same
-reason the formula recovered from a concept is kept per concept id and
-built at most once, its sub-formulas shared with those of its parents.
+equality is identity.  Each constructor first probes the table with
+the key it would store, built from its arguments as given and holding
+handles, which hash by identity: a hit costs one key and one lookup.
+Only a miss validates and normalizes the arguments, probes again with
+the normalized key and takes the next id, so ids follow misses.  The
+table is append-only: concepts are never mutated or removed, so
+handles are freely shareable.  For the same reason the formula
+recovered from a concept is kept per concept id and built at most
+once, its sub-formulas shared with those of its parents.
 """
 
 from __future__ import annotations
@@ -120,20 +125,17 @@ class ConceptTable:
         self._next_id = 1
         for name in _RESERVED:
             self.particular(name)
-        self.truth = self._make(("truth",), arity=0, op="truth")
+        self.truth = self._add(("truth",), 0, "truth")
         self.identity_concept = self.intern_atom(
             IDENTITY_PREDICATE, (("v", "x"), ("v", "y"))
         )
 
     # -- interning ----------------------------------------------------------
 
-    def _make(self, key: tuple, **fields) -> Concept:
-        found = self._concepts.get(key)
-        if found is not None:
-            return found
-        concept = Concept(self._next_id, **fields)
+    def _add(self, key: tuple, arity: int, op: str, **fields) -> Concept:
+        """Store a new concept under ``key``, which the caller probed and missed."""
+        concept = self._concepts[key] = Concept(self._next_id, arity, op, **fields)
         self._next_id += 1
-        self._concepts[key] = concept
         return concept
 
     def particular(self, name: str) -> Particular:
@@ -161,78 +163,76 @@ class ConceptTable:
         still has quantifiable variables.  The arity is the number of
         distinct free variable names, honouring their tuple order, so
         permuting the variables yields a different concept.
+
+        The table is probed first with ("atom", name, arity, entries), the
+        entries as given; only a miss checks them and stores them as tuples.
         """
+        try:
+            if (found := self._concepts.get(("atom", predicate.name, predicate.arity, entries))):
+                return found
+        except TypeError:  # a list among the entries: a miss
+            pass
         entries = tuple(entries)
         if len(entries) != predicate.arity:
-            raise ConceptError(
-                f"{predicate!r} interned with {len(entries)} entry(ies)"
-            )
-        key_parts = []
-        names: list[str] = []
+            raise ConceptError(f"{predicate!r} interned with {len(entries)} entry(ies)")
+        stored = []
+        names: list[str] = []  # free variable names, repeats included
         for e in entries:
             if e[0] == "v":
-                key_parts.append(("v", e[1]))
-                if e[1] not in names:
-                    names.append(e[1])
+                stored.append(("v", e[1]))
+                names.append(e[1])
             elif e[0] == "g":
-                element = e[1]
-                if not isinstance(element, (Particular, Concept)):
-                    raise ConceptError(f"not a domain element: {element!r}")
-                key_parts.append(("g", type(element).__name__, element.id))
+                if not isinstance(e[1], (Particular, Concept)):
+                    raise ConceptError(f"not a domain element: {e[1]!r}")
+                stored.append(("g", e[1]))
             elif e[0] == "a":
                 _, concept, alpha_names, beta_names = e
-                key_parts.append(("a", concept.id, tuple(alpha_names), tuple(beta_names)))
-                for n in beta_names:
-                    if n not in names:
-                        names.append(n)
+                stored.append(("a", concept, tuple(alpha_names), tuple(beta_names)))
+                names.extend(beta_names)
             else:
                 raise ConceptError(f"bad atom entry {e!r}")
-        key = ("atom", predicate.name, predicate.arity, tuple(key_parts))
-        return self._make(
-            key,
-            arity=len(names),
-            op="atom",
-            predicate=predicate,
-            entries=entries,
+        entries = tuple(stored)
+        key = ("atom", predicate.name, predicate.arity, entries)
+        return self._concepts.get(key) or self._add(
+            key, len(set(names)), "atom", predicate=predicate, entries=entries
         )
 
     def conj(self, u: Concept, v: Concept, pairs) -> Concept:
         """Indexed conjunction of concepts, of arity k + j - |pairs|.
 
         Pairs out of range or joining a column twice raise ConceptError;
-        empty pairs give the Cartesian conjunction.
+        empty pairs give the Cartesian conjunction.  A miss on the pairs
+        as given normalizes them through ``join_pairs``.
         """
+        try:
+            if (found := self._concepts.get(("conj", pairs, u, v))):
+                return found
+        except TypeError:  # list-shaped pairs: a miss
+            pass
         try:
             pairs = join_pairs(pairs, u.arity, v.arity)
         except RelAlgError as exc:
             raise ConceptError(str(exc)) from exc
-        return self._make(
-            ("conj", pairs, u.id, v.id),
-            arity=u.arity + v.arity - len(pairs),
-            op="conj",
-            children=(u, v),
-            pairs=pairs,
+        key = ("conj", pairs, u, v)
+        return self._concepts.get(key) or self._add(
+            key, u.arity + v.arity - len(pairs), "conj", children=(u, v), pairs=pairs
         )
 
     def neg(self, u: Concept) -> Concept:
-        return self._make(
-            ("neg", u.id),
-            arity=u.arity,
-            op="neg",
-            children=(u,),
-        )
+        key = ("neg", u)
+        return self._concepts.get(key) or self._add(key, u.arity, "neg", children=(u,))
 
     def exists(self, n: int, u: Concept) -> Concept:
         """Positional projection of column n, for 1 <= n <= arity."""
+        key = ("exists", n, u)
+        try:
+            if (found := self._concepts.get(key)):
+                return found
+        except TypeError:  # an unhashable n: a miss
+            pass
         if not (1 <= n <= u.arity):
             raise ConceptError(f"projection position {n} out of range for arity {u.arity}")
-        return self._make(
-            ("exists", n, u.id),
-            arity=u.arity - 1,
-            op="exists",
-            children=(u,),
-            position=n,
-        )
+        return self._add(key, u.arity - 1, "exists", children=(u,), position=n)
 
     def union(self, concepts) -> Concept:
         """Derived union, expanded through negation and conjunction.

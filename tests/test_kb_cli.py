@@ -62,6 +62,26 @@ class TestLoadKB:
         assert str(info.value) == "line 2: arity of 5000 digits is too long"
         assert info.value.line == 2
 
+    @pytest.mark.parametrize(
+        "directive, share",
+        [
+            ("know << {} >>", 0.6),  # interprets, but too deep to recover for the trace
+            ("know << {} >>", 2),
+            ("rule {} => p(a)", 2),
+            ("assert p(<< {} >>)", 2),
+        ],
+    )
+    def test_a_formula_too_deep_for_the_engine_names_the_line(self, directive, share):
+        nested = "~" * int(sys.getrecursionlimit() * share) + " p(a)"
+        head = "predicate p/1\nparticular a\nassert p(a)\nknow << p(a) >>\n"
+        before, session = load_kb(head), Session()
+        with pytest.raises(KBError) as info:
+            load_kb(head + directive.format(nested) + "\n", session)
+        assert str(info.value) == "line 5: formula nested too deeply"
+        assert info.value.line == 5
+        assert dump_world(session) == dump_world(before)
+        assert dump_memory(session) == dump_memory(before)
+
     def test_comments_and_blanks_ignored(self):
         session = load_kb("# hello\n\npredicate p/0\nassert p()\n")
         assert session.eval_formula(session.parse("p()"))
@@ -350,6 +370,16 @@ class TestRepl:
         assert len(out) == 2
         assert re.fullmatch(r"error: line 1, col \d+: formula nested too deeply", out[0])
         assert out[1] == "t"
+
+    def test_a_formula_past_the_engine_depth_is_a_reported_error(self):
+        limit = sys.getrecursionlimit()
+        script = "predicate p/1\nparticular a\nassert p(a)\n"
+        # half the limit overflows extension and recovery, five times it interning
+        for depth in (limit // 2, limit * 5):
+            nested = "~" * depth + " p(a)"
+            script += f"eval {nested}\nanswer {nested}\nknow << {nested} >>\n"
+        out = self.run(script + "eval Top\ndump memory\nquit\n")
+        assert out == ["error: formula nested too deeply"] * 6 + ["t", "memory empty"]
 
     def test_errors_are_reported_not_fatal(self):
         out = self.run("assert nope(me)\neval Top\nquit\n")

@@ -4,7 +4,15 @@ import pytest
 
 from intenlog.demo import build_demo_session, fixture_text
 from intenlog.kb import load_kb
-from intenlog.prp import ConceptError, ConceptTable
+from intenlog import prp
+from intenlog.prp import (
+    EMPTY_TUPLE_NAME,
+    NULL_NAME,
+    SELF_NAME,
+    Concept,
+    ConceptError,
+    ConceptTable,
+)
 from intenlog.syntax import (
     AbstractedTerm,
     Atom,
@@ -14,6 +22,7 @@ from intenlog.syntax import (
     Identity,
     Neg,
     Predicate,
+    TENSES,
     TimeValue,
     Top,
     Variable,
@@ -270,3 +279,179 @@ def test_forward_chaining_builds_each_recovered_formula_once(monkeypatch):
     monkeypatch.setattr(ConceptTable, "_rebuild", counted)
     session.chain()
     assert built and max(built.values()) == 1
+
+
+# ---------------------------------------------------------------------------
+# Probe-first interning
+
+
+class StructuralKeys:
+    """Reference interning by full structural keys: ground elements as
+    (type name, id), operands by id and join pairs normalized.  Ids are
+    handed out in order of first interning, particulars and concepts
+    from one counter, and the reserved particulars, truth and identity
+    come first, as in a new ``ConceptTable``."""
+
+    def __init__(self):
+        self.ids: dict[tuple, tuple[int, int]] = {}  # key -> (id, arity)
+        self.next_id = 1
+        for name in (EMPTY_TUPLE_NAME, SELF_NAME, NULL_NAME) + TENSES:
+            self.particular(name)
+        self.intern(("truth",), 0)
+        self.interpret(Identity(Variable("x"), Variable("y")))
+
+    def intern(self, key, arity):
+        if key not in self.ids:
+            self.ids[key] = (self.next_id, arity)
+            self.next_id += 1
+        return self.ids[key]
+
+    def particular(self, name):
+        return self.intern(("particular", name), None)[0]
+
+    def interpret(self, f):
+        if isinstance(f, Top):
+            return self.ids[("truth",)]
+        if isinstance(f, (Atom, Identity)):
+            name, args = ("=", (f.left, f.right)) if isinstance(f, Identity) else (
+                f.predicate.name, f.args)
+            parts, names = [], []
+            for a in args:
+                if isinstance(a, Variable):
+                    parts.append(("v", a.name))
+                    names.append(a.name)
+                elif isinstance(a, Constant):
+                    parts.append(("g", "Particular", self.particular(a.name)))
+                elif isinstance(a, TimeValue):
+                    parts.append(("g", "Particular", self.particular(a.tense)))
+                elif a.is_ground:
+                    parts.append(("g", "Concept", self.interpret(a.body)[0]))
+                else:
+                    alpha = tuple(v.name for v in a.alpha)
+                    beta = tuple(v.name for v in a.beta)
+                    parts.append(("a", self.interpret(a.body)[0], alpha, beta))
+                    names.extend(beta)
+            return self.intern(("atom", name, len(args), tuple(parts)), len(set(names)))
+        if isinstance(f, Conj):
+            (l, k), (r, j) = self.interpret(f.lhs), self.interpret(f.rhs)
+            pairs = tuple(sorted({(int(a), int(b)) for a, b in f.pairs}))
+            return self.intern(("conj", pairs, l, r), k + j - len(pairs))
+        if isinstance(f, Neg):
+            i, k = self.interpret(f.body)
+            return self.intern(("neg", i), k)
+        i, k = self.interpret(f.body)
+        return self.intern(("exists", f.position, i), k - 1)
+
+
+def random_argument(rng, vocab):
+    r = rng.random()
+    if r < 0.4:
+        return Variable(rng.choice("xyz"))
+    if r < 0.55:
+        return Constant(rng.choice("abc"))
+    if r < 0.65:
+        return TimeValue(rng.choice(TENSES))
+    body = random_formula(rng, vocab, depth=1)
+    names = list(free_var_tuple(body))
+    rng.shuffle(names)
+    k = rng.randint(1, len(names)) if names else 0
+    return AbstractedTerm(body, tuple(names[:k]), tuple(names[k:]))
+
+
+def random_reified_formula(rng, vocab):
+    """A formula whose atoms may hold constants, time values and abstracted
+    terms, ground or not, and identities between such terms."""
+    r = rng.random()
+    if r < 0.3:
+        return random_formula(rng, vocab)
+    if r < 0.45:
+        return Identity(random_argument(rng, vocab), random_argument(rng, vocab))
+    atom = Atom(vocab.declare("h2", 2), (random_argument(rng, vocab), random_argument(rng, vocab)))
+    if r < 0.8:
+        return atom
+    other = random_formula(rng, vocab, depth=1)
+    lt, rt = free_var_tuple(atom), free_var_tuple(other)
+    pairs = tuple((lt.index(v) + 1, rt.index(v) + 1) for v in rt if v in lt)
+    return Neg(Conj(atom, other, pairs))
+
+
+def test_handles_follow_structural_keys_and_ids_follow_first_interning():
+    rng = random.Random(34)
+    vocab = Vocabulary()
+    table, reference = ConceptTable(vocab), StructuralKeys()
+    assert table._next_id == reference.next_id
+    formulas = [random_reified_formula(rng, vocab) for _ in range(400)]
+    for f in formulas + formulas[::-1]:
+        u = table.interpret(f)
+        assert (u.id, u.arity) == reference.interpret(f)
+    assert table._next_id == reference.next_id
+    concept_keys = [k for k in reference.ids if k[0] != "particular"]
+    assert len(table.concepts()) == len(concept_keys) > 400
+
+
+def test_a_hit_constructs_nothing_and_takes_no_id(monkeypatch):
+    rng = random.Random(35)
+    vocab = Vocabulary()
+    table = ConceptTable(vocab)
+    formulas = [random_reified_formula(rng, vocab) for _ in range(200)]
+    handles = [table.interpret(f) for f in formulas]
+    next_id = table._next_id
+    built = []
+
+    def refuse(*args, **kwargs):
+        built.append(args)
+        raise AssertionError("a hit ran a miss-only step")
+
+    monkeypatch.setattr(Concept, "__init__", refuse)
+    monkeypatch.setattr(prp, "join_pairs", refuse)
+    assert all(table.interpret(f) is u for f, u in zip(formulas, handles))
+    assert not built and table._next_id == next_id
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_every_interning_error_keeps_its_text(warm):
+    table = ConceptTable(Vocabulary())
+    p1, p2 = Predicate("a1", 1), Predicate("a2", 2)
+    u = table.intern_atom(p2, var_entries("a", "b"))
+    v = table.intern_atom(p1, var_entries("c"))
+    if warm:  # a valid concept of the same predicate or operands is held
+        table.intern_atom(p1, var_entries("x"))
+        table.intern_atom(p2, (("g", table.particular("a")), ("v", "x")))
+        table.conj(u, v, ((1, 1),))
+        table.exists(1, u)
+    calls = [
+        (lambda: table.intern_atom(p1, (("z", 1),)), "bad atom entry ('z', 1)"),
+        (lambda: table.intern_atom(p1, (("g", "a"),)), "not a domain element: 'a'"),
+        (lambda: table.intern_atom(p1, [["g", 5]]), "not a domain element: 5"),
+        (lambda: table.intern_atom(p2, (("v", "x"),)), "a2/2 interned with 1 entry(ies)"),
+        (lambda: table.intern_atom(p1, []), "a1/1 interned with 0 entry(ies)"),
+        (lambda: table.conj(u, v, ((9, 1),)), "join pair (9,1) out of range for arities (2,1)"),
+        (lambda: table.conj(u, v, [[0, 1]]), "join pair (0,1) out of range for arities (2,1)"),
+        (lambda: table.conj(u, v, [[1, 1], [2, 1]]),
+         "duplicate column in join pairs ((1, 1), (2, 1))"),
+        (lambda: table.exists(0, u), "projection position 0 out of range for arity 2"),
+        (lambda: table.exists(3, u), "projection position 3 out of range for arity 2"),
+        (lambda: table.exists(1, table.truth), "projection position 1 out of range for arity 0"),
+    ]
+    next_id = table._next_id
+    for call, text in calls:
+        with pytest.raises(ConceptError) as info:
+            call()
+        assert str(info.value) == text
+    assert table._next_id == next_id
+
+
+def test_list_shaped_and_unnormalized_arguments_share_the_normalized_handle(table):
+    u = table.intern_atom(Predicate("a1", 1), [["v", "x"]])
+    assert u.entries == (("v", "x"),)
+    assert table.intern_atom(Predicate("a1", 1), (("v", "x"),)) is u
+    v = table.intern_atom(Predicate("b1", 1), var_entries("y"))
+    joined = table.conj(u, v, [[1, 1]])
+    assert joined is table.conj(u, v, ((1, 1),)) is table.conj(u, v, ((1, 1), (1, 1)))
+    body = table.interpret(Atom(table.vocabulary.resolve("phi", 2), (Variable("x"), Variable("y"))))
+    psi = table.vocabulary.resolve("psi", 1)
+    listed = table.intern_atom(psi, [("a", body, ["x"], ["y"])])
+    assert listed.entries == (("a", body, ("x",), ("y",)),) and listed.arity == 1
+    assert table.intern_atom(psi, (("a", body, ("x",), ("y",)),)) is listed
+    with pytest.raises(TypeError):
+        table.exists([1], u)
