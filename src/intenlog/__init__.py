@@ -53,7 +53,6 @@ from .epistemic import (
     answer,
     apply_4,
     apply_K,
-    apply_T_ground,
     apply_T_open,
     assert_experience,
     consolidate,

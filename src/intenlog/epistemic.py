@@ -30,8 +30,9 @@ the evaluation strategy.
 Each memory value carries its index of known proposition ids, built
 with it, and the Know relation that Know atoms read, built on first
 read; worlds that share a memory share both.  A question costs a few
-lookups and at most one extension, not a scan of memory.  A trace step
-keeps its formula and renders the sentence when it is read.
+lookups and at most one extension, not a scan of memory.  Deduction
+and consolidation rewrite concepts, never formulas: a trace step keeps
+the concept it derived and recovers its formula when it is read.
 """
 
 from __future__ import annotations
@@ -43,17 +44,15 @@ from .prp import Concept, ConceptTable, Particular, SELF_NAME
 from .relalg import Relation
 from .syntax import (
     AbstractedTerm,
-    Atom,
     Conj,
     Constant,
-    Exists,
     Formula,
+    IDENTITY_NAME,
     KNOW_NAME,
     Neg,
-    TimeValue,
+    TENSES,
     free_var_tuple,
     serialize,
-    substitute,
 )
 from .worlds import MissingExtensionError, World, extension
 
@@ -90,7 +89,12 @@ class TraceStep:
     rule: str
     inputs: tuple[int, ...]
     output: int
-    formula: Formula
+    content: Concept
+    table: ConceptTable = field(repr=False, compare=False)
+
+    @property
+    def formula(self) -> Formula:
+        return self.table.recover(self.content)
 
     @property
     def sentence(self) -> str:
@@ -203,25 +207,16 @@ def assert_experience(
     return memory.add_temporary(time, subject, content, (RULE_EXPERIENCE,))
 
 
-def apply_T_ground(atom: KnowAtom, table: ConceptTable) -> Formula | None:
-    """Reflexivity on propositions: recover the known sentence.
-
-    Returns None when the content is not a proposition.
-    """
-    if atom.content.arity != 0:
-        return None
-    return table.recover(atom.content)
-
-
 def apply_T_open(
     atom: KnowAtom, world: World, table: ConceptTable
-) -> tuple[Concept, list[Formula]] | None:
+) -> tuple[Concept, list[Concept]] | None:
     """Reflexivity on open concepts: enumerate the satisfying instances
     of the content's hidden variables and know their conjunction.
 
-    Returns the conjunction concept together with the instance
-    sentences, or None when the content is a proposition, has an empty
-    extension, or cannot be extensionalized at all.
+    Returns the conjunction concept together with the instances, each
+    the content with its columns filled by one row, or None when the
+    content is a proposition, has an empty extension, or cannot be
+    extensionalized at all.
     """
     if atom.content.arity == 0:
         return None
@@ -231,16 +226,12 @@ def apply_T_open(
         return None
     if not rel.tuples:
         return None
-    base = table.recover(atom.content)
-    variables = base.free_vars
-    instances = []
-    for row in rel.sorted_rows():
-        bindings = {v: table.element_to_term(e) for v, e in zip(variables, row)}
-        instances.append(substitute(base, bindings))
+    instances = [table.instantiate(atom.content, dict(enumerate(row, 1)))
+                 for row in rel.sorted_rows()]
     conjunction = instances[-1]
     for inst in reversed(instances[:-1]):
-        conjunction = Conj(inst, conjunction, ())
-    return table.interpret(conjunction), instances
+        conjunction = table.conj(inst, conjunction, ())
+    return conjunction, instances
 
 
 def apply_4(atom: KnowAtom, table: ConceptTable) -> Concept:
@@ -326,7 +317,7 @@ def forward_chain(
         raise EpistemicError("budget must be >= 0")
     ws = _WorkingSet(memory.temporary, memory.permanent, memory.next_id)
     steps: list[TraceStep] = []
-    instance_lists: dict[int, tuple[KnowAtom, list[Formula]]] = {}
+    instance_lists: dict[int, tuple[KnowAtom, list[Concept]]] = {}
     t_ground_done: set[int] = set()
     visited = {RULE_T_OPEN: None, RULE_AXK: None, RULE_AX4: None}
     rank = {a.id: (0, i) for i, a in enumerate(memory.temporary)}
@@ -347,7 +338,7 @@ def forward_chain(
         )
         if added:
             rank[atom.id] = (0, len(ws.temporary) - 1)
-            steps.append(TraceStep(rule, inputs, atom.id, table.recover(content)))
+            steps.append(TraceStep(rule, inputs, atom.id, content, table))
         return atom, added
 
     changed = True
@@ -369,7 +360,7 @@ def forward_chain(
             t_ground_done.add(conj_id)
             source, instances = instance_lists[conj_id]
             for inst in instances:
-                changed |= derive(RULE_T_GROUND, (conj_id,), source, table.interpret(inst))[1]
+                changed |= derive(RULE_T_GROUND, (conj_id,), source, inst)[1]
 
         pairs = {}  # (atom rank, implication rank) -> (atom, implication)
         for atom in fresh(RULE_AXK):
@@ -394,32 +385,33 @@ def forward_chain(
     return (ws.freeze() if steps else memory), tuple(steps)
 
 
-def stamp_formula(f: Formula, tau, table: ConceptTable) -> Formula:
-    """Insert the timestamp before each leading tense argument of a
-    non-Know atom and shift present tense to past.  Predicates gain a
-    timestamped variant (arity + 1), declared on demand.  Reified
-    concept arguments are mentioned, not asserted, so the rewrite does
-    not descend into abstraction bodies.
+def stamp(u: Concept, tau: str, table: ConceptTable) -> Concept:
+    """Insert the timestamp ``tau`` before the leading tense of each
+    atom other than Know and identity atoms, shifting present tense to
+    past.  Predicates gain a timestamped variant (arity + 1), declared
+    on demand, and ``tau`` becomes a particular at the first stamped
+    atom.  Reified concept arguments are mentioned, not asserted, so
+    the rewrite does not descend into abstraction entries.
     """
-    if isinstance(f, Atom):
-        if (
-            f.predicate.name != KNOW_NAME
-            and f.args
-            and isinstance(f.args[0], TimeValue)
+    if u.op == "atom":
+        tense = u.entries[0][1] if u.entries else None
+        if u.predicate.name in (KNOW_NAME, IDENTITY_NAME) or not (
+            isinstance(tense, Particular) and tense.name in TENSES
         ):
-            tense = f.args[0]
-            if tense.tense == "in_present":
-                tense = TimeValue("in_past")
-            stamped = table.vocabulary.declare(f.predicate.name, f.predicate.arity + 1)
-            return Atom(stamped, (tau, tense) + f.args[1:])
-        return f
-    if isinstance(f, Conj):
-        return Conj(stamp_formula(f.lhs, tau, table), stamp_formula(f.rhs, tau, table), f.pairs)
-    if isinstance(f, Neg):
-        return Neg(stamp_formula(f.body, tau, table))
-    if isinstance(f, Exists):
-        return Exists(f.position, stamp_formula(f.body, tau, table))
-    return f
+            return u
+        if tense.name == "in_present":
+            tense = table.particular("in_past")
+        stamped = table.vocabulary.declare(u.predicate.name, u.predicate.arity + 1)
+        return table.intern_atom(
+            stamped, (("g", table.particular(tau)), ("g", tense)) + u.entries[1:]
+        )
+    if u.op == "conj":
+        return table.conj(*(stamp(child, tau, table) for child in u.children), u.pairs)
+    if u.op == "neg":
+        return table.neg(stamp(u.children[0], tau, table))
+    if u.op == "exists":
+        return table.exists(u.position, stamp(u.children[0], tau, table))
+    return u
 
 
 def consolidate(
@@ -427,8 +419,8 @@ def consolidate(
 ) -> tuple[Memory, tuple[TraceStep, ...]]:
     """Move temporary knowledge to permanent memory, stamping ``tau``.
 
-    The content of every temporary atom is rebuilt with the timestamp
-    inserted and present tense shifted to past, then re-interned; the
+    The content of every temporary atom is stamped: rewritten with the
+    timestamp inserted and present tense shifted to past; the
     temporary store ends up empty, so consolidating again is a no-op
     that returns ``memory`` itself.
     """
@@ -438,14 +430,13 @@ def consolidate(
     steps: list[TraceStep] = []
     ws = _WorkingSet((), memory.permanent, memory.next_id)
     for atom in memory.temporary:
-        rewritten = stamp_formula(table.recover(atom.content), tau_term, table)
-        content = table.interpret(rewritten)
+        content = stamp(atom.content, tau_term.name, table)
         derived, added = ws.add(
             ws.permanent, atom.time, atom.subject, content,
             ("consolidated", tau_term.name, atom.id), atom.depth,
         )
         if added:
-            steps.append(TraceStep(RULE_CONSOLIDATE, (atom.id,), derived.id, table.recover(content)))
+            steps.append(TraceStep(RULE_CONSOLIDATE, (atom.id,), derived.id, content, table))
     return ws.freeze(), tuple(steps)
 
 

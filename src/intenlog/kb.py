@@ -131,9 +131,10 @@ class Session:
         self.registry.bind_predicate(name, arities[0], process_name)
 
     def add_rule(self, antecedent: Formula, consequent: Formula):
-        self.memory, atom = epistemic.add_rule(
-            self.memory, antecedent, consequent, self.table
-        )
+        memory, atom = epistemic.add_rule(self.memory, antecedent, consequent, self.table)
+        # dumps read the rule back: one too deep to recover or serialize changes nothing
+        serialize(self.table.recover(atom.content))
+        self.memory = memory
         return atom
 
     # -- facts and knowledge ------------------------------------------------
@@ -154,6 +155,9 @@ class Session:
             )
         worlds.check_base_predicate(pred)
         row = tuple(self.table.extend_assignment({}, a) for a in f.args)
+        for e in row:  # dump_kb reads a reified argument back: one too deep for it is refused
+            if isinstance(e, Concept):
+                serialize_term(self.table.element_to_term(e))
         concept = self._canonical(pred)
         if self._rows is None:
             self.world = self.world.with_rows({concept: (row,)})
@@ -172,10 +176,9 @@ class Session:
     def know_term(self, term: AbstractedTerm):
         memory, atom, added = epistemic.assert_experience(self.memory, term, {}, self.table)
         if added:  # recovered first: a content too deep to recover changes nothing
+            self.table.recover(atom.content)
             self.trace.append(
-                TraceStep(
-                    epistemic.RULE_EXPERIENCE, (), atom.id, self.table.recover(atom.content)
-                )
+                TraceStep(epistemic.RULE_EXPERIENCE, (), atom.id, atom.content, self.table)
             )
         self.memory = memory
         return atom

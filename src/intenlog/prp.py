@@ -18,6 +18,10 @@ table is append-only: concepts are never mutated or removed, so
 handles are freely shareable.  For the same reason the formula
 recovered from a concept is kept per concept id and built at most
 once, its sub-formulas shared with those of its parents.
+
+``instantiate`` fills columns of a concept with elements by position,
+as substituting into its formula and interpreting the result would,
+without building a formula; deduction derives its instances with it.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .syntax import (
     Top,
     Variable,
     Vocabulary,
-    substitute,
 )
 
 
@@ -301,6 +304,47 @@ class ConceptTable:
                 raise ConceptError(f"not a term: {a!r}")
         return tuple(entries)
 
+    def instantiate(self, u: Concept, cols: Mapping[int, Element]) -> Concept:
+        """The concept of ``u``'s formula with the variables of its 1-based
+        columns ``cols`` replaced by their elements, built by position: a
+        joined right column of a conjunction takes its left partner's
+        element, and an abstraction body is filled on its beta names.
+        Concepts are interned in the order that interpreting the
+        substituted formula would intern them."""
+        if not cols:
+            return u
+        if u.op == "atom":
+            names = _column_names(u)
+            filled = {names[i - 1]: e for i, e in cols.items()}
+            entries = []
+            for e in u.entries:
+                if e[0] == "v" and e[1] in filled:
+                    e = ("g", filled[e[1]])
+                elif e[0] == "a" and (inner := {n: filled[n] for n in e[3] if n in filled}):
+                    _, body, alpha, beta = e
+                    body = self.instantiate(body, {
+                        i: inner[n] for i, n in enumerate(_column_names(body), 1) if n in inner})
+                    beta = tuple(n for n in beta if n not in inner)
+                    e = ("a", body, alpha, beta) if beta else ("g", body)
+                entries.append(e)
+            return self.intern_atom(u.predicate, tuple(entries))
+        if u.op == "conj":
+            left, right = u.children
+            k = left.arity
+            partner = {b: a for a, b in u.pairs}
+            survivors = [b for b in range(1, right.arity + 1) if b not in partner]
+            lcols = {i: e for i, e in cols.items() if i <= k}
+            rcols = {survivors[i - k - 1]: e for i, e in cols.items() if i > k}
+            rcols.update((b, lcols[a]) for b, a in partner.items() if a in lcols)
+            pairs = tuple((a - sum(i < a for i in lcols), b - sum(j < b for j in rcols))
+                          for a, b in u.pairs if a not in lcols)
+            return self.conj(self.instantiate(left, lcols), self.instantiate(right, rcols), pairs)
+        if u.op == "neg":
+            return self.neg(self.instantiate(u.children[0], cols))
+        n = u.position  # exists: the body's columns skip position n
+        inner = {i if i < n else i + 1: e for i, e in cols.items()}
+        return self.exists(n - sum(i < n for i in inner), self.instantiate(u.children[0], inner))
+
     # -- assignments ----------------------------------------------------
 
     def extend_assignment(self, g: Mapping[Variable, Element], term: Term) -> Element:
@@ -308,8 +352,8 @@ class ConceptTable:
 
         Variables look up the assignment, constants intern to their
         particular, and abstracted terms become the concept of their
-        body, with ``beta`` variables substituted by assigned values
-        first; the result lands in the arity of ``alpha``.
+        body with the columns of its ``beta`` variables filled by their
+        assigned values; the result lands in the arity of ``alpha``.
         """
         if isinstance(term, Variable):
             if term not in g:
@@ -327,8 +371,8 @@ class ConceptTable:
                 raise ConceptError(
                     f"unbound beta variable(s) {', '.join(map(repr, missing))}"
                 )
-            bindings = {v: self.element_to_term(g[v]) for v in term.beta}
-            return self.interpret(substitute(term.body, bindings))
+            cols = {i: g[v] for i, v in enumerate(term.body.free_vars, 1) if v in term.beta}
+            return self.instantiate(self.interpret(term.body), cols)
         raise ConceptError(f"not a term: {term!r}")
 
     def element_to_term(self, element: Element) -> Term:
@@ -400,3 +444,18 @@ class ConceptTable:
         except ConceptError:
             kids = ",".join(f"u{c.id}" for c in u.children)
             return f"{u.op}({kids})"
+
+
+def _column_names(u: Concept) -> tuple[str, ...]:
+    """The variable names of ``u``'s columns: its formula's free variables."""
+    if u.op == "atom":  # first occurrences; an abstraction has its beta names
+        groups = (e[3] if e[0] == "a" else (e[1],) for e in u.entries if e[0] != "g")
+        return tuple(dict.fromkeys(n for group in groups for n in group))
+    names = _column_names(u.children[0]) if u.children else ()
+    if u.op == "conj":
+        joined = {b for _, b in u.pairs}
+        right = _column_names(u.children[1])
+        return names + tuple(n for p, n in enumerate(right, 1) if p not in joined)
+    if u.op == "exists":
+        return names[: u.position - 1] + names[u.position:]
+    return names

@@ -327,9 +327,9 @@ def substitute(f: Formula, bindings: Mapping[Variable, Term]) -> Formula:
 
     Binding keys must be free variables of ``f``; replacement never
     reaches the alpha variables of nested abstracted terms, which act
-    as binders.  When a join pair of a conjunction relates a bound
-    variable to an unbound one, the binding propagates across the pair,
-    since the join pins the two columns equal.
+    as binders.  A joined right column of a conjunction takes the term
+    of its left partner, since the join pins the two columns equal;
+    only a surviving right variable is bound by its name.
     """
     free = set(free_var_tuple(f))
     for v, t in bindings.items():
@@ -368,31 +368,16 @@ def _sub(f: Formula, binds: dict[Variable, Term]) -> Formula:
         body = _sub(f.body, {v: t for v, t in binds.items() if v != pivot})
         return Exists(body.free_vars.index(pivot) + 1, body)
     if isinstance(f, Conj):
-        lt = f.lhs.free_vars
-        rt = f.rhs.free_vars
-        eff = dict(binds)
-        changed = True
-        while changed:
-            changed = False
-            for i, j in f.pairs:
-                vl, vr = lt[i - 1], rt[j - 1]
-                if vl in eff and vr not in eff:
-                    eff[vr] = eff[vl]
-                    changed = True
-                elif vr in eff and vl not in eff:
-                    eff[vl] = eff[vr]
-                    changed = True
-        left_vars, right_vars = set(lt), set(rt)
-        lhs = _sub(f.lhs, {v: t for v, t in eff.items() if v in left_vars})
-        rhs = _sub(f.rhs, {v: t for v, t in eff.items() if v in right_vars})
-        new_lt = lhs.free_vars
-        new_rt = rhs.free_vars
-        pairs = []
-        for i, j in f.pairs:
-            vl, vr = lt[i - 1], rt[j - 1]
-            if vl in eff:
-                continue
-            pairs.append((new_lt.index(vl) + 1, new_rt.index(vr) + 1))
+        lt, rt = f.lhs.free_vars, f.rhs.free_vars
+        partner = {j: lt[i - 1] for i, j in f.pairs}
+        lhs = _sub(f.lhs, {v: t for v, t in binds.items() if v in lt})
+        sources = [partner.get(j, v) for j, v in enumerate(rt, 1)]  # joined: the left partner
+        rhs = _sub(f.rhs, {v: binds[s] for v, s in zip(rt, sources) if s in binds})
+        new_lt, new_rt = lhs.free_vars, rhs.free_vars
+        pairs = [
+            (new_lt.index(lt[i - 1]) + 1, new_rt.index(rt[j - 1]) + 1)
+            for i, j in f.pairs if lt[i - 1] not in binds
+        ]
         return Conj(lhs, rhs, tuple(pairs))
     raise FormulaError(f"not a formula: {f!r}")
 

@@ -12,14 +12,13 @@ from intenlog.epistemic import (
     answer,
     apply_4,
     apply_K,
-    apply_T_ground,
     apply_T_open,
     assert_experience,
     consolidate,
     decompose_implication,
     forward_chain,
     implication_formula,
-    stamp_formula,
+    stamp,
 )
 from intenlog.kb import load_kb
 from intenlog.prp import ConceptTable
@@ -34,6 +33,7 @@ from intenlog.syntax import (
     Variable,
     Vocabulary,
     free_var_tuple,
+    serialize,
 )
 from intenlog.worlds import (
     MissingExtensionError,
@@ -149,19 +149,6 @@ class TestAssertExperience:
         assert atom.content.arity == 0
 
 
-class TestReflexivityGround:
-    def test_recovers_sentence(self, scenario):
-        term = AbstractedTerm(scenario.query)
-        mem, atom, _ = assert_experience(Memory(), term, {}, scenario.table)
-        sentence = apply_T_ground(atom, scenario.table)
-        assert sentence == scenario.query
-        assert eval_sentence(scenario.world, sentence, scenario.table)
-
-    def test_open_content_not_applicable(self, scenario):
-        atom = scenario.experience()
-        assert apply_T_ground(atom, scenario.table) is None
-
-
 class TestReflexivityOpen:
     def test_enumerates_three_instances(self, scenario):
         atom = scenario.experience()
@@ -177,7 +164,7 @@ class TestReflexivityOpen:
             substitute(scenario.command, {y: scenario.table.element_to_term(g[y])})
             for g in rows
         ]
-        assert instances == expected
+        assert [scenario.table.recover(inst) for inst in instances] == expected
 
     def test_singleton_has_no_conj_node(self, scenario):
         t = scenario.table
@@ -202,7 +189,7 @@ class TestReflexivityOpen:
         atom = scenario.experience()
         content, instances = apply_T_open(atom, world, t)
         assert len(instances) == 1
-        assert t.recover(content) == instances[0]
+        assert content is instances[0]
 
     def test_empty_extension_not_applicable(self, scenario):
         t = scenario.table
@@ -387,8 +374,11 @@ class TestForwardChain:
         s1, s2 = Scenario(), Scenario()
         for s in (s1, s2):
             s.experience()
-        steps1 = s1.chain(budget=2)
-        steps2 = s2.chain(budget=2)
+        steps1, steps2 = (
+            [(step.rule, step.inputs, step.output, step.sentence)
+             for step in scenario.chain(budget=2)]
+            for scenario in (s1, s2)
+        )
         assert steps1 == steps2
         assert [a.key()[2].id for a in s1.memory.atoms()] == [
             a.key()[2].id for a in s2.memory.atoms()
@@ -598,8 +588,27 @@ def test_stamp_formula_leaves_tenseless_atoms_alone(scenario=None):
     vocab = Vocabulary()
     vocab.declare("videoclips", 1)
     table = ConceptTable(vocab)
-    f = Atom(vocab.resolve("videoclips", 1), (Constant("clip1"),))
-    assert stamp_formula(f, Constant("t1"), table) == f
+    u = table.interpret(Atom(vocab.resolve("videoclips", 1), (Constant("clip1"),)))
+    assert stamp(u, "t1", table) is u
+
+
+def test_stamping_rewrites_only_the_tensed_atoms_a_content_asserts():
+    session = load_kb("predicate walk/2\nparticular a\n")
+    table = session.table
+    for text in ("Know(in_present, me, << walk(in_present, a) >>)", "in_present = ?x"):
+        u = table.interpret(session.parse(text))
+        assert stamp(u, "t1", table) is u
+    assert "t1" not in {p.name for p in table.particulars()}  # nothing was stamped
+    cases = {
+        "(walk(in_present, ?x) /\\{(1,1)} ~ walk(in_future, ?x))":
+            "(walk(t1, in_past, ?x) /\\{(1,1)} ~ walk(t1, in_future, ?x))",
+        "E{1} walk(in_past, ?y)": "E{1} walk(t1, in_past, ?y)",
+        "walk(in_present, << walk(in_present, a) >>)":
+            "walk(t1, in_past, << walk(in_present, a) >>)",
+    }
+    for text, stamped in cases.items():
+        u = stamp(table.interpret(session.parse(text)), "t1", table)
+        assert serialize(table.recover(u)) == stamped
 
 
 def reference_answer(memory, world, query, table):

@@ -67,7 +67,9 @@ class TestLoadKB:
         [
             ("know << {} >>", 0.6),  # interprets, but too deep to recover for the trace
             ("know << {} >>", 2),
+            ("rule {} => p(a)", 0.7),  # interprets, but too deep to recover for dumps
             ("rule {} => p(a)", 2),
+            ("assert p(<< {} >>)", 0.7),
             ("assert p(<< {} >>)", 2),
         ],
     )
@@ -81,6 +83,7 @@ class TestLoadKB:
         assert info.value.line == 5
         assert dump_world(session) == dump_world(before)
         assert dump_memory(session) == dump_memory(before)
+        assert dump_kb(session) == dump_kb(before)
 
     def test_comments_and_blanks_ignored(self):
         session = load_kb("# hello\n\npredicate p/0\nassert p()\n")
@@ -380,6 +383,15 @@ class TestRepl:
             script += f"eval {nested}\nanswer {nested}\nknow << {nested} >>\n"
         out = self.run(script + "eval Top\ndump memory\nquit\n")
         assert out == ["error: formula nested too deeply"] * 6 + ["t", "memory empty"]
+
+    def test_a_join_that_reuses_a_name_fills_columns_by_position(self):
+        # q's first column is joined to ?x, though the conjunct names it ?y
+        out = self.run(
+            "predicate p/2\npredicate q/2\nassert p(a, b)\nassert q(a, c)\n"
+            "know << (p(?x, ?y) /\\{(1,1)} q(?y, ?z)) >>_{x y z}\nchain --budget 0\n"
+            "answer q(b, c)\nanswer q(a, c)\nquit\n"
+        )
+        assert out == ["k1", "1 new atom(s)\n  k2 [T_b] (p(a, b) /\\{} q(a, c))", "no", "yes"]
 
     def test_errors_are_reported_not_fatal(self):
         out = self.run("assert nope(me)\neval Top\nquit\n")

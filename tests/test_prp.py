@@ -1,10 +1,14 @@
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
+from intenlog.checks import tarski_eval
 from intenlog.demo import build_demo_session, fixture_text
 from intenlog.kb import load_kb
 from intenlog import prp
+from intenlog.relalg import Relation
 from intenlog.prp import (
     EMPTY_TUPLE_NAME,
     NULL_NAME,
@@ -28,7 +32,9 @@ from intenlog.syntax import (
     Variable,
     Vocabulary,
     free_var_tuple,
+    substitute,
 )
+from intenlog.worlds import World, extension
 from tests.test_syntax import random_formula
 
 
@@ -270,14 +276,23 @@ def test_a_concept_without_formula_form_raises_every_time_and_is_not_kept(table)
 def test_forward_chaining_builds_each_recovered_formula_once(monkeypatch):
     session = load_kb(fixture_text("chain.kb"))
     built: dict[int, int] = {}
-    rebuild = ConceptTable._rebuild
+    recovered = []
+    rebuild, recover = ConceptTable._rebuild, ConceptTable.recover
 
     def counted(self, u):
         built[u.id] = built.get(u.id, 0) + 1
         return rebuild(self, u)
 
+    def logged(self, u):
+        recovered.append(u.id)
+        return recover(self, u)
+
     monkeypatch.setattr(ConceptTable, "_rebuild", counted)
-    session.chain()
+    monkeypatch.setattr(ConceptTable, "recover", logged)
+    steps = session.chain()
+    assert steps and not recovered and not built  # chaining recovers no formula
+    for _ in range(2):
+        assert all(step.sentence for step in steps)
     assert built and max(built.values()) == 1
 
 
@@ -455,3 +470,116 @@ def test_list_shaped_and_unnormalized_arguments_share_the_normalized_handle(tabl
     assert table.intern_atom(psi, (("a", body, ("x",), ("y",)),)) is listed
     with pytest.raises(TypeError):
         table.exists([1], u)
+
+
+# ---------------------------------------------------------------------------
+# Instantiation fills columns by position
+
+
+def join(rng, lhs, rhs, coverage):
+    """``lhs /\\ rhs`` joining every right column whose name the left
+    operand has, to a randomly chosen left column, and sometimes one more
+    pair; None when the result would have more than three columns."""
+    lt, rt = lhs.free_vars, rhs.free_vars
+    shared = [j for j, v in enumerate(rt, 1) if v in lt]
+    pairs = list(zip(rng.sample(range(1, len(lt) + 1), len(shared)), shared))
+    open_l = [i for i in range(1, len(lt) + 1) if i not in {a for a, _ in pairs}]
+    open_r = [j for j in range(1, len(rt) + 1) if j not in shared]
+    rng.shuffle(open_l)
+    extra = max(len(lt) + len(rt) - len(pairs) - 3, rng.randint(0, 1))
+    pairs += list(zip(open_l, rng.sample(open_r, len(open_r))))[:extra]
+    if len(lt) + len(rt) - len(pairs) > 3:
+        return None
+    if any(rt[j - 1] in lt and lt[i - 1] != rt[j - 1] for i, j in pairs):
+        coverage["join reusing a name"] += 1
+    return Conj(lhs, rhs, tuple(pairs))
+
+
+def random_open_formula(rng, preds, depth, coverage):
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.1:
+            return Identity(Variable(rng.choice("xyz")), rng.choice((Variable("z"), Constant("a"))))
+        pred = rng.choice(preds)
+        return Atom(pred, tuple(
+            Variable(rng.choice("xyz")) if rng.random() < 0.8 else Constant("a")
+            for _ in range(pred.arity)
+        ))
+    op = rng.choice(("neg", "exists", "conj", "conj"))
+    body = random_open_formula(rng, preds, depth - 1, coverage)
+    if op == "neg" or (op == "exists" and not body.free_vars):
+        return Neg(body)
+    if op == "exists":
+        coverage["E{n}"] += 1
+        return Exists(rng.randint(1, len(body.free_vars)), body)
+    rhs = random_open_formula(rng, preds, depth - 1, coverage)
+    return join(rng, body, rhs, coverage) or body
+
+
+def instance_world(rng):
+    """A random world over p/2, q/2 and r/1, and an atom h(?w, << q >>^{b})
+    holding an abstraction with a beta variable, grounded so that it
+    agrees with the base relation of h."""
+    vocab = Vocabulary()
+    table = ConceptTable(vocab)
+    domain = [table.particular(n) for n in "abc"[: rng.randint(2, 3)]]
+    world = World(particulars=frozenset(domain))
+    preds = [vocab.declare(n, k) for n, k in (("p", 2), ("q", 2), ("r", 1))]
+    for pred in preds:
+        rows = {tuple(rng.choice(domain) for _ in range(pred.arity)) for _ in range(rng.randint(0, 6))}
+        canonical = table.intern_atom(pred, var_entries(*(f"x{i}" for i in range(pred.arity))))
+        world = world.with_base(canonical, Relation(pred.arity, frozenset(rows)))
+    w, b = (Variable(n) for n in rng.sample("xyz", 2))
+    u = Variable(rng.choice([n for n in "xyzu" if n != b.name]))  # may shadow ?w
+    body = Atom(preds[1], rng.choice(((u, b), (b, u))))
+    leaf = Atom(vocab.declare("h", 2), (w, AbstractedTerm(body, (u,), (b,))))
+    held = {(rng.choice(domain), rng.choice(domain)) for _ in range(rng.randint(0, 4))}
+    base = {(dw, table.interpret(substitute(body, {b: Constant(dc.name)}))) for dw, dc in held}
+    world = world.with_base(table.intern_atom(leaf.predicate, var_entries("x1", "x2")),
+                            Relation(2, frozenset(base)))
+    world = world.with_grounded(table.interpret(leaf), Relation(2, frozenset(held)))
+    return world, table, preds, leaf
+
+
+def test_instantiate_fills_columns_as_substitution_does_property():
+    """On random worlds and open formulas, filling a concept's columns
+    with a row of the active domain gives the concept of its formula
+    with the row substituted, and the instance holds, by the
+    brute-force oracle, exactly when the row is in the extension; a
+    partial fill through ``extend_assignment`` selects from it."""
+    rng = random.Random(36)
+    coverage = Counter()
+    for _ in range(250):
+        world, table, preds, leaf = instance_world(rng)
+        f = random_open_formula(rng, preds, 3, coverage)
+        has_leaf = rng.random() < 0.3
+        if has_leaf:
+            coverage["beta abstraction"] += 1
+            f = join(rng, f, leaf, coverage) or leaf
+        if not f.free_vars:
+            continue
+        u = table.interpret(f)
+        base, rel = table.recover(u), extension(world, u)
+        domain = sorted(world.active_domain(), key=lambda e: e.id)
+        for row in product(domain, repeat=u.arity):
+            binds = {v: table.element_to_term(e) for v, e in zip(base.free_vars, row)}
+            inst = table.instantiate(u, dict(enumerate(row, 1)))
+            assert inst is table.interpret(substitute(base, binds)), (f, row)
+            assert tarski_eval(world, table.recover(inst), {}, table) == (row in rel.tuples)
+        if u.arity < 2:
+            continue
+        coverage["partial fill"] += 1
+        filled = set(rng.sample(range(u.arity), rng.randint(1, u.arity - 1)))
+        beta = tuple(v for i, v in enumerate(base.free_vars) if i in filled)
+        alpha = tuple(v for v in base.free_vars if v not in beta)
+        g = {v: rng.choice(domain) for v in beta}
+        part = table.extend_assignment(g, AbstractedTerm(base, alpha, beta))
+        want = substitute(base, {v: table.element_to_term(e) for v, e in g.items()})
+        assert part is table.interpret(want)
+        if not has_leaf:  # the leaf alone is grounded: its partial fills have no extension
+            values = tuple(g.values())
+            selected = {
+                tuple(e for i, e in enumerate(r) if i not in filled)
+                for r in rel.tuples if tuple(r[i] for i in sorted(filled)) == values
+            }
+            assert extension(world, part).tuples == frozenset(selected)
+    assert min(coverage.values()) >= 20 and len(coverage) == 4, coverage

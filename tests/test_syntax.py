@@ -22,7 +22,7 @@ from intenlog.syntax import (
     substitute,
 )
 from intenlog.checks import _scan_free
-from intenlog.epistemic import stamp_formula
+from intenlog.epistemic import stamp
 from intenlog.parser import ParseError, parse_formula, parse_term
 from intenlog.prp import ConceptTable
 
@@ -177,6 +177,12 @@ class TestSubstitute:
         g = substitute(f, {Variable("x"): Constant("a")})
         assert g.lhs.args[0] == Constant("a")
         assert g.rhs.args[0] == Constant("a")
+
+    def test_a_joined_right_column_takes_its_left_partners_term(self):
+        # q's first column is joined to ?x, though it is named ?y like p's second
+        f = Conj(atom("p", "x", "y"), atom("q", "y", "z"), ((1, 1),))
+        g = substitute(f, {Variable("x"): Constant("a"), Variable("y"): Constant("b")})
+        assert serialize(g) == "(p(a, b) /\\{} q(a, ?z))"
 
     def test_alpha_variables_shadowed_inside_abstraction(self):
         inner = atom("q", "x", "w")
@@ -416,7 +422,7 @@ def test_stored_free_tuples_match_a_naive_recursion_property():
         copied = dataclasses.replace(f)
         recovered = table.recover(table.interpret(f))
         built = [f, parsed, copied, recovered, substitute(f, bound),
-                 stamp_formula(f, Constant("t1"), table)]
+                 table.recover(stamp(table.interpret(f), "t1", table))]
         for g in built:
             for h in subformulas(g):
                 assert free_var_tuple(h) == h.free_vars == naive_free(h)
