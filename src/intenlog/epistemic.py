@@ -317,8 +317,7 @@ def forward_chain(
         raise EpistemicError("budget must be >= 0")
     ws = _WorkingSet(memory.temporary, memory.permanent, memory.next_id)
     steps: list[TraceStep] = []
-    instance_lists: dict[int, tuple[KnowAtom, list[Concept]]] = {}
-    t_ground_done: set[int] = set()
+    pending: dict[int, tuple[KnowAtom, list[Concept]]] = {}  # T_b's atoms T_a has not read
     visited = {RULE_T_OPEN: None, RULE_AXK: None, RULE_AX4: None}
     rank = {a.id: (0, i) for i, a in enumerate(memory.temporary)}
     rank.update({a.id: (1, j) for j, a in enumerate(memory.permanent)})
@@ -351,14 +350,11 @@ def forward_chain(
                 continue
             content, instances = result
             derived, added = derive(RULE_T_OPEN, (atom.id,), atom, content)
-            instance_lists.setdefault(derived.id, (derived, instances))
+            pending[derived.id] = (derived, instances)
             changed |= added
 
-        for conj_id in sorted(instance_lists):
-            if conj_id in t_ground_done:
-                continue
-            t_ground_done.add(conj_id)
-            source, instances = instance_lists[conj_id]
+        for conj_id in sorted(pending):
+            source, instances = pending.pop(conj_id)
             for inst in instances:
                 changed |= derive(RULE_T_GROUND, (conj_id,), source, inst)[1]
 

@@ -33,6 +33,7 @@ every line before the failing one.  A directive run on its own (through
 from __future__ import annotations
 
 import re
+import sys
 
 from . import epistemic, worlds
 from .epistemic import Memory, TraceStep
@@ -132,8 +133,7 @@ class Session:
 
     def add_rule(self, antecedent: Formula, consequent: Formula):
         memory, atom = epistemic.add_rule(self.memory, antecedent, consequent, self.table)
-        # dumps read the rule back: one too deep to recover or serialize changes nothing
-        serialize(self.table.recover(atom.content))
+        self._read_back(atom.content)  # dumps read the rule back
         self.memory = memory
         return atom
 
@@ -155,9 +155,9 @@ class Session:
             )
         worlds.check_base_predicate(pred)
         row = tuple(self.table.extend_assignment({}, a) for a in f.args)
-        for e in row:  # dump_kb reads a reified argument back: one too deep for it is refused
+        for e in row:  # dump_kb reads a reified argument back
             if isinstance(e, Concept):
-                serialize_term(self.table.element_to_term(e))
+                self._read_back(e)
         concept = self._canonical(pred)
         if self._rows is None:
             self.world = self.world.with_rows({concept: (row,)})
@@ -175,12 +175,8 @@ class Session:
 
     def know_term(self, term: AbstractedTerm):
         memory, atom, added = epistemic.assert_experience(self.memory, term, {}, self.table)
-        if added:  # recovered first: a content too deep to recover changes nothing
-            self.table.recover(atom.content)
-            self.trace.append(
-                TraceStep(epistemic.RULE_EXPERIENCE, (), atom.id, atom.content, self.table)
-            )
-        self.memory = memory
+        steps = (TraceStep(epistemic.RULE_EXPERIENCE, (), atom.id, atom.content, self.table),)
+        self._publish_steps(memory, steps if added else ())
         return atom
 
     # -- engine commands ------------------------------------------------
@@ -188,18 +184,36 @@ class Session:
     def eval_formula(self, f: Formula) -> bool:
         return worlds.eval_sentence(self.world, f, self.table)
 
+    def _read_back(self, u: Concept) -> None:
+        """Traces and dumps read concepts back, at most four frames a
+        nesting level: one too deep to be read in half the recursion
+        limit is read now, so one that cannot be read back raises
+        RecursionError before it is published."""
+        if u.depth > sys.getrecursionlimit() // 8:
+            serialize(self.table.recover(u))
+
+    def _publish_steps(self, memory: Memory, steps: tuple[TraceStep, ...]) -> None:
+        """Publish a derived memory and its trace steps, each read back first."""
+        try:
+            for step in steps:
+                self._read_back(step.content)
+        except RecursionError:
+            raise KBError("formula nested too deeply") from None
+        self.memory = memory
+        self.trace.extend(steps)
+
     def chain(self, budget: int | None = None) -> tuple[TraceStep, ...]:
-        self.memory, steps = epistemic.forward_chain(
+        memory, steps = epistemic.forward_chain(
             self.memory, self.world, self.table,
             self.budget if budget is None else budget,
         )
-        self.trace.extend(steps)
+        self._publish_steps(memory, steps)
         return steps
 
     def consolidate(self, tau: str) -> tuple[TraceStep, ...]:
         """Consolidate at ``tau``, which the stamped knowledge makes a particular."""
-        self.memory, steps = epistemic.consolidate(self.memory, tau, self.table)
-        self.trace.extend(steps)
+        memory, steps = epistemic.consolidate(self.memory, tau, self.table)
+        self._publish_steps(memory, steps)
         self._add_particular(tau)
         return steps
 

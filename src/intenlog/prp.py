@@ -72,7 +72,9 @@ class Concept:
 
     ``op`` is one of atom / truth / conj / neg / exists; composites
     keep their children and operator parameters so the underlying
-    formula can be recovered from the table.
+    formula can be recovered from the table.  ``depth`` is the nesting
+    depth of that formula: one more than its deepest child or concept
+    entry.
     """
 
     __slots__ = (
@@ -84,10 +86,11 @@ class Concept:
         "children",
         "pairs",
         "position",
+        "depth",
     )
 
     def __init__(self, id, arity, op, predicate=None, entries=None, children=(),
-                 pairs=None, position=None):
+                 pairs=None, position=None, depth=1):
         self.id = id
         self.arity = arity
         self.op = op
@@ -96,6 +99,7 @@ class Concept:
         self.children = children
         self.pairs = pairs
         self.position = position
+        self.depth = depth
 
     def __repr__(self):
         return f"u{self.id}:D{self.arity}"
@@ -180,16 +184,20 @@ class ConceptTable:
             raise ConceptError(f"{predicate!r} interned with {len(entries)} entry(ies)")
         stored = []
         names: list[str] = []  # free variable names, repeats included
+        depth = 1
         for e in entries:
             if e[0] == "v":
                 stored.append(("v", e[1]))
                 names.append(e[1])
             elif e[0] == "g":
-                if not isinstance(e[1], (Particular, Concept)):
+                if isinstance(e[1], Concept):
+                    depth = max(depth, e[1].depth + 1)
+                elif not isinstance(e[1], Particular):
                     raise ConceptError(f"not a domain element: {e[1]!r}")
                 stored.append(("g", e[1]))
             elif e[0] == "a":
                 _, concept, alpha_names, beta_names = e
+                depth = max(depth, concept.depth + 1)
                 stored.append(("a", concept, tuple(alpha_names), tuple(beta_names)))
                 names.extend(beta_names)
             else:
@@ -197,7 +205,7 @@ class ConceptTable:
         entries = tuple(stored)
         key = ("atom", predicate.name, predicate.arity, entries)
         return self._concepts.get(key) or self._add(
-            key, len(set(names)), "atom", predicate=predicate, entries=entries
+            key, len(set(names)), "atom", predicate=predicate, entries=entries, depth=depth
         )
 
     def conj(self, u: Concept, v: Concept, pairs) -> Concept:
@@ -218,12 +226,14 @@ class ConceptTable:
             raise ConceptError(str(exc)) from exc
         key = ("conj", pairs, u, v)
         return self._concepts.get(key) or self._add(
-            key, u.arity + v.arity - len(pairs), "conj", children=(u, v), pairs=pairs
+            key, u.arity + v.arity - len(pairs), "conj", children=(u, v), pairs=pairs,
+            depth=max(u.depth, v.depth) + 1,
         )
 
     def neg(self, u: Concept) -> Concept:
         key = ("neg", u)
-        return self._concepts.get(key) or self._add(key, u.arity, "neg", children=(u,))
+        return self._concepts.get(key) or self._add(
+            key, u.arity, "neg", children=(u,), depth=u.depth + 1)
 
     def exists(self, n: int, u: Concept) -> Concept:
         """Positional projection of column n, for 1 <= n <= arity."""
@@ -235,7 +245,8 @@ class ConceptTable:
             pass
         if not (1 <= n <= u.arity):
             raise ConceptError(f"projection position {n} out of range for arity {u.arity}")
-        return self._add(key, u.arity - 1, "exists", children=(u,), position=n)
+        return self._add(key, u.arity - 1, "exists", children=(u,), position=n,
+                         depth=u.depth + 1)
 
     def union(self, concepts) -> Concept:
         """Derived union, expanded through negation and conjunction.
@@ -313,8 +324,9 @@ class ConceptTable:
         substituted formula would intern them."""
         if not cols:
             return u
-        if u.op == "atom":
-            names = _column_names(u)
+        if u.op == "atom":  # columns are first occurrences; an abstraction has its beta names
+            groups = (e[3] if e[0] == "a" else (e[1],) for e in u.entries if e[0] != "g")
+            names = tuple(dict.fromkeys(n for group in groups for n in group))
             filled = {names[i - 1]: e for i, e in cols.items()}
             entries = []
             for e in u.entries:
@@ -322,8 +334,9 @@ class ConceptTable:
                     e = ("g", filled[e[1]])
                 elif e[0] == "a" and (inner := {n: filled[n] for n in e[3] if n in filled}):
                     _, body, alpha, beta = e
-                    body = self.instantiate(body, {
-                        i: inner[n] for i, n in enumerate(_column_names(body), 1) if n in inner})
+                    columns = enumerate(self.recover(body).free_vars, 1)
+                    body = self.instantiate(
+                        body, {i: inner[v.name] for i, v in columns if v.name in inner})
                     beta = tuple(n for n in beta if n not in inner)
                     e = ("a", body, alpha, beta) if beta else ("g", body)
                 entries.append(e)
@@ -353,7 +366,10 @@ class ConceptTable:
         Variables look up the assignment, constants intern to their
         particular, and abstracted terms become the concept of their
         body with the columns of its ``beta`` variables filled by their
-        assigned values; the result lands in the arity of ``alpha``.
+        assigned values; the result lands in the arity of ``alpha``.  The
+        unfilled body is interned before it is filled, so its concepts
+        take ids ahead of those that interpreting the substituted body
+        would intern.
         """
         if isinstance(term, Variable):
             if term not in g:
@@ -437,25 +453,12 @@ class ConceptTable:
         raise ConceptError(f"cannot recover concept {u!r}")
 
     def describe(self, u: Concept) -> str:
+        """``u``'s formula, or its operator and children when it has no
+        formula form or one too deeply nested to read back."""
         from .syntax import serialize
 
         try:
             return serialize(self.recover(u))
-        except ConceptError:
+        except (ConceptError, RecursionError):
             kids = ",".join(f"u{c.id}" for c in u.children)
             return f"{u.op}({kids})"
-
-
-def _column_names(u: Concept) -> tuple[str, ...]:
-    """The variable names of ``u``'s columns: its formula's free variables."""
-    if u.op == "atom":  # first occurrences; an abstraction has its beta names
-        groups = (e[3] if e[0] == "a" else (e[1],) for e in u.entries if e[0] != "g")
-        return tuple(dict.fromkeys(n for group in groups for n in group))
-    names = _column_names(u.children[0]) if u.children else ()
-    if u.op == "conj":
-        joined = {b for _, b in u.pairs}
-        right = _column_names(u.children[1])
-        return names + tuple(n for p, n in enumerate(right, 1) if p not in joined)
-    if u.op == "exists":
-        return names[: u.position - 1] + names[u.position:]
-    return names

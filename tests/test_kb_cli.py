@@ -290,6 +290,25 @@ class TestSessionCommands:
         known = session.memory.atoms()[0].content
         assert known not in session.world.active_domain()
 
+    @pytest.mark.parametrize("deep", ["rows", "introspection"])
+    def test_a_derivation_too_deep_to_read_back_changes_nothing(self, deep):
+        limit = sys.getrecursionlimit()
+        if deep == "rows":  # T_b's conjunction nests as deep as p has rows
+            text = "".join(f"assert p(c{i})\n" for i in range(limit))
+            text, budget = text + "know << p(?x) >>_{x}\n", 1
+        else:  # each introspection nests one Know deeper
+            text, budget = "assert p(c0)\nknow << p(c0) >>\n", limit // 2
+        session = load_kb("predicate p/1\n" + text)
+        memory, kb, trace = dump_memory(session), dump_kb(session), list(session.trace)
+        with pytest.raises(KBError, match="^formula nested too deeply$"):
+            session.chain(budget)
+        assert dump_memory(session) == memory
+        assert dump_kb(session) == kb
+        assert session.trace == trace
+        assert session.answer(session.parse("p(c0)")) == "yes"
+        # the concepts deduction interned stay, described by operator when too deep
+        assert re.search(r"^u\d+ D0 (conj\(u\d+,u\d+\)|atom\(\))$", dump_concepts(session), re.M)
+
     def test_dumps_render(self):
         session = load_kb(fixture_text("chain.kb"))
         assert "raining()" in dump_concepts(session)
