@@ -117,10 +117,15 @@ class Memory:
         return self.temporary + self.permanent
 
     def get(self, atom_id: int) -> KnowAtom:
-        for a in self.atoms():
-            if a.id == atom_id:
-                return a
-        raise EpistemicError(f"no atom with id {atom_id}")
+        found = self._by_id.get(atom_id)
+        if found is None:
+            raise EpistemicError(f"no atom with id {atom_id}")
+        return found
+
+    @cached_property
+    def _by_id(self) -> dict[int, KnowAtom]:
+        """The held atoms by id, the first in memory order winning."""
+        return {a.id: a for a in reversed(self.atoms())}
 
     def find(self, time, subject, content) -> KnowAtom | None:
         for a in self.atoms():

@@ -19,6 +19,16 @@ complement, computed by counting the rows that extend each remaining
 tuple.  Both reject, as ``complement`` does, a negated operand with an
 element outside the domain.
 
+A closed quantifier's truth is only whether its body has a row, so three
+witness tests answer that for an operator's result without building
+it: ``join_nonempty`` stops at the first key of the smaller operand
+found in the larger one's index, ``join_complement_nonempty`` at the
+first row of ``r1`` whose key lies in the domain and has fewer than
+|domain|^m partners (m the unjoined columns of the negated operand), and
+``complement_nonempty`` compares a relation's rows with |domain|^k.
+Each runs the checks of its operator, in the same order, so it fails
+where the operator would.
+
 Everything here is a pure function over immutable values.  The one
 cache is a relation's column index (``Relation.index``), which joins and
 atom reads group rows by: built on first use and kept on the value it
@@ -26,7 +36,9 @@ describes, it is excluded from equality, hashing and repr, so no caller
 can observe it except by its speed.  ``Relation.with_rows`` adds many
 rows in one write and carries every index built so far, sharing all
 buckets but those the new rows join; so a bucket never changes once
-built.
+built.  Operator results are built by ``Relation.trusted``, which checks
+nothing since they have the right shape by construction; a relation
+built from outside is checked when it is made.
 """
 
 from __future__ import annotations
@@ -72,6 +84,17 @@ class Relation:
                 f"tuple of length {min(wrong)} in relation of arity {self.arity}"
             )
 
+    @classmethod
+    def trusted(cls, arity: int, rows: frozenset) -> Relation:
+        """The relation of arity ``arity`` holding ``rows``, a frozenset of
+        tuples of that length, built without checking them: for operator
+        output, which has that shape by construction."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "arity", arity)
+        object.__setattr__(out, "tuples", rows)
+        object.__setattr__(out, "_index", {})
+        return out
+
     def index(self, cols: tuple[int, ...]) -> dict[tuple, list[tuple]]:
         """The rows grouped by their values at the 0-based columns ``cols``;
         a bucket is never changed once built."""
@@ -95,10 +118,8 @@ class Relation:
                 new.add(row)
         if not new:
             return self
-        out = object.__new__(Relation)
-        object.__setattr__(out, "arity", self.arity)
-        object.__setattr__(out, "tuples", self.tuples | new)
-        index = {}
+        out = Relation.trusted(self.arity, self.tuples | new)
+        index = out._index
         for cols, buckets in self._index.items():
             grown = index[cols] = dict(buckets)
             copied = {}  # the buckets this relation owns, by key
@@ -108,7 +129,6 @@ class Relation:
                 if bucket is None:
                     bucket = copied[key] = grown[key] = [*buckets.get(key, ())]
                 bucket.append(row)
-        object.__setattr__(out, "_index", index)
         return out
 
     def __bool__(self):
@@ -142,6 +162,15 @@ def join_pairs(pairs, k: int, j: int) -> tuple[tuple[int, int], ...]:
     return pairs
 
 
+def _join_columns(pairs, j: int) -> tuple[tuple[int, ...], tuple[int, ...], list[int]]:
+    """For normalized join ``pairs`` and a right operand of arity ``j``:
+    the 0-based join columns of each operand, in pair order, and the
+    unjoined columns of the right one."""
+    firsts = tuple(a - 1 for a, _ in pairs)
+    seconds = tuple(b - 1 for _, b in pairs)
+    return firsts, seconds, [i for i in range(j) if i not in seconds]
+
+
 def natural_join(r1: Relation, r2: Relation, pairs) -> Relation:
     """Join on explicit column pairs; empty pairs give the Cartesian product.
 
@@ -152,26 +181,39 @@ def natural_join(r1: Relation, r2: Relation, pairs) -> Relation:
     whose index outlives the value, costs the small side plus the output.
     """
     pairs = join_pairs(pairs, r1.arity, r2.arity)
-    firsts = tuple(a - 1 for a, _ in pairs)
-    seconds = tuple(b - 1 for _, b in pairs)
-    keep = [i for i in range(r2.arity) if i not in seconds]
+    firsts, seconds, keep = _join_columns(pairs, r2.arity)
     out_arity = r1.arity + len(keep)
     if not pairs:
         rows = {t1 + t2 for t1 in r1.tuples for t2 in r2.tuples}
-        return Relation(out_arity, frozenset(rows))
+        return Relation.trusted(out_arity, frozenset(rows))
     rows = set()
     if len(r2.tuples) < len(r1.tuples):
         buckets = r1.index(firsts)
         for t2 in r2.tuples:
             rest = tuple(t2[i] for i in keep)
             rows.update(t1 + rest for t1 in buckets.get(tuple(t2[b] for b in seconds), ()))
-        return Relation(out_arity, frozenset(rows))
+    else:
+        buckets = r2.index(seconds)
+        for t1 in r1.tuples:
+            key = tuple(t1[a] for a in firsts)
+            for t2 in buckets.get(key, ()):
+                rows.add(t1 + tuple(t2[i] for i in keep))
+    return Relation.trusted(out_arity, frozenset(rows))
+
+
+def join_nonempty(r1: Relation, r2: Relation, pairs) -> bool:
+    """Whether ``natural_join(r1, r2, pairs)`` has a row, without
+    building it: the keys of the operand with fewer rows (``r1`` on a
+    tie) probe the other's column index, and the first key found is a
+    witness."""
+    pairs = join_pairs(pairs, r1.arity, r2.arity)
+    firsts, seconds, _ = _join_columns(pairs, r2.arity)
+    if len(r2.tuples) < len(r1.tuples):
+        r1, r2, firsts, seconds = r2, r1, seconds, firsts
+    if not (pairs and r1.tuples):
+        return bool(r1.tuples)
     buckets = r2.index(seconds)
-    for t1 in r1.tuples:
-        key = tuple(t1[a] for a in firsts)
-        for t2 in buckets.get(key, ()):
-            rows.add(t1 + tuple(t2[i] for i in keep))
-    return Relation(out_arity, frozenset(rows))
+    return any(tuple(t[c] for c in firsts) in buckets for t in r1.tuples)
 
 
 def _check_domain(r: Relation, domain: frozenset) -> None:
@@ -191,8 +233,35 @@ def complement(r: Relation, domain: frozenset) -> Relation:
         return truth(not r.tuples)
     _check_domain(r, domain)
     universe = itertools.product(domain, repeat=r.arity)
-    rows = frozenset(t for t in universe if t not in r.tuples)
-    return Relation(r.arity, rows)
+    return Relation.trusted(r.arity, frozenset(t for t in universe if t not in r.tuples))
+
+
+def complement_nonempty(r: Relation, domain: frozenset) -> bool:
+    """Whether ``complement(r, domain)`` has a row, without building it:
+    whether ``r``, which the check keeps inside the domain, has fewer
+    than |domain|^k rows (on arity 0, whether it is false)."""
+    if r.arity:
+        _check_domain(r, domain)
+    return len(r.tuples) < len(domain) ** r.arity
+
+
+def _anti_join(r1: Relation, r2: Relation, pairs, domain: frozenset):
+    """The checks of a join of ``r1`` with ``complement(r2, domain)``,
+    then the columns of ``r1`` that key a row, in the order of the
+    columns of ``r2`` they join, the unjoined columns of ``r2``, and a
+    function from a key to the rows of ``r2`` that hold it.  When the key
+    is a whole row of ``r2`` that function is a membership test, which
+    needs no index."""
+    pairs = join_pairs(pairs, r1.arity, r2.arity)
+    if r2.arity:
+        _check_domain(r2, domain)
+    firsts, seconds, keep = _join_columns(sorted(pairs, key=lambda pair: pair[1]), r2.arity)
+    if not keep:
+        return firsts, keep, lambda key: (key,) if key in r2.tuples else ()
+    if not seconds:  # an index on no columns would be one bucket of every row
+        return firsts, keep, lambda key: r2.tuples
+    buckets = r2.index(seconds)
+    return firsts, keep, lambda key: buckets.get(key, ())
 
 
 def join_complement(r1: Relation, r2: Relation, pairs, domain: frozenset) -> Relation:
@@ -200,19 +269,12 @@ def join_complement(r1: Relation, r2: Relation, pairs, domain: frozenset) -> Rel
     complement: a row of ``r1`` whose join key lies in the domain is
     extended by every tuple over the domain, in the unjoined columns of
     ``r2``, that no row of ``r2`` with that key holds."""
-    pairs = join_pairs(pairs, r1.arity, r2.arity)
-    if r2.arity:
-        _check_domain(r2, domain)
-    firsts = [a - 1 for a, _ in pairs]
-    seconds = tuple(b - 1 for _, b in pairs)
-    keep = [i for i in range(r2.arity) if i not in seconds]
-    if not keep:  # the key is a whole row of r2: a membership test needs no index
-        order = [a - 1 for a, _ in sorted(pairs, key=lambda pair: pair[1])]
-        keys = ((t1, tuple(t1[a] for a in order)) for t1 in r1.tuples)
+    firsts, keep, partners = _anti_join(r1, r2, pairs, domain)
+    if not keep:  # a row of r1 survives unless r2 holds its key
+        keys = ((t1, tuple(t1[a] for a in firsts)) for t1 in r1.tuples)
         rows = frozenset(t1 for t1, key in keys
-                         if key not in r2.tuples and domain.issuperset(key))
-        return Relation(r1.arity, rows)
-    buckets = r2.index(seconds)
+                         if not partners(key) and domain.issuperset(key))
+        return Relation.trusted(r1.arity, rows)
     missing: dict[tuple, list[tuple]] = {}  # by join key: the rests to add
     rows = set()
     for t1 in r1.tuples:
@@ -221,11 +283,22 @@ def join_complement(r1: Relation, r2: Relation, pairs, domain: frozenset) -> Rel
         if rests is None:
             rests = missing[key] = []
             if domain.issuperset(key):  # else no row of the complement has the key
-                held = {tuple(t2[i] for i in keep) for t2 in buckets.get(key, ())}
+                held = {tuple(t2[i] for i in keep) for t2 in partners(key)}
                 universe = itertools.product(domain, repeat=len(keep))
                 rests.extend(t for t in universe if t not in held)
         rows.update(t1 + rest for rest in rests)
-    return Relation(r1.arity + len(keep), frozenset(rows))
+    return Relation.trusted(r1.arity + len(keep), frozenset(rows))
+
+
+def join_complement_nonempty(r1: Relation, r2: Relation, pairs, domain: frozenset) -> bool:
+    """Whether ``join_complement(r1, r2, pairs, domain)`` has a row,
+    without building it: the first row of ``r1`` whose key lies in the
+    domain and has fewer than |domain|^(unjoined columns) partners in
+    ``r2`` is a witness."""
+    firsts, keep, partners = _anti_join(r1, r2, pairs, domain)
+    full = len(domain) ** len(keep)
+    keys = (tuple(t1[a] for a in firsts) for t1 in r1.tuples)
+    return any(domain.issuperset(key) and len(partners(key)) < full for key in keys)
 
 
 def project_complement(r: Relation, n: int, domain: frozenset) -> Relation:
@@ -237,23 +310,22 @@ def project_complement(r: Relation, n: int, domain: frozenset) -> Relation:
         _check_domain(r, domain)
     if not 1 <= n <= k:
         raise RelAlgError(f"projection position {n} out of range for arity {k}")
-    if k == 1:
+    if k == 1:  # an index on no columns would hold every row in one bucket
         return truth(len(r.tuples) < len(domain))
     extensions = r.index(tuple(c for c in range(k) if c != n - 1))
     size = len(domain)
     rows = frozenset(t for t in itertools.product(domain, repeat=k - 1)
                      if len(extensions.get(t, ())) < size)
-    return Relation(k - 1, rows)
+    return Relation.trusted(k - 1, rows)
 
 
 def project_out(r: Relation, n: int) -> Relation:
-    """Eliminate column ``n``; collapses to a truth value when n = k = 1."""
+    """Eliminate column ``n``; eliminating the only column leaves a truth
+    value."""
     k = r.arity
     if not 1 <= n <= k:
         raise RelAlgError(f"projection position {n} out of range for arity {k}")
-    if k == 1:
-        return truth_collapse(r)
-    return Relation(k - 1, frozenset(t[: n - 1] + t[n:] for t in r.tuples))
+    return Relation.trusted(k - 1, frozenset(t[: n - 1] + t[n:] for t in r.tuples))
 
 
 def truth_collapse(r: Relation) -> Relation:

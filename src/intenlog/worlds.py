@@ -11,13 +11,19 @@ A negation under a conjunction (as its right operand) or under a
 quantifier is never extensionalized on its own: the node reads the
 negated concept and calls ``relalg.join_complement`` or
 ``relalg.project_complement``, so only a bare negation builds the
-complement over the active domain.
+complement over the active domain.  A closed quantifier (an ``exists``
+of arity 0) asks only for a witness: whether its body has a row.  A
+quantifier under it passes the question on to its body, and a
+conjunction or negation answers it with a ``relalg`` witness test, after
+the checks of the operator it stands in for; so the nodes under a closed
+quantifier may go unmaterialized and unmemoized, while their operands
+are extensions as usual.
 
 A world is a value.  Updating its base, grounded concepts, particulars
 or memory returns a new world that shares everything it did not
-replace, so a world held elsewhere never changes.  Every extension is
-memoized per world and concept.  Atoms read base relations through
-their column index (a ground atom is one membership test), which
+replace, so a world held elsewhere never changes.  Every extension it
+builds is memoized per world and concept.  Atoms read base relations
+through their column index (a ground atom is one membership test), which
 outlives a world as long as later worlds share the relation; an atom
 over distinct variables reads the relation itself.  A write
 (``with_rows``) adds many rows, across predicates, and particulars in
@@ -197,6 +203,8 @@ def _compute(world: World, u: Concept) -> Relation:
         return _negated(world, u, relalg.complement)
     if u.op == "exists":
         body = u.children[0]
+        if u.arity == 0:
+            return relalg.truth(_nonempty(world, body))
         if body.op == "neg":
             return _negated(world, body, lambda inner, domain: relalg.project_complement(
                 inner, u.position, domain))
@@ -204,9 +212,34 @@ def _compute(world: World, u: Concept) -> Relation:
     raise WorldError(f"cannot extensionalize {u!r}")
 
 
-def _negated(world: World, neg: Concept, operator) -> Relation:
+def _nonempty(world: World, u: Concept) -> bool:
+    """Whether ``extension(world, u)`` has a row, for a closed quantifier
+    over ``u``.  A memoized extension answers at once; otherwise a
+    quantifier has a row exactly when its body does, and a conjunction
+    or negation asks ``relalg`` for a witness after the checks of the
+    operator it stands in for.  Nodes it answers for are neither built
+    nor memoized; their operands, and any other node, are extensions."""
+    cached = world._memo.get(u.id)
+    if cached is not None:
+        return bool(cached.tuples)
+    if u.op == "exists":
+        return _nonempty(world, u.children[0])
+    if u.op == "neg":
+        return _negated(world, u, relalg.complement_nonempty)
+    if u.op == "conj":
+        left = extension(world, u.children[0])
+        right = u.children[1]
+        if right.op == "neg":
+            return _negated(world, right, lambda inner, domain: (
+                relalg.join_complement_nonempty(left, inner, u.pairs, domain)))
+        return relalg.join_nonempty(left, extension(world, right), u.pairs)
+    return bool(extension(world, u).tuples)
+
+
+def _negated(world: World, neg: Concept, operator):
     """``operator(inner, domain)``, for the concept under ``neg`` and the
-    world's active domain: a complement, or a join or projection of one."""
+    world's active domain: a complement, a join or projection of one, or
+    a witness test for one of those."""
     try:
         return operator(extension(world, neg.children[0]), world.active_domain())
     except relalg.RelAlgError:
@@ -278,7 +311,7 @@ def _layout(u: Concept, base: Relation) -> Relation:
     if equal:
         rows = [row for row in rows if all(row[i] == row[j] for i, j in equal)]
     keep = sorted(positions.values())
-    return Relation(u.arity, frozenset(tuple(row[i] for i in keep) for row in rows))
+    return Relation.trusted(u.arity, frozenset(tuple(row[i] for i in keep) for row in rows))
 
 
 def _identity_extension(world: World, u: Concept) -> Relation:

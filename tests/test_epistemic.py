@@ -727,3 +727,19 @@ class TestKnownIndex:
                 add(a, a, a, ())
         with pytest.raises(EpistemicError, match=r"got a in k7$"):
             Memory(permanent=(KnowAtom(7, a, a, a, ("experience",)),))
+
+
+class TestGetById:
+    def test_hit_miss_and_consolidated_atom(self):
+        session = load_kb("predicate p/1\nparticular a\nknow << p(a) >>\n")
+        (held,) = session.memory.atoms()
+        assert session.memory.get(held.id) is held
+        with pytest.raises(EpistemicError, match=r"^no atom with id 99$"):
+            session.memory.get(99)
+        session.consolidate("t1")
+        (moved,) = session.memory.atoms()
+        assert moved.provenance == ("consolidated", "t1", held.id)
+        assert session.memory.get(moved.id) is moved
+        for lookup in (session.memory.get, session.render):
+            with pytest.raises(EpistemicError, match=rf"^no atom with id {held.id}$"):
+                lookup(held.id)

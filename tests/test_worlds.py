@@ -4,15 +4,24 @@ from functools import cached_property
 import pytest
 
 from intenlog import relalg
-from intenlog.checks import _random_world, brute_force_join, tarski_eval
+from intenlog.checks import (
+    _grounded_and_known,
+    _random_concept,
+    _random_formula,
+    _random_world,
+    brute_force_join,
+    tarski_eval,
+)
 from intenlog.epistemic import Memory
 from intenlog.kb import load_kb
+from intenlog.parser import parse_formula
 from intenlog.prp import ConceptTable
 from intenlog.relalg import Relation
 from intenlog.syntax import (
     KNOW_NAME,
     Atom,
     Constant,
+    Exists,
     Identity,
     Neg,
     Top,
@@ -583,6 +592,18 @@ def test_negation_under_a_join_or_quantifier_builds_no_complement(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_complement_joined_on_no_column_indexes_nothing():
+    """An index on no columns would be one bucket of every row, which
+    every later write to the predicate copies."""
+    session = load_kb(NEGATION_KB)
+    closed = session.parse("E{1} E{1} E{1} (u(?x) /\\{} ~ r(?y, ?z))")
+    assert session.eval_formula(closed) is tarski_eval(session.world, closed, {}, session.table)
+    opened = session.parse("E{1} (u(?x) /\\{} ~ r(?y, ?z))")
+    size = len(session.world.active_domain())
+    assert len(satisfying_assignments(session.world, opened, session.table)) == size ** 2 - 3
+    assert session.world.pred_base[("r", 2)]._index == {}
+
+
 def test_a_write_rebuilds_no_index(monkeypatch):
     session = load_kb(NEGATION_KB)
     for text in ("r(?x, c)", "r(c, ?y)", "E{1} E{1} ~ r(?x, ?y)"):
@@ -702,3 +723,163 @@ def test_a_load_that_adds_nothing_keeps_the_world():
     load_kb("particular a\nassert p(b, a)\n", session)
     assert session.world is not world
     assert session.world.pred_base[("p", 2)].tuples > world.pred_base[("p", 2)].tuples
+
+
+def _nodes(u):
+    """Every node of a concept tree, each once."""
+    seen, stack = {}, [u]
+    while stack:
+        v = stack.pop()
+        if v.id not in seen:
+            seen[v.id] = v
+            stack.extend(v.children)
+    return list(seen.values())
+
+
+def _materialized(world, u) -> Relation:
+    """A node's extension from its children's through the operators a
+    closed quantifier's witness test stands in for."""
+    domain = world.active_domain()
+    if u.op == "neg":
+        return relalg.complement(extension(world, u.children[0]), domain)
+    if u.op == "exists":
+        return relalg.project_out(extension(world, u.children[0]), u.position)
+    if u.op == "conj":
+        left, right = u.children
+        if right.op == "neg":
+            return relalg.join_complement(extension(world, left),
+                                          extension(world, right.children[0]), u.pairs, domain)
+        return relalg.natural_join(extension(world, left), extension(world, right), u.pairs)
+    return extension(world, u)
+
+
+def _closed_truth(world, u, sentence) -> bool:
+    """The truth of ``sentence``, which quantifies every column of ``u``
+    away (or is ``u``, an arity-0 quantifier or negation), after checking
+    that it is the nonemptiness of ``u`` as the operators build it, on a
+    fresh world where ``u`` is read after the sentence and on one where
+    it is read before."""
+    first, second, third = (World(world.pred_base, world.particulars, world.memory,
+                                  world.grounded) for _ in range(3))
+    want = relalg.truth(bool(_materialized(third, u).tuples))
+    assert extension(first, sentence) == want
+    after = extension(first, u)
+    before = extension(second, u)
+    assert extension(second, sentence) == want
+    assert after == before
+    return bool(want.tuples)
+
+
+def _closes(u) -> bool:
+    return u.arity > 0 or u.op in ("exists", "neg")
+
+
+def test_a_closed_quantifier_agrees_with_the_materialized_operators():
+    rng = random.Random(1981)
+    variables = [Variable(n) for n in ("x", "y", "z")]
+    closed = 0
+    for _ in range(150):
+        vocabulary = Vocabulary()
+        table = ConceptTable(vocabulary)
+        world, preds, domain = _random_world(rng, table, vocabulary)
+        world, leaves = _grounded_and_known(rng, world, table, preds, domain, variables)
+        atoms = [table.interpret(f) for f in leaves]
+        tree = _random_concept(rng, table, preds, 4, atoms)
+        nodes = _nodes(tree)
+        if tree.arity:  # join keys outside the domain: known concepts
+            know = table.intern_atom(
+                vocabulary.resolve(KNOW_NAME, 3), (("v", "t"), ("v", "s"), ("v", "c")))
+            pairs = ((rng.choice((1, 3)), rng.randint(1, tree.arity)),)
+            nodes.append(table.conj(know, table.neg(tree), pairs))
+        for u in filter(_closes, nodes):
+            sentence = u
+            for _ in range(u.arity):
+                sentence = table.exists(1, sentence)
+            _closed_truth(world, u, sentence)
+            closed += 1
+    assert closed > 300
+
+
+def _subformulas(f):
+    yield f
+    for part in (getattr(f, "body", None), getattr(f, "lhs", None), getattr(f, "rhs", None)):
+        if part is not None:
+            yield from _subformulas(part)
+
+
+def test_a_closed_quantifier_agrees_with_the_tarski_oracle():
+    rng = random.Random(1939)
+    variables = [Variable(n) for n in ("x", "y", "z")]
+    closed = 0
+    for _ in range(200):
+        vocabulary = Vocabulary()
+        table = ConceptTable(vocabulary)
+        world, preds, domain = _random_world(rng, table, vocabulary, max_domain=4)
+        world, leaves = _grounded_and_known(rng, world, table, preds, domain, variables)
+        for g in _subformulas(_random_formula(rng, preds, variables, [4], leaves)):
+            u = table.interpret(g)
+            if not _closes(u):
+                continue
+            sentence = g
+            for _ in free_var_tuple(g):
+                sentence = Exists(1, sentence)
+            truth = _closed_truth(world, u, table.interpret(sentence))
+            assert truth is tarski_eval(world, sentence, {}, table)
+            closed += 1
+    assert closed > 300
+
+
+def _empty_domain_world():
+    vocabulary = Vocabulary()
+    table = ConceptTable(vocabulary)
+    world = World()
+    for name, arity in (("p", 1), ("q", 2)):
+        pred = vocabulary.declare(name, arity)
+        canonical = table.intern_atom(pred, tuple(("v", f"x{k}") for k in range(arity)))
+        world = world.with_base(canonical, Relation(arity, frozenset()))
+    return world, table
+
+
+@pytest.mark.parametrize("text, know", [
+    ("E{1} ~ Know(in_present, me, ?x)", "Know(in_present, me, ?x)"),
+    ("E{1} (p(?x) /\\{(1,1)} ~ Know(in_present, me, ?x))", "Know(in_present, me, ?x)"),
+    ("E{1} E{1} (p(?x) /\\{} ~ Know(in_present, me, ?y))", "Know(in_present, me, ?y)"),
+])
+def test_a_closed_quantifier_over_a_negated_open_know_atom_names_it(text, know):
+    session = load_kb("predicate p/1\nparticular a\nassert p(a)\nknow << p(?x) >>_{x}\n")
+    u = session.table.interpret(session.parse(know))
+    with pytest.raises(WorldError) as raised:
+        session.eval_formula(session.parse(text))
+    assert str(raised.value) == (
+        f"cannot negate the open Know atom u{u.id} {know}: "
+        "known concepts are not elements of the active domain"
+    )
+
+
+@pytest.mark.parametrize("text", [
+    "E{1} ~ p(?x)",
+    "E{1} E{1} ~ q(?x, ?y)",
+    "E{1} (p(?x) /\\{(1,1)} ~ p(?x))",
+    "E{1} E{1} (q(?x, ?y) /\\{(1,1)} ~ p(?x))",
+])
+def test_a_closed_quantifier_over_a_complement_needs_a_domain(text):
+    world, table = _empty_domain_world()
+    with pytest.raises(relalg.RelAlgError) as raised:
+        eval_sentence(world, parse_formula(text, table.vocabulary), table)
+    assert type(raised.value) is relalg.RelAlgError
+    assert str(raised.value) == "complement requested over an empty active domain"
+
+
+def test_a_closed_quantifier_builds_no_node_under_it(monkeypatch):
+    session = load_kb(NEGATION_KB)
+    calls = []
+    for name in ("natural_join", "join_complement", "project_out", "project_complement"):
+        operator = getattr(relalg, name)
+        monkeypatch.setattr(relalg, name, lambda *a, _op=operator, _name=name: (
+            calls.append(_name) or _op(*a)))
+    reads = ("E{1} E{1} (r(?x, ?y) /\\{(2,1)} r(?y, c))", "E{1} (u(?x) /\\{(1,1)} ~ r(?x, c))",
+             "E{1} E{1} ~ r(?x, ?y)", "E{1} ~ u(?x)")
+    truths = [session.eval_formula(session.parse(t)) for t in reads]
+    assert truths == [tarski_eval(session.world, session.parse(t), {}, session.table)
+                      for t in reads]
+    assert calls == []
