@@ -35,7 +35,6 @@ from .relalg import (
     complement,
     natural_join,
     project_out,
-    truth_collapse,
 )
 from .worlds import (
     MissingExtensionError,

@@ -80,7 +80,7 @@ def repl(session: Session, stdin=sys.stdin, report=print) -> int:
         except ENGINE_ERRORS as exc:
             report(f"error: {exc}")
             continue
-        except RecursionError:  # eval, answer or dump on a formula past the engine's depth
+        except RecursionError:  # eval, answer or render of a formula past the engine's depth
             report("error: formula nested too deeply")
             continue
         if out is not None:

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .prp import Concept, ConceptTable, Particular, SELF_NAME
+from .prp import Concept, ConceptTable, Particular, SELF_NAME, bottom_up
 from .relalg import Relation
 from .syntax import (
     AbstractedTerm,
@@ -54,7 +54,7 @@ from .syntax import (
     free_var_tuple,
     serialize,
 )
-from .worlds import MissingExtensionError, World, extension
+from .worlds import MissingExtensionError, World, WorldError, extension
 
 RULE_EXPERIENCE = "experience"
 RULE_T_GROUND = "T_a"
@@ -227,7 +227,7 @@ def apply_T_open(
         return None
     try:
         rel = extension(world, atom.content)
-    except MissingExtensionError:
+    except WorldError:
         return None
     if not rel.tuples:
         return None
@@ -392,27 +392,34 @@ def stamp(u: Concept, tau: str, table: ConceptTable) -> Concept:
     past.  Predicates gain a timestamped variant (arity + 1), declared
     on demand, and ``tau`` becomes a particular at the first stamped
     atom.  Reified concept arguments are mentioned, not asserted, so
-    the rewrite does not descend into abstraction entries.
+    the rewrite does not descend into abstraction entries.  It interns
+    in the order a recursive rewrite would, without recursion.
     """
-    if u.op == "atom":
-        tense = u.entries[0][1] if u.entries else None
-        if u.predicate.name in (KNOW_NAME, IDENTITY_NAME) or not (
-            isinstance(tense, Particular) and tense.name in TENSES
-        ):
-            return u
-        if tense.name == "in_present":
-            tense = table.particular("in_past")
-        stamped = table.vocabulary.declare(u.predicate.name, u.predicate.arity + 1)
-        return table.intern_atom(
-            stamped, (("g", table.particular(tau)), ("g", tense)) + u.entries[1:]
-        )
-    if u.op == "conj":
-        return table.conj(*(stamp(child, tau, table) for child in u.children), u.pairs)
-    if u.op == "neg":
-        return table.neg(stamp(u.children[0], tau, table))
-    if u.op == "exists":
-        return table.exists(u.position, stamp(u.children[0], tau, table))
-    return u
+    done: dict[int, Concept] = {}
+
+    def rewrite(v: Concept) -> Concept:
+        if v.op == "atom":
+            tense = v.entries[0][1] if v.entries else None
+            if v.predicate.name in (KNOW_NAME, IDENTITY_NAME) or not (
+                isinstance(tense, Particular) and tense.name in TENSES
+            ):
+                return v
+            if tense.name == "in_present":
+                tense = table.particular("in_past")
+            stamped = table.vocabulary.declare(v.predicate.name, v.predicate.arity + 1)
+            return table.intern_atom(
+                stamped, (("g", table.particular(tau)), ("g", tense)) + v.entries[1:]
+            )
+        kids = [done[c.id] for c in v.children]
+        if v.op == "conj":
+            return table.conj(*kids, v.pairs)
+        if v.op == "neg":
+            return table.neg(*kids)
+        if v.op == "exists":
+            return table.exists(v.position, *kids)
+        return v
+
+    return bottom_up(u, rewrite, done)
 
 
 def consolidate(

@@ -440,9 +440,15 @@ def _is_retrieval_conj(u: Concept, templates) -> bool:
 
 
 def _conj_parts(u: Concept, templates) -> list[Concept]:
-    if u.op == "conj" and not _is_retrieval_conj(u, templates) and not u.pairs:
-        return _conj_parts(u.children[0], templates) + _conj_parts(u.children[1], templates)
-    return [u]
+    """Conjuncts from a stack: a T_b conjunction nests as deep as its rows."""
+    parts, stack = [], [u]
+    while stack:
+        v = stack.pop()
+        if v.op == "conj" and not _is_retrieval_conj(v, templates) and not v.pairs:
+            stack += reversed(v.children)
+        else:
+            parts.append(v)
+    return parts
 
 
 def _render_atom(u: Concept, table, templates, partner, voice: str = "progressive") -> str:

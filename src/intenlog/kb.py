@@ -33,7 +33,6 @@ every line before the failing one.  A directive run on its own (through
 from __future__ import annotations
 
 import re
-import sys
 
 from . import epistemic, worlds
 from .epistemic import Memory, TraceStep
@@ -133,7 +132,6 @@ class Session:
 
     def add_rule(self, antecedent: Formula, consequent: Formula):
         memory, atom = epistemic.add_rule(self.memory, antecedent, consequent, self.table)
-        self._read_back(atom.content)  # dumps read the rule back
         self.memory = memory
         return atom
 
@@ -155,9 +153,6 @@ class Session:
             )
         worlds.check_base_predicate(pred)
         row = tuple(self.table.extend_assignment({}, a) for a in f.args)
-        for e in row:  # dump_kb reads a reified argument back
-            if isinstance(e, Concept):
-                self._read_back(e)
         concept = self._canonical(pred)
         if self._rows is None:
             self.world = self.world.with_rows({concept: (row,)})
@@ -176,7 +171,8 @@ class Session:
     def know_term(self, term: AbstractedTerm):
         memory, atom, added = epistemic.assert_experience(self.memory, term, {}, self.table)
         steps = (TraceStep(epistemic.RULE_EXPERIENCE, (), atom.id, atom.content, self.table),)
-        self._publish_steps(memory, steps if added else ())
+        self.memory = memory
+        self.trace.extend(steps if added else ())
         return atom
 
     # -- engine commands ------------------------------------------------
@@ -184,36 +180,20 @@ class Session:
     def eval_formula(self, f: Formula) -> bool:
         return worlds.eval_sentence(self.world, f, self.table)
 
-    def _read_back(self, u: Concept) -> None:
-        """Traces and dumps read concepts back, at most four frames a
-        nesting level: one too deep to be read in half the recursion
-        limit is read now, so one that cannot be read back raises
-        RecursionError before it is published."""
-        if u.depth > sys.getrecursionlimit() // 8:
-            serialize(self.table.recover(u))
-
-    def _publish_steps(self, memory: Memory, steps: tuple[TraceStep, ...]) -> None:
-        """Publish a derived memory and its trace steps, each read back first."""
-        try:
-            for step in steps:
-                self._read_back(step.content)
-        except RecursionError:
-            raise KBError("formula nested too deeply") from None
-        self.memory = memory
-        self.trace.extend(steps)
-
     def chain(self, budget: int | None = None) -> tuple[TraceStep, ...]:
         memory, steps = epistemic.forward_chain(
             self.memory, self.world, self.table,
             self.budget if budget is None else budget,
         )
-        self._publish_steps(memory, steps)
+        self.memory = memory
+        self.trace.extend(steps)
         return steps
 
     def consolidate(self, tau: str) -> tuple[TraceStep, ...]:
         """Consolidate at ``tau``, which the stamped knowledge makes a particular."""
         memory, steps = epistemic.consolidate(self.memory, tau, self.table)
-        self._publish_steps(memory, steps)
+        self.memory = memory
+        self.trace.extend(steps)
         self._add_particular(tau)
         return steps
 

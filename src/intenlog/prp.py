@@ -47,6 +47,7 @@ from .syntax import (
     Top,
     Variable,
     Vocabulary,
+    serialize,
 )
 
 
@@ -72,9 +73,7 @@ class Concept:
 
     ``op`` is one of atom / truth / conj / neg / exists; composites
     keep their children and operator parameters so the underlying
-    formula can be recovered from the table.  ``depth`` is the nesting
-    depth of that formula: one more than its deepest child or concept
-    entry.
+    formula can be recovered from the table.
     """
 
     __slots__ = (
@@ -86,11 +85,10 @@ class Concept:
         "children",
         "pairs",
         "position",
-        "depth",
     )
 
     def __init__(self, id, arity, op, predicate=None, entries=None, children=(),
-                 pairs=None, position=None, depth=1):
+                 pairs=None, position=None):
         self.id = id
         self.arity = arity
         self.op = op
@@ -99,7 +97,6 @@ class Concept:
         self.children = children
         self.pairs = pairs
         self.position = position
-        self.depth = depth
 
     def __repr__(self):
         return f"u{self.id}:D{self.arity}"
@@ -184,20 +181,16 @@ class ConceptTable:
             raise ConceptError(f"{predicate!r} interned with {len(entries)} entry(ies)")
         stored = []
         names: list[str] = []  # free variable names, repeats included
-        depth = 1
         for e in entries:
             if e[0] == "v":
                 stored.append(("v", e[1]))
                 names.append(e[1])
             elif e[0] == "g":
-                if isinstance(e[1], Concept):
-                    depth = max(depth, e[1].depth + 1)
-                elif not isinstance(e[1], Particular):
+                if not isinstance(e[1], (Particular, Concept)):
                     raise ConceptError(f"not a domain element: {e[1]!r}")
                 stored.append(("g", e[1]))
             elif e[0] == "a":
                 _, concept, alpha_names, beta_names = e
-                depth = max(depth, concept.depth + 1)
                 stored.append(("a", concept, tuple(alpha_names), tuple(beta_names)))
                 names.extend(beta_names)
             else:
@@ -205,7 +198,7 @@ class ConceptTable:
         entries = tuple(stored)
         key = ("atom", predicate.name, predicate.arity, entries)
         return self._concepts.get(key) or self._add(
-            key, len(set(names)), "atom", predicate=predicate, entries=entries, depth=depth
+            key, len(set(names)), "atom", predicate=predicate, entries=entries
         )
 
     def conj(self, u: Concept, v: Concept, pairs) -> Concept:
@@ -226,14 +219,13 @@ class ConceptTable:
             raise ConceptError(str(exc)) from exc
         key = ("conj", pairs, u, v)
         return self._concepts.get(key) or self._add(
-            key, u.arity + v.arity - len(pairs), "conj", children=(u, v), pairs=pairs,
-            depth=max(u.depth, v.depth) + 1,
+            key, u.arity + v.arity - len(pairs), "conj", children=(u, v), pairs=pairs
         )
 
     def neg(self, u: Concept) -> Concept:
         key = ("neg", u)
         return self._concepts.get(key) or self._add(
-            key, u.arity, "neg", children=(u,), depth=u.depth + 1)
+            key, u.arity, "neg", children=(u,))
 
     def exists(self, n: int, u: Concept) -> Concept:
         """Positional projection of column n, for 1 <= n <= arity."""
@@ -245,8 +237,7 @@ class ConceptTable:
             pass
         if not (1 <= n <= u.arity):
             raise ConceptError(f"projection position {n} out of range for arity {u.arity}")
-        return self._add(key, u.arity - 1, "exists", children=(u,), position=n,
-                         depth=u.depth + 1)
+        return self._add(key, u.arity - 1, "exists", children=(u,), position=n)
 
     def union(self, concepts) -> Concept:
         """Derived union, expanded through negation and conjunction.
@@ -411,15 +402,13 @@ class ConceptTable:
         operands share a free variable name that its pairs leave unjoined
         has no formula form and raises ConceptError, on every call.  The
         formula is built once per concept and kept: concepts never change
-        and formulas are immutable.
+        and formulas are immutable.  Missing ones are built operands first
+        without recursion, so every concept the table holds reads back.
         """
-        found = self._recovered.get(u.id)
-        if found is None:
-            found = self._recovered[u.id] = self._rebuild(u)
-        return found
+        return self._recovered.get(u.id) or bottom_up(u, self._rebuild, self._recovered, _operands)
 
     def _rebuild(self, u: Concept) -> Formula:
-        """Build the formula of ``u`` from its children's recovered ones."""
+        """Build the formula of ``u`` from its operands' kept ones."""
         if u.op == "truth":
             return Top()
         if u.op == "atom":
@@ -453,12 +442,32 @@ class ConceptTable:
         raise ConceptError(f"cannot recover concept {u!r}")
 
     def describe(self, u: Concept) -> str:
-        """``u``'s formula, or its operator and children when it has no
-        formula form or one too deeply nested to read back."""
-        from .syntax import serialize
-
+        """``u``'s formula, or its operator and children when it has none."""
         try:
             return serialize(self.recover(u))
-        except (ConceptError, RecursionError):
+        except ConceptError:
             kids = ",".join(f"u{c.id}" for c in u.children)
             return f"{u.op}({kids})"
+
+
+def _operands(u: Concept) -> tuple:
+    """The concepts ``u``'s formula is built from, in its text's order."""
+    if u.op == "atom":
+        return tuple(e[1] for e in u.entries if isinstance(e[1], Concept))
+    return u.children
+
+
+def bottom_up(u: Concept, build, done: dict, operands=lambda v: v.children):
+    """``done[u.id]``, after setting ``done[v.id] = build(v)`` for ``u`` and
+    each concept under it that ``done`` lacks: operands first, left to
+    right, in the order a recursion would visit them, from a stack."""
+    stack = [u]
+    while stack:
+        v = stack.pop()
+        if v.id not in done:
+            missing = [c for c in operands(v) if c.id not in done]
+            if missing:
+                stack += [v, *reversed(missing)]
+            else:
+                done[v.id] = build(v)
+    return done[u.id]

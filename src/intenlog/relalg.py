@@ -326,8 +326,3 @@ def project_out(r: Relation, n: int) -> Relation:
     if not 1 <= n <= k:
         raise RelAlgError(f"projection position {n} out of range for arity {k}")
     return Relation.trusted(k - 1, frozenset(t[: n - 1] + t[n:] for t in r.tuples))
-
-
-def truth_collapse(r: Relation) -> Relation:
-    """Truth iff the relation is nonempty."""
-    return truth(bool(r.tuples))

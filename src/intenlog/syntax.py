@@ -386,38 +386,41 @@ def _sub(f: Formula, binds: dict[Variable, Term]) -> Formula:
 # Serialization (the parser in parser.py is its inverse)
 
 
-def serialize_term(term: Term) -> str:
-    if isinstance(term, Variable):
-        return f"?{term.name}"
-    if isinstance(term, Constant):
-        return term.name
-    if isinstance(term, TimeValue):
-        return term.tense
-    if isinstance(term, AbstractedTerm):
-        out = f"<< {serialize(term.body)} >>"
-        if term.alpha:
-            out += "_{" + " ".join(v.name for v in term.alpha) + "}"
-        if term.beta:
-            out += "^{" + " ".join(v.name for v in term.beta) + "}"
-        return out
-    raise FormulaError(f"not a term: {term!r}")
+def serialize(x) -> str:
+    """The text of a formula or a term, written from a stack of pieces that
+    holds strings and the formulas and terms yet to expand: no recursion."""
+    out: list[str] = []
+    stack = [x]
+    while stack:
+        x = stack.pop()
+        if type(x) is str:
+            out.append(x)
+        elif isinstance(x, (Variable, Constant, TimeValue, Top)):
+            out.append(repr(x))
+        elif isinstance(x, Atom):
+            pieces = [f"{x.predicate.name}("]
+            for i, a in enumerate(x.args):
+                pieces += (", ", a) if i else (a,)
+            stack += reversed(pieces + [")"])
+        elif isinstance(x, Identity):
+            stack += (x.right, " = ", x.left)
+        elif isinstance(x, Conj):
+            pairs = ",".join(f"({a},{b})" for a, b in x.pairs)
+            stack += (")", x.rhs, f" /\\{{{pairs}}} ", x.lhs, "(")
+        elif isinstance(x, Neg):
+            stack += (x.body, "~ ")
+        elif isinstance(x, Exists):
+            stack += (x.body, f"E{{{x.position}}} ")
+        elif isinstance(x, AbstractedTerm):
+            alpha = "_{" + " ".join(v.name for v in x.alpha) + "}" if x.alpha else ""
+            beta = "^{" + " ".join(v.name for v in x.beta) + "}" if x.beta else ""
+            stack += (f" >>{alpha}{beta}", x.body, "<< ")
+        else:
+            raise FormulaError(f"not a formula or term: {x!r}")
+    return "".join(out)
 
 
-def serialize(f: Formula) -> str:
-    if isinstance(f, Top):
-        return "Top"
-    if isinstance(f, Atom):
-        return f"{f.predicate.name}({', '.join(serialize_term(a) for a in f.args)})"
-    if isinstance(f, Identity):
-        return f"{serialize_term(f.left)} = {serialize_term(f.right)}"
-    if isinstance(f, Conj):
-        pairs = ",".join(f"({a},{b})" for a, b in f.pairs)
-        return f"({serialize(f.lhs)} /\\{{{pairs}}} {serialize(f.rhs)})"
-    if isinstance(f, Neg):
-        return f"~ {serialize(f.body)}"
-    if isinstance(f, Exists):
-        return f"E{{{f.position}}} {serialize(f.body)}"
-    raise FormulaError(f"not a formula: {f!r}")
+serialize_term = serialize
 
 
 # ---------------------------------------------------------------------------

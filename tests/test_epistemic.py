@@ -1,4 +1,5 @@
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -21,7 +22,7 @@ from intenlog.epistemic import (
     stamp,
 )
 from intenlog.kb import load_kb
-from intenlog.prp import ConceptTable
+from intenlog.prp import ConceptTable, Particular
 from intenlog.relalg import Relation
 from intenlog.syntax import (
     AbstractedTerm,
@@ -29,6 +30,7 @@ from intenlog.syntax import (
     Conj,
     Constant,
     Neg,
+    TENSES,
     TimeValue,
     Variable,
     Vocabulary,
@@ -42,6 +44,7 @@ from intenlog.worlds import (
     satisfying_assignments,
 )
 from tests.test_chain_digest import KB_COUNT, chain_kb, random_kb
+from tests.test_syntax import rich_formula
 
 
 class Scenario:
@@ -609,6 +612,71 @@ def test_stamping_rewrites_only_the_tensed_atoms_a_content_asserts():
     for text, stamped in cases.items():
         u = stamp(table.interpret(session.parse(text)), "t1", table)
         assert serialize(table.recover(u)) == stamped
+
+
+def reference_stamp(u, tau, table):
+    """The recursive rewrite that ``stamp`` performs with its own stack."""
+    if u.op == "atom":
+        tense = u.entries[0][1] if u.entries else None
+        if u.predicate.name in ("Know", "=") or not (
+            isinstance(tense, Particular) and tense.name in TENSES
+        ):
+            return u
+        if tense.name == "in_present":
+            tense = table.particular("in_past")
+        stamped = table.vocabulary.declare(u.predicate.name, u.predicate.arity + 1)
+        return table.intern_atom(
+            stamped, (("g", table.particular(tau)), ("g", tense)) + u.entries[1:])
+    if u.op == "conj":
+        return table.conj(*(reference_stamp(c, tau, table) for c in u.children), u.pairs)
+    if u.op == "neg":
+        return table.neg(reference_stamp(u.children[0], tau, table))
+    if u.op == "exists":
+        return table.exists(u.position, reference_stamp(u.children[0], tau, table))
+    return u
+
+
+def _stamp_cases(seed):
+    """Seeded contents with tensed, Know and identity atoms and subtrees
+    shared between the operands of a conjunction."""
+    rng, vocab = random.Random(seed), Vocabulary()
+    know = vocab.resolve("Know", 3)
+    out = []
+    for _ in range(60):
+        f = rich_formula(rng, vocab, depth=4)
+        fv = f.free_vars
+        shared = Conj(f, Neg(f), tuple((i, i) for i in range(1, len(fv) + 1)))
+        known = Atom(know, (TimeValue("in_present"), Constant("me"), AbstractedTerm(f, fv)))
+        out += [f, shared, Conj(known, shared), Conj(shared, known)]
+    return out
+
+
+def test_stamp_interns_as_the_recursive_rewrite_does():
+    tables = []
+    for rewrite in (stamp, reference_stamp):
+        table = ConceptTable(Vocabulary())
+        for n in (1, 2, 3):
+            table.vocabulary.declare(f"h{n}", n)
+        results = [rewrite(table.interpret(f), "t1", table).id for f in _stamp_cases(71)]
+        tables.append((results, [(u.id, table.describe(u)) for u in table.concepts()],
+                       [p.id for p in table.particulars()]))
+    assert tables[0] == tables[1]
+    assert any("h2(t1, in_past" in text for _, text in tables[0][1])
+
+
+def test_stamp_rewrites_a_conjunction_deeper_than_the_recursion_limit():
+    session = load_kb("predicate walk/2\n")
+    table = session.table
+    atoms = [table.interpret(session.parse(f"walk(in_present, c{i})"))
+             for i in range(3 * sys.getrecursionlimit())]
+    chain = stamped = None
+    for u in reversed(atoms):
+        s = stamp(u, "t1", table)
+        chain, stamped = (u, s) if chain is None else (
+            table.conj(u, chain, ()), table.conj(s, stamped, ()))
+    assert stamp(chain, "t1", table) is stamped
+    head = "(walk(t1, in_past, c0) /\\{} (walk(t1, in_past, c1) /\\{} "
+    assert table.describe(stamped).startswith(head)
 
 
 def reference_answer(memory, world, query, table):

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from intenlog.cli import main, repl
-from intenlog.demo import NL_QUERY, build_demo_session, fixture_text
+from intenlog.demo import NL_QUERY, build_demo_session, fixture_text, write_trace
 from intenlog.grounding import (
     corpus_process,
     load_corpus,
@@ -64,17 +64,10 @@ class TestLoadKB:
 
     @pytest.mark.parametrize(
         "directive, share",
-        [
-            ("know << {} >>", 0.6),  # interprets, but too deep to recover for the trace
-            ("know << {} >>", 2),
-            ("rule {} => p(a)", 0.7),  # interprets, but too deep to recover for dumps
-            ("rule {} => p(a)", 2),
-            ("assert p(<< {} >>)", 0.7),
-            ("assert p(<< {} >>)", 2),
-        ],
+        [("know << {} >>", 2), ("rule {} => p(a)", 2), ("assert p(<< {} >>)", 2)],
     )
     def test_a_formula_too_deep_for_the_engine_names_the_line(self, directive, share):
-        nested = "~" * int(sys.getrecursionlimit() * share) + " p(a)"
+        nested = "~" * int(sys.getrecursionlimit() * share) + " p(a)"  # interning overflows
         head = "predicate p/1\nparticular a\nassert p(a)\nknow << p(a) >>\n"
         before, session = load_kb(head), Session()
         with pytest.raises(KBError) as info:
@@ -84,6 +77,20 @@ class TestLoadKB:
         assert dump_world(session) == dump_world(before)
         assert dump_memory(session) == dump_memory(before)
         assert dump_kb(session) == dump_kb(before)
+
+    @pytest.mark.parametrize(
+        "directive, share",
+        [("know << {} >>", 0.6), ("rule {} => p(a)", 0.7), ("assert p(<< {} >>)", 0.7)],
+    )
+    def test_a_deep_formula_loads_and_round_trips(self, directive, share):
+        # deeper than a recursive reader could recover or serialize
+        nested = "~ " * int(sys.getrecursionlimit() * share) + "p(a)"
+        head = "predicate p/1\nparticular a\nassert p(a)\nknow << p(a) >>\n"
+        session = load_kb(head + directive.format(nested) + "\n")
+        dumped = dump_kb(session)
+        assert directive.format(nested) in dumped.splitlines()
+        assert dump_kb(load_kb(dumped)) == dumped
+        assert nested in dump_concepts(session)
 
     def test_comments_and_blanks_ignored(self):
         session = load_kb("# hello\n\npredicate p/0\nassert p()\n")
@@ -291,23 +298,36 @@ class TestSessionCommands:
         assert known not in session.world.active_domain()
 
     @pytest.mark.parametrize("deep", ["rows", "introspection"])
-    def test_a_derivation_too_deep_to_read_back_changes_nothing(self, deep):
+    def test_a_deep_derivation_reads_back(self, deep, tmp_path):
         limit = sys.getrecursionlimit()
-        if deep == "rows":  # T_b's conjunction nests as deep as p has rows
-            text = "".join(f"assert p(c{i})\n" for i in range(limit))
-            text, budget = text + "know << p(?x) >>_{x}\n", 1
+        if deep == "rows":  # T_b's conjunction nests as deep as items has rows
+            text = "".join(f"assert items(c{i})\n" for i in range(3 * limit))
+            text, budget = text + "know << items(?x) >>_{x}\n", 1
         else:  # each introspection nests one Know deeper
-            text, budget = "assert p(c0)\nknow << p(c0) >>\n", limit // 2
-        session = load_kb("predicate p/1\n" + text)
-        memory, kb, trace = dump_memory(session), dump_kb(session), list(session.trace)
-        with pytest.raises(KBError, match="^formula nested too deeply$"):
-            session.chain(budget)
-        assert dump_memory(session) == memory
-        assert dump_kb(session) == kb
-        assert session.trace == trace
-        assert session.answer(session.parse("p(c0)")) == "yes"
-        # the concepts deduction interned stay, described by operator when too deep
-        assert re.search(r"^u\d+ D0 (conj\(u\d+,u\d+\)|atom\(\))$", dump_concepts(session), re.M)
+            text, budget = "assert items(c0)\nknow << items(c0) >>\n", limit // 2
+        session = load_kb("predicate items/1\n" + text)
+        steps = session.chain(budget)
+        assert steps and session.trace[-len(steps):] == list(steps)
+        if deep == "rows":
+            (tb,) = [s for s in steps if s.rule == "T_b"]
+            assert tb.sentence.startswith("(items(c0) /\\{} (items(c1) /\\{} ")
+            rendered = session.render(tb.output)
+            assert rendered.startswith("I know that c0 is a item and c1 is a item and ")
+            assert rendered.count(" is a item") == 3 * limit
+            assert session.answer(session.parse(f"items(c{3 * limit - 1})")) == "yes"
+        else:
+            assert max(a.depth for a in session.memory.atoms()) == budget
+        write_trace(session, tmp_path / "trace.jsonl")
+        lines = (tmp_path / "trace.jsonl").read_text().splitlines()
+        assert [json.loads(line)["sentence"] for line in lines] == [
+            s.sentence for s in session.trace]
+        consolidated = session.consolidate("t1")
+        assert len(consolidated) == len(session.memory.permanent)
+        memory = dump_memory(session)
+        assert memory.count("consolidated:t1") == len(consolidated)
+        kb = dump_kb(session)
+        assert dump_kb(load_kb(kb)) == kb
+        assert max((s.sentence for s in steps), key=len) in memory
 
     def test_dumps_render(self):
         session = load_kb(fixture_text("chain.kb"))
@@ -396,12 +416,36 @@ class TestRepl:
     def test_a_formula_past_the_engine_depth_is_a_reported_error(self):
         limit = sys.getrecursionlimit()
         script = "predicate p/1\nparticular a\nassert p(a)\n"
-        # half the limit overflows extension and recovery, five times it interning
+        # half the limit overflows extension, five times it interning;
+        # knowing the shallower one only interprets it
         for depth in (limit // 2, limit * 5):
-            nested = "~" * depth + " p(a)"
+            nested = "~ " * depth + "p(a)"
             script += f"eval {nested}\nanswer {nested}\nknow << {nested} >>\n"
         out = self.run(script + "eval Top\ndump memory\nquit\n")
-        assert out == ["error: formula nested too deeply"] * 6 + ["t", "memory empty"]
+        error = "error: formula nested too deeply"
+        assert out[:7] == [error, error, "k1", error, error, error, "t"]
+        known = re.escape("~ " * (limit // 2) + "p(a)")
+        line = rf"k1 \[temporary\] Know\(in_present, me, u\d+\) experience {known}"
+        assert re.fullmatch(line, out[7])
+
+    def test_t_b_skips_a_content_it_cannot_extensionalize(self):
+        out = self.run(
+            "predicate p/2\npredicate q/2\npredicate r/1\nassert r(b)\n"
+            "assert p(a, << q(?y, a) >>_{y})\n"
+            "know << p(?x, << q(?y, ?x) >>_{y}^{x}) >>_{x}\nchain --budget 0\n"
+            "know << r(?x) >>_{x}\nchain --budget 1\n"
+            "eval E{1} p(?x, << q(?y, ?x) >>_{y}^{x})\nquit\n"
+        )
+        assert out[:3] == ["k1", "0 new atom(s)", "k2"]
+        assert out[3].splitlines() == [
+            "4 new atom(s)",
+            "  k3 [T_b] r(b)",
+            "  k4 [Ax4] Know(in_present, me, << p(?x, << q(?y, ?x) >>_{y}^{x}) >>_{x})",
+            "  k5 [Ax4] Know(in_present, me, << r(?x) >>_{x})",
+            "  k6 [Ax4] Know(in_present, me, << r(b) >>)",
+        ]
+        assert out[4] == (
+            "error: cannot extensionalize an atom holding an open abstraction argument")
 
     def test_a_join_that_reuses_a_name_fills_columns_by_position(self):
         # q's first column is joined to ?x, though the conjunct names it ?y

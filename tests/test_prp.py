@@ -77,16 +77,6 @@ class TestInterning:
         u = table.interpret(Top())
         assert table.neg(table.neg(u)) is not u
 
-    def test_depth_counts_children_and_concept_entries(self, table):
-        psi = table.vocabulary.resolve("psi", 1)
-        leaf = table.intern_atom(psi, (("g", table.particular("c")),))
-        inner = table.neg(table.conj(leaf, table.interpret(Top()), ()))
-        assert (leaf.depth, inner.depth) == (1, 3)
-        assert table.intern_atom(psi, (("g", inner),)).depth == 4
-        phi = table.vocabulary.resolve("phi", 2)
-        body = table.neg(table.intern_atom(phi, var_entries("x", "y")))
-        assert table.intern_atom(psi, (("a", body, ("x",), ("y",)),)).depth == 3
-
     def test_structural_equality_iff_handle_equality(self, table):
         rng = random.Random(31)
         vocab = table.vocabulary

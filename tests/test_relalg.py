@@ -16,7 +16,6 @@ from intenlog.relalg import (
     project_complement,
     project_out,
     truth,
-    truth_collapse,
 )
 
 
@@ -149,18 +148,6 @@ class TestProjectOut:
 
     def test_deduplicates(self):
         assert project_out(rel(2, ("a", "b"), ("a", "c")), 2) == rel(1, ("a",))
-
-
-class TestTruthCollapse:
-    def test_nonempty(self):
-        assert truth_collapse(rel(2, ("a", "b"))) == TRUE
-
-    def test_empty(self):
-        assert truth_collapse(Relation(3, frozenset())) == FALSE
-
-    def test_fixed_point(self):
-        assert truth_collapse(TRUE) == TRUE
-        assert truth_collapse(truth_collapse(rel(1, ("a",)))) == truth_collapse(rel(1, ("a",)))
 
 
 def test_union_via_de_morgan_derivation():

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 
 import pytest
 
@@ -19,6 +20,7 @@ from intenlog.syntax import (
     Vocabulary,
     free_var_tuple,
     serialize,
+    serialize_term,
     substitute,
 )
 from intenlog.checks import _scan_free
@@ -398,6 +400,63 @@ def rich_formula(rng, vocab, depth=3):
     if open_l and open_r and rng.random() < 0.5:
         pairs.append((rng.choice(open_l), rng.choice(open_r)))
     return Conj(body, rhs, tuple(pairs))
+
+
+def reference_serialize(x):
+    """The recursive writer that ``serialize`` runs with its own stack."""
+    if isinstance(x, Variable):
+        return f"?{x.name}"
+    if isinstance(x, Constant):
+        return x.name
+    if isinstance(x, TimeValue):
+        return x.tense
+    if isinstance(x, AbstractedTerm):
+        out = f"<< {reference_serialize(x.body)} >>"
+        if x.alpha:
+            out += "_{" + " ".join(v.name for v in x.alpha) + "}"
+        if x.beta:
+            out += "^{" + " ".join(v.name for v in x.beta) + "}"
+        return out
+    if isinstance(x, Top):
+        return "Top"
+    if isinstance(x, Atom):
+        return f"{x.predicate.name}({', '.join(map(reference_serialize, x.args))})"
+    if isinstance(x, Identity):
+        return f"{reference_serialize(x.left)} = {reference_serialize(x.right)}"
+    if isinstance(x, Conj):
+        pairs = ",".join(f"({a},{b})" for a, b in x.pairs)
+        return f"({reference_serialize(x.lhs)} /\\{{{pairs}}} {reference_serialize(x.rhs)})"
+    if isinstance(x, Neg):
+        return f"~ {reference_serialize(x.body)}"
+    return f"E{{{x.position}}} {reference_serialize(x.body)}"
+
+
+def test_serialize_matches_a_recursive_reference_property():
+    rng = random.Random(505)
+    vocab = Vocabulary()
+    terms = 0
+    for _ in range(300):
+        f = rich_formula(rng, vocab, depth=4)
+        for h in subformulas(f):
+            assert serialize(h) == reference_serialize(h)
+            for a in h.args if isinstance(h, Atom) else ():
+                assert serialize_term(a) == reference_serialize(a)
+                terms += isinstance(a, AbstractedTerm)
+    assert terms > 100
+
+
+def test_serialize_writes_chains_deeper_than_the_recursion_limit():
+    n = 3 * sys.getrecursionlimit()
+    leaf = Atom(Predicate("p", 1), (Constant("a"),))
+    q = Predicate("q", 1)
+    negs = conjs = nested = leaf
+    for _ in range(n):
+        negs, conjs = Neg(negs), Conj(leaf, conjs)
+        nested = Atom(q, (AbstractedTerm(nested),))
+    assert serialize(negs) == "~ " * n + "p(a)"
+    assert serialize(conjs) == "(p(a) /\\{} " * n + "p(a)" + ")" * n
+    assert serialize(nested) == "q(<< " * n + "p(a)" + " >>)" * n
+    assert serialize_term(AbstractedTerm(nested)) == "<< " + serialize(nested) + " >>"
 
 
 def test_oracle_scan_counts_beta_variables_in_order():
