@@ -15,7 +15,7 @@ from .demo import DEFAULT_TAU, run_demo, write_trace
 from .epistemic import EpistemicError
 from .grounding import GroundingError, load_corpus, load_templates, corpus_process
 from .kb import KBError, Session, dump_concepts, dump_kb, dump_memory, dump_world, load_kb
-from .parser import ParseError, parse_formula
+from .parser import ParseError
 from .prp import ConceptError
 from .relalg import RelAlgError
 from .syntax import FormulaError
@@ -93,7 +93,7 @@ def _repl_command(session: Session, line: str) -> str | None:
     rest = rest.strip()
     if head in ("eval", "answer"):
         # a parse error gives its column in the line, as a directive's does
-        f = session._parse_at(parse_formula, rest, len(line) - len(rest))
+        f = session.parse(rest, len(line) - len(rest))
         if head == "eval":
             return "t" if session.eval_formula(f) else "f"
         return session.answer(f)

@@ -414,20 +414,33 @@ def _render_concept(u: Concept, table, templates, capitalize: bool,
 
 
 def _render_inner(u: Concept, table, templates, voice: str = "progressive") -> str:
+    """The text of ``u``.  The prefixes of negations and Know atoms, which
+    nest as deep as introspection goes, are peeled in a loop."""
+    prefixes = []
+    while u.op == "neg" or u.op == "atom" and _is_know(u.predicate):
+        if u.op == "neg":
+            prefixes.append("it is not the case that ")
+            u = u.children[0]
+        else:
+            content = u.entries[2]
+            if content[0] != "g" or not isinstance(content[1], Concept):
+                raise GroundingError("cannot render an open epistemic atom")
+            prefixes.append("I know that ")
+            u = content[1]
+        voice = "progressive"
+    prefix = "".join(prefixes)
     if u.op == "truth":
-        return "truth"
-    if u.op == "neg":
-        return f"it is not the case that {_render_inner(u.children[0], table, templates)}"
+        return prefix + "truth"
     if u.op == "atom":
-        return _render_atom(u, table, templates, partner=None, voice=voice)
+        return prefix + _render_atom(u, table, templates, partner=None, voice=voice)
     if u.op == "conj":
         if _is_retrieval_conj(u, templates):
-            return _render_atom(
+            return prefix + _render_atom(
                 u.children[0], table, templates, partner=u.children[1], voice=voice
             )
         if u.arity == 0:
             parts = _conj_parts(u, templates)
-            return " and ".join(_render_inner(p, table, templates, voice) for p in parts)
+            return prefix + " and ".join(_render_inner(p, table, templates, voice) for p in parts)
     raise GroundingError(f"no rendering template for concept u{u.id} ({u.op})")
 
 
@@ -451,13 +464,14 @@ def _conj_parts(u: Concept, templates) -> list[Concept]:
     return parts
 
 
+def _is_know(pred) -> bool:
+    return pred.name == KNOW_NAME and pred.arity == 3
+
+
 def _render_atom(u: Concept, table, templates, partner, voice: str = "progressive") -> str:
     pred = u.predicate
-    if pred.name == KNOW_NAME and pred.arity == 3:
-        content = u.entries[2]
-        if content[0] != "g" or not isinstance(content[1], Concept):
-            raise GroundingError("cannot render an open epistemic atom")
-        return f"I know that {_render_inner(content[1], table, templates)}"
+    if _is_know(pred):  # only as the left operand of a retrieval conjunction
+        return _render_inner(u, table, templates)
     template = templates.for_predicate(pred.name)
     if template is None:
         if pred.arity == 1 and pred.name.endswith("s"):

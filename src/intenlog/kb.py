@@ -28,6 +28,15 @@ run; the batch is published before any other directive, at the end of
 the input, and when a line raises, so after an error the session holds
 every line before the failing one.  A directive run on its own (through
 ``execute``, as the repl does) publishes its write at once.
+
+A query text is parsed once per session: ``Session.parse``, which the
+repl's ``eval`` and ``answer`` use, keeps the formula of each text that
+parses and returns it for every later read of that text.  A text's
+formula depends only on the text and the declared predicates, which are
+never removed, and formulas are immutable, so a kept formula is the one a
+new parse would build.  Parse errors are not kept.  Directive lines
+(``assert``, ``rule``, ``know`` and every ``load_kb`` line) are parsed
+each time and not kept, so loading a KB leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -75,6 +84,7 @@ class Session:
         # and new particulars; None while every write publishes at once
         self._rows: dict[Concept, set[tuple]] | None = None
         self._particulars: set | None = None
+        self._parsed: dict[str, Formula] = {}  # query text -> its formula
 
     @property
     def memory(self) -> Memory:
@@ -205,8 +215,19 @@ class Session:
 
     # -- textual interface ----------------------------------------------
 
-    def parse(self, text: str) -> Formula:
-        return parse_formula(text, self.vocabulary)
+    def parse(self, text: str, col: int = 0) -> Formula:
+        """The formula of the query ``text``, which starts at 0-based column
+        ``col`` of its line.  The formula of every text that parses is kept
+        and returned again for that text.  This is sound: formulas are
+        immutable values, and a parse reads only the text and
+        ``Vocabulary.resolve``, whose declared predicates are never removed,
+        so a text that parsed once always parses to an equal formula.  A
+        ``ParseError`` is never kept, so a text that names a predicate not
+        yet declared parses once it is declared."""
+        f = self._parsed.get(text)
+        if f is None:
+            f = self._parsed[text] = self._parse_at(parse_formula, text, col)
+        return f
 
     def execute(self, line: str, line_no: int | None = None) -> str | None:
         """Run one KB directive; returns printable output, if any.  A

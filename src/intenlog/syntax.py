@@ -13,9 +13,13 @@ The stored tuple takes no part in equality, hashing or repr.
 
 Formulas and terms are immutable values; all validation happens at
 construction time, so anything you can hold is well formed.  The parser
-builds a formula for every query, so each constructor checks each
-invariant once: a conjunction sorts and deduplicates its pairs only when
-it has two or more, and reads its children's stored tuples directly.
+builds a formula for every KB line and every new query text, so each
+constructor checks each invariant once: a conjunction sorts and
+deduplicates its pairs only when it has two or more, and reads its
+children's stored tuples directly.  The formula classes are frozen
+dataclasses with a hand-written ``__init__`` that writes every field
+into the instance dict in one step; the dataclass still supplies
+equality, hashing, ``dataclasses.replace`` and the error on assignment.
 """
 
 from __future__ import annotations
@@ -134,8 +138,8 @@ def _check_ground_term(value) -> None:
 
 
 def _stored():
-    """The ``free_vars`` field: set once in ``__post_init__`` and left
-    out of ``__init__``, equality, hashing and repr."""
+    """The ``free_vars`` field: set once by ``__init__`` and left out of
+    its parameters, equality, hashing and repr."""
     return field(init=False, repr=False, compare=False)
 
 
@@ -181,41 +185,37 @@ class Top:
         return "Top"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Atom:
     predicate: Predicate
     args: tuple[Term, ...] = ()
     free_vars: tuple[Variable, ...] = _stored()
 
-    def __post_init__(self):
-        args = self.args
+    def __init__(self, predicate: Predicate, args: tuple[Term, ...] = ()):
         if type(args) is not tuple:
             args = tuple(args)
-            object.__setattr__(self, "args", args)
-        if len(args) != self.predicate.arity:
-            raise FormulaError(
-                f"{self.predicate!r} applied to {len(args)} argument(s)"
-            )
-        object.__setattr__(self, "free_vars", _args_free(args))
+        if len(args) != predicate.arity:
+            raise FormulaError(f"{predicate!r} applied to {len(args)} argument(s)")
+        self.__dict__.update(predicate=predicate, args=args, free_vars=_args_free(args))
 
     def __repr__(self):
         return serialize(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Identity:
     left: Term
     right: Term
     free_vars: tuple[Variable, ...] = _stored()
 
-    def __post_init__(self):
-        object.__setattr__(self, "free_vars", _args_free((self.left, self.right)))
+    def __init__(self, left: Term, right: Term):
+        self.__dict__.update(left=left, right=right, free_vars=_args_free((left, right)))
 
     def __repr__(self):
         return serialize(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Conj:
     """Indexed conjunction: joins the operands on ``pairs`` of columns.
 
@@ -231,15 +231,13 @@ class Conj:
     pairs: tuple[tuple[int, int], ...] = ()
     free_vars: tuple[Variable, ...] = _stored()
 
-    def __post_init__(self):
-        pairs = self.pairs  # normalized: sorted, distinct, int pairs
+    def __init__(self, lhs: "Formula", rhs: "Formula", pairs: tuple[tuple[int, int], ...] = ()):
+        # normalized: sorted, distinct, int pairs
         if type(pairs) is not tuple or len(pairs) > 1:
             pairs = tuple(sorted({(int(a), int(b)) for a, b in pairs}))
         elif pairs:
             ((a, b),) = pairs
             pairs = ((int(a), int(b)),)
-        object.__setattr__(self, "pairs", pairs)
-        lhs, rhs = self.lhs, self.rhs
         if not (isinstance(lhs, _FORMULAS) and isinstance(rhs, _FORMULAS)):
             bad = rhs if isinstance(lhs, _FORMULAS) else lhs
             raise FormulaError(f"not a formula: {bad!r}")
@@ -263,25 +261,25 @@ class Conj:
                     raise FormulaError(
                         f"shared free variable ?{v.name} must be joined by a pair"
                     )
-        object.__setattr__(self, "free_vars", lt + surviving)
+        self.__dict__.update(lhs=lhs, rhs=rhs, pairs=pairs, free_vars=lt + surviving)
 
     def __repr__(self):
         return serialize(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Neg:
     body: "Formula"
     free_vars: tuple[Variable, ...] = _stored()
 
-    def __post_init__(self):
-        object.__setattr__(self, "free_vars", free_var_tuple(self.body))
+    def __init__(self, body: "Formula"):
+        self.__dict__.update(body=body, free_vars=free_var_tuple(body))
 
     def __repr__(self):
         return serialize(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Exists:
     """Quantifies away the ``position``-th free variable of the body."""
 
@@ -289,14 +287,14 @@ class Exists:
     body: "Formula"
     free_vars: tuple[Variable, ...] = _stored()
 
-    def __post_init__(self):
-        bt = free_var_tuple(self.body)
-        p = self.position
-        if not (1 <= p <= len(bt)):
+    def __init__(self, position: int, body: "Formula"):
+        bt = free_var_tuple(body)
+        if not (1 <= position <= len(bt)):
             raise FormulaError(
-                f"quantifier position {p} out of range for free arity {len(bt)}"
+                f"quantifier position {position} out of range for free arity {len(bt)}"
             )
-        object.__setattr__(self, "free_vars", bt[: p - 1] + bt[p:])
+        free = bt[: position - 1] + bt[position:]
+        self.__dict__.update(position=position, body=body, free_vars=free)
 
     def __repr__(self):
         return serialize(self)

@@ -21,6 +21,7 @@ from intenlog.syntax import (
     Atom,
     Conj,
     Constant,
+    Neg,
     TimeValue,
     Variable,
     Vocabulary,
@@ -356,6 +357,19 @@ class TestRenderNL:
         nested = next(a for a in self.session.memory.atoms() if a.depth == 1)
         text = render_nl(nested, self.table, self.session.templates)
         assert text.startswith("I know that I know that ")
+
+    def test_under_a_negation_or_know_atom_content_renders_progressive(self):
+        walked = "the person walked from the couches in the room to the dining room table"
+        text = render_nl(Neg(self.info["command"]), self.table, self.session.templates)
+        assert text == (f"It is not the case that I am (me) finding videoclip such that "
+                        f"{walked} in the set of videoclips")
+        self.session.know_term(AbstractedTerm(Neg(self.info["query"])))
+        self.session.chain(1)
+        assert [render_nl(a, self.table, self.session.templates)
+                for a in self.session.memory.atoms()] == [
+            f"I know that it is not the case that {walked}.",
+            f"I know that I know that it is not the case that {walked}.",
+        ]
 
     def test_missing_template_is_an_error(self):
         self.session.vocabulary.declare("hum", 1)

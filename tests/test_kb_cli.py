@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from intenlog.checks import _random_formula
 from intenlog.cli import main, repl
 from intenlog.demo import NL_QUERY, build_demo_session, fixture_text, write_trace
 from intenlog.grounding import (
@@ -25,6 +26,8 @@ from intenlog.kb import (
     dump_world,
     load_kb,
 )
+from intenlog.parser import ParseError, parse_formula
+from intenlog.syntax import AbstractedTerm, Atom, Constant, TimeValue, Variable, serialize
 from intenlog.worlds import WorldError
 
 
@@ -264,6 +267,47 @@ class TestWorldParticulars:
         assert names == {p.name for p in Session().table.particulars()} | {"a"}
 
 
+class TestParseCache:
+    def test_a_kept_formula_equals_a_fresh_parse(self):
+        rng = random.Random(19)
+        session = load_kb("predicate p/1\npredicate q/2\npredicate r/0\n")
+        preds = [session.vocabulary.resolve(*k) for k in (("p", 1), ("q", 2), ("r", 0))]
+        variables = [Variable(n) for n in "xyz"]
+        know = session.vocabulary.resolve("Know", 3)
+        leaves = [
+            Atom(know, (TimeValue("in_present"), Constant("me"),
+                        AbstractedTerm(Atom(preds[1], (variables[0], Constant("a"))),
+                                       (variables[0],)))),
+            Atom(preds[0], (AbstractedTerm(Atom(preds[1], (variables[0], variables[1])),
+                                           (variables[0],), (variables[1],)),)),
+        ]
+        texts = [serialize(_random_formula(rng, preds, variables, [rng.randint(0, 8)], leaves))
+                 for _ in range(300)]
+        for text in texts + texts:  # the second pass reads only kept formulas
+            f = session.parse(text)
+            assert f == parse_formula(text, session.vocabulary), text
+            assert session.parse(text) is f, text
+
+    def test_a_parse_error_is_not_kept(self):
+        session = Session()
+        for text in ("q(a)", "q(a, b)"):
+            with pytest.raises(ParseError, match="undeclared predicate q"):
+                session.parse(text)
+        session.execute("predicate q/1")
+        with pytest.raises(ParseError, match="arity mismatch"):
+            session.parse("q(a, b)")
+        assert session.parse("q(a)") == parse_formula("q(a)", session.vocabulary)
+        session.execute("predicate q/2")
+        assert session.parse("q(a, b)") == parse_formula("q(a, b)", session.vocabulary)
+
+    def test_kb_lines_are_not_kept(self):
+        lines = "".join(f"assert p(c{i})\n" for i in range(50))
+        session = load_kb("predicate p/1\n" + lines + "rule p(?x) => p(?x)\nknow << p(c0) >>\n")
+        assert session._parsed == {}
+        session.execute("assert p(c50)")
+        assert session._parsed == {}
+
+
 class TestSessionCommands:
     def test_eval_and_answer(self):
         session = load_kb("predicate p/0\nassert p()")
@@ -328,6 +372,13 @@ class TestSessionCommands:
         kb = dump_kb(session)
         assert dump_kb(load_kb(kb)) == kb
         assert max((s.sentence for s in steps), key=len) in memory
+
+    def test_render_peels_introspection_past_the_recursion_limit(self):
+        limit = sys.getrecursionlimit()
+        session = load_kb("predicate items/1\nassert items(c0)\nknow << items(c0) >>\n")
+        session.chain(limit)
+        text = session.render(limit + 1)  # Know nested limit + 1 deep
+        assert text == "I know that " * (limit + 1) + "c0 is a item."
 
     def test_dumps_render(self):
         session = load_kb(fixture_text("chain.kb"))
@@ -394,12 +445,19 @@ class TestRepl:
         assert out[2] == "t"
 
     def test_eval_and_answer_give_a_parse_error_column_in_the_line(self):
-        out = self.run("predicate p/1\nanswer   p(a\neval   p(a\neval\nquit\n")
+        out = self.run("predicate p/1\nanswer   p(a\neval   p(a\neval\neval p(a\nquit\n")
         assert out == [
             "error: line 1, col 13: expected RPAREN, found 'end of input'",
             "error: line 1, col 11: expected RPAREN, found 'end of input'",
             "error: line 1, col 5: expected a formula, found 'end of input'",
+            "error: line 1, col 9: expected RPAREN, found 'end of input'",
         ]
+
+    def test_a_kept_query_text_reads_the_current_world(self):
+        out = self.run(
+            "eval q(a)\npredicate q/1\nassert q(b)\neval q(a)\nanswer q(a)\nassert q(a)\n"
+            "eval q(a)\nanswer q(a)\nquit\n")
+        assert out == ["error: line 1, col 6: undeclared predicate q", "f", "no", "t", "yes"]
 
     def test_a_malformed_render_id_answers_with_the_usage(self):
         out = self.run("render k\nrender kx\nquit\n")
