@@ -14,11 +14,11 @@ permanent one.  Four rules drive deduction:
 * AxK fires a stored implication when some known concept matches its
   antecedent, yielding knowledge of the consequent.
 
-Memory is a value: deduction and consolidation return new memories and
-leave their inputs untouched: each call grows a private working set
-(the stores as lists, the atoms indexed by key) and freezes it into the
-memory it returns.  Every derived atom carries a provenance and every
-run yields a derivation trace.
+Memory is a value: writes, deduction and consolidation return new
+memories and leave their inputs untouched: each call grows a private
+working set (the stores as lists, a copy of the parent's key index) and
+freezes it into the memory it returns.  Every derived atom carries a
+provenance and every run yields a derivation trace.
 
 Forward chaining is semi-naive (Bancilhon & Ramakrishnan 1986): T_b
 and Ax4 visit each atom once, and AxK looks implications up by the id
@@ -27,17 +27,18 @@ implication is new since the last AxK phase.  Pairs fire in the order
 of the naive all-pairs scan, so traces and atom ids do not depend on
 the evaluation strategy.
 
-Each memory value carries its index of known proposition ids, built
-with it, and the Know relation that Know atoms read, built on first
-read; worlds that share a memory share both.  A question costs a few
-lookups and at most one extension, not a scan of memory.  Deduction
-and consolidation rewrite concepts, never formulas: a trace step keeps
-the concept it derived and recovers its formula when it is read.
+Each memory value carries its atoms by key and the ids of the
+propositions it knows, grown from its parent's: a write indexes only
+the atoms it adds.  The Know relation that Know atoms read is built on
+first read; worlds that share a memory share all three.  A question
+costs a few lookups and at most one extension, not a scan of memory.
+Deduction and consolidation rewrite concepts, never formulas: a trace
+step keeps the concept it derived and recovers its formula when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 from .prp import Concept, ConceptTable, Particular, SELF_NAME, bottom_up
@@ -106,12 +107,19 @@ class Memory:
     temporary: tuple[KnowAtom, ...] = ()
     permanent: tuple[KnowAtom, ...] = ()
     next_id: int = 1
-    # the ids of the propositions this memory knows: each arity-0
-    # content, and each non-conj node on the conjunction spine of one
+    # each held key's first atom, and the ids of the known propositions:
+    # arity-0 contents and the non-conj nodes on their conjunction spines
+    keys: dict[tuple, KnowAtom] = field(init=False, repr=False, compare=False)
     known_ids: frozenset = field(init=False, repr=False, compare=False)
+    # the (keys, known_ids) a working set grew; None indexes every atom
+    index: InitVar[tuple | None] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "known_ids", _proposition_index(self.atoms()))
+    def __post_init__(self, index):
+        if index is None:
+            keys = {a.key(): a for a in reversed(self.atoms())}
+            index = keys, _proposition_index(self.atoms())
+        object.__setattr__(self, "keys", index[0])
+        object.__setattr__(self, "known_ids", index[1])
 
     def atoms(self) -> tuple[KnowAtom, ...]:
         return self.temporary + self.permanent
@@ -128,29 +136,22 @@ class Memory:
         return {a.id: a for a in reversed(self.atoms())}
 
     def find(self, time, subject, content) -> KnowAtom | None:
-        for a in self.atoms():
-            if a.key() == (time, subject, content):
-                return a
-        return None
+        return self.keys.get((time, subject, content))
 
-    def add_temporary(self, time, subject, content, provenance, depth=0):
-        return self._add("temporary", time, subject, content, provenance, depth)
-
-    def add_permanent(self, time, subject, content, provenance, depth=0):
-        return self._add("permanent", time, subject, content, provenance, depth)
-
-    def _add(self, store, time, subject, content, provenance, depth):
-        ws = _WorkingSet(self.temporary, self.permanent, self.next_id)
+    def add(self, store, time, subject, content, provenance, depth=0):
+        """Hold a new atom in ``store`` unless its key is held: (memory, atom, added)."""
+        ws = _WorkingSet(self)
         atom, added = ws.add(getattr(ws, store), time, subject, content, provenance, depth)
         return (ws.freeze() if added else self), atom, added
 
     @cached_property
     def know_relation(self) -> Relation:
-        """The Know relation this memory backs: one triple per held atom."""
-        return Relation(3, frozenset(a.key() for a in self.atoms()))
+        """The Know relation this memory backs: one triple per held key."""
+        return Relation(3, frozenset(self.keys))
 
 
-def _proposition_index(atoms) -> frozenset:
+def _proposition_index(atoms, held=frozenset()) -> frozenset:
+    """``held`` plus the ids of the propositions ``atoms`` know."""
     known: set[int] = set()
     for atom in atoms:
         if not isinstance(atom.content, Concept):
@@ -167,34 +168,36 @@ def _proposition_index(atoms) -> frozenset:
                 spine.extend(u.children)
             else:
                 known.add(u.id)
-    return frozenset(known)
+    return held | known if known else held
 
 
 class _WorkingSet:
-    """A memory under construction: the two stores as lists and the atoms
-    indexed by key.  One call grows it and freezes it into a new Memory,
-    so no memory anyone holds ever changes."""
+    """A memory under construction from a parent: the stores as lists and
+    the parent's key index, copied.  One call grows it and freezes it into
+    a new Memory, so no memory anyone holds ever changes."""
 
-    def __init__(self, temporary, permanent, next_id):
-        self.temporary, self.permanent = list(temporary), list(permanent)
-        self.next_id = next_id
-        self.by_key: dict[tuple, KnowAtom] = {}
-        for atom in self.temporary + self.permanent:
-            self.by_key.setdefault(atom.key(), atom)
+    def __init__(self, memory: Memory):
+        self.known_ids, self.new = memory.known_ids, []
+        self.temporary, self.permanent = list(memory.temporary), list(memory.permanent)
+        self.next_id = memory.next_id
+        self.keys = dict(memory.keys)
 
     def add(self, store, time, subject, content, provenance, depth=0):
         """Append a new atom to ``store`` unless its key is already held."""
-        existing = self.by_key.get((time, subject, content))
+        existing = self.keys.get((time, subject, content))
         if existing is not None:
             return existing, False
         atom = KnowAtom(self.next_id, time, subject, content, provenance, depth)
         self.next_id += 1
         store.append(atom)
-        self.by_key[atom.key()] = atom
+        self.keys[atom.key()] = atom
+        self.new.append(atom)
         return atom, True
 
     def freeze(self) -> Memory:
-        return Memory(tuple(self.temporary), tuple(self.permanent), self.next_id)
+        known = _proposition_index(self.new, self.known_ids)
+        return Memory(tuple(self.temporary), tuple(self.permanent), self.next_id,
+                      (self.keys, known))
 
 
 def assert_experience(
@@ -209,7 +212,7 @@ def assert_experience(
         raise EpistemicError("experience content must be a concept")
     time = table.particular("in_present")
     subject = table.particular(SELF_NAME)
-    return memory.add_temporary(time, subject, content, (RULE_EXPERIENCE,))
+    return memory.add("temporary", time, subject, content, (RULE_EXPERIENCE,))
 
 
 def apply_T_open(
@@ -294,10 +297,7 @@ def add_rule(
     content = table.interpret(implication_formula(antecedent, consequent))
     time = table.particular("in_present")
     subject = table.particular(SELF_NAME)
-    memory, atom, _ = memory.add_permanent(
-        time, subject, content, (RULE_EXPERIENCE,)
-    )
-    return memory, atom
+    return memory.add("permanent", time, subject, content, (RULE_EXPERIENCE,))[:2]
 
 
 def forward_chain(
@@ -320,7 +320,7 @@ def forward_chain(
     """
     if budget < 0:
         raise EpistemicError("budget must be >= 0")
-    ws = _WorkingSet(memory.temporary, memory.permanent, memory.next_id)
+    ws = _WorkingSet(memory)
     steps: list[TraceStep] = []
     pending: dict[int, tuple[KnowAtom, list[Concept]]] = {}  # T_b's atoms T_a has not read
     visited = {RULE_T_OPEN: None, RULE_AXK: None, RULE_AX4: None}
@@ -436,7 +436,7 @@ def consolidate(
         return memory, ()
     tau_term = tau if isinstance(tau, Constant) else Constant(str(tau))
     steps: list[TraceStep] = []
-    ws = _WorkingSet((), memory.permanent, memory.next_id)
+    ws = _WorkingSet(Memory((), memory.permanent, memory.next_id))
     for atom in memory.temporary:
         content = stamp(atom.content, tau_term.name, table)
         derived, added = ws.add(

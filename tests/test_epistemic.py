@@ -226,8 +226,8 @@ class TestIntrospection:
     def test_twice_gives_distinct_nested_concepts(self, scenario):
         atom = scenario.experience()
         once = apply_4(atom, scenario.table)
-        mem, nested, _ = scenario.memory.add_temporary(
-            atom.time, atom.subject, once, ("derived", "Ax4", (atom.id,)), depth=1
+        mem, nested, _ = scenario.memory.add(
+            "temporary", atom.time, atom.subject, once, ("derived", "Ax4", (atom.id,)), depth=1
         )
         twice = apply_4(nested, scenario.table)
         assert twice is not once
@@ -739,31 +739,39 @@ def test_answer_matches_the_rescanning_reference_property():
 
 class TestKnownIndex:
     def test_one_memory_builds_its_index_once(self, monkeypatch):
+        """A memory grows its index from its parent's: a write indexes
+        the atoms it adds, answers index nothing, and only a memory built
+        from its stores indexes every atom."""
         builds = []
         build = epistemic._proposition_index
 
-        def counted(atoms):
+        def counted(atoms, *held):
             builds.append(len(atoms))
-            return build(atoms)
+            return build(atoms, *held)
 
         monkeypatch.setattr(epistemic, "_proposition_index", counted)
         text, budget, questions = chain_kb(19)
-        session = load_kb(text)
+        session = load_kb(text + "particular b\n")
+        held = len(session.memory.atoms())
         builds.clear()
-        session.chain(budget)
-        # chaining builds the index with the memory it returns, so no
-        # answer pays for it
-        size = len(session.memory.atoms())
-        assert len(questions) == 21 and builds == [size]
-        for q in questions:
-            session.answer(session.parse(q))
-        assert builds == [size]
-        # a copy of the memory builds its own when it is made
+        steps = session.chain(budget)
+        # chaining indexes only the atoms it derived
+        assert len(questions) == 21 and held == 20 and builds == [len(steps)] == [60]
+        builds.clear()
+        session.execute("know << p3(b) >>")
+        assert builds == [1]
+        session.execute("know << p3(b) >>")  # held already: nothing to index
+        assert builds == [1]
+        answers = [session.answer(session.parse(q)) for q in questions]
+        assert builds == [1]
+        # a copy of the memory indexes every atom once, when it is made,
+        # and answers the same without indexing again
         copy = replace(session.memory)
-        assert builds == [size, size]
-        for q in questions:
-            answer(copy, session.world, session.parse(q), session.table)
-        assert builds == [size, size]
+        size = len(session.memory.atoms())
+        assert builds == [1, size] and size == 81
+        assert [answer(copy, session.world, session.parse(q), session.table)
+                for q in questions] == answers
+        assert builds == [1, size]
 
     def test_a_new_memory_value_gets_its_own_index(self):
         session = load_kb("predicate p/1\nparticular a\n")
@@ -789,12 +797,73 @@ class TestKnownIndex:
 
     def test_a_content_that_is_not_a_concept_is_named(self):
         a = ConceptTable(Vocabulary()).particular("a")
-        for add in (Memory().add_temporary, Memory().add_permanent):
+        for store in ("temporary", "permanent"):
             with pytest.raises(EpistemicError,
                                match=r"^known content must be a concept, got a in k1$"):
-                add(a, a, a, ())
+                Memory().add(store, a, a, a, ())
         with pytest.raises(EpistemicError, match=r"got a in k7$"):
             Memory(permanent=(KnowAtom(7, a, a, a, ("experience",)),))
+
+
+class TestCarriedIndex:
+    """A memory grown write by write carries the index that building it
+    from its stores gives."""
+
+    @staticmethod
+    def assert_same_as_rebuilt(session, questions, context):
+        m = session.memory
+        fresh = Memory(m.temporary, m.permanent, m.next_id)
+        assert m.keys == fresh.keys, context
+        assert m.known_ids == fresh.known_ids, context
+        assert m.know_relation == fresh.know_relation, context
+        for atom in fresh.atoms():
+            assert m.get(atom.id) is fresh.get(atom.id), context
+        for memory in (m, fresh):
+            with pytest.raises(EpistemicError, match="no atom with id"):
+                memory.get(m.next_id)
+        world = session.world.with_memory(fresh)
+        for q in questions:
+            f = session.parse(q)
+            assert session.answer(f) == answer(fresh, world, f, session.table), (context, q)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_sessions_match_a_rebuilt_memory(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(3, 6)
+        text, budget, questions = chain_kb(n)
+        session = load_kb(text + "particular b\n")
+        questions += [f"p{i}({c})" for i in range(n + 1) for c in "ab"]
+        questions += [f"Know(in_present, me, << p{i}(a) >>)" for i in range(n + 1)]
+        questions.append("E{1} Know(in_present, me, ?x)")
+        written: list[str] = []
+        self.assert_same_as_rebuilt(session, questions, (seed, "load"))
+        for step in range(24):
+            kind = rng.choice(("know", "know", "rule", "chain", "consolidate", "again"))
+            i, j = rng.randrange(n + 1), rng.randrange(n + 1)
+            if kind == "know":
+                line = rng.choice((f"know << p{i}({rng.choice('ab')}) >>",
+                                   f"know << p{i}(?x) >>_{{x}}"))
+            elif kind == "rule":
+                line = f"rule p{i}(?x) => p{j}(?x)"
+            elif kind == "again" and written:
+                line = rng.choice(written)
+            else:
+                line = None
+            if line is not None:
+                session.execute(line)
+                written.append(line)
+            elif kind == "chain":
+                session.chain(rng.randint(0, budget + 1))
+            elif kind == "consolidate":
+                session.consolidate(f"t{step}")
+            self.assert_same_as_rebuilt(session, questions, (seed, step, kind, line))
+
+    def test_a_key_held_twice_finds_its_first_atom(self):
+        (first,) = load_kb("predicate p/0\nknow << p() >>\n").memory.temporary
+        both = Memory((first,), (replace(first, id=2),), 3)
+        assert both.find(*first.key()) is first
+        assert both.add("permanent", *first.key(), ())[1:] == (first, False)
+        assert len(both.know_relation.tuples) == 1
 
 
 class TestGetById:

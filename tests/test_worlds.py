@@ -386,8 +386,8 @@ class TestLayoutOracle:
         for _ in range(40):
             memory = Memory()
             for _ in range(rng.randint(0, 12)):
-                memory, _, _ = memory.add_temporary(
-                    rng.choice(domain), rng.choice(domain), rng.choice(contents), ()
+                memory, _, _ = memory.add(
+                    "temporary", rng.choice(domain), rng.choice(domain), rng.choice(contents), ()
                 )
             rows = frozenset((a.time, a.subject, a.content) for a in memory.atoms())
             world = World(particulars=frozenset(particulars), memory=memory)
