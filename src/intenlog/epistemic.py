@@ -448,25 +448,24 @@ def consolidate(
     return ws.freeze(), tuple(steps)
 
 
-def answer(memory: Memory, world: World, query: Formula, table: ConceptTable) -> str:
-    """Answer a sentence with yes, no or unknown.
+def answer(memory: Memory, world: World, concept: Concept, table: ConceptTable) -> str:
+    """Answer a sentence, given as its concept, with yes, no or unknown.
 
-    Yes when the query is a held proposition or a conjunct on the
+    Yes when the concept is a held proposition or a conjunct on the
     conjunction spine of one, or evaluates true in the world; no when
     its negation does (evaluation is closed-world over the active
     domain); unknown when the query cannot be decided either way.  The
     memory side is a lookup in ``Memory.known_ids``, built with the
     memory value, so answers over one memory do not rescan it.
     """
-    if free_var_tuple(query):
+    if concept.arity:
         raise EpistemicError("queries must be sentences")
     known = memory.known_ids
-    concept = table.interpret(query)
     if concept.id in known:
         return "yes"
     if table.neg(concept).id in known:
         return "no"
-    if isinstance(query, Neg) and concept.children[0].id in known:
+    if concept.op == "neg" and concept.children[0].id in known:
         return "no"
     try:
         return "yes" if extension(world, concept).tuples else "no"

@@ -29,14 +29,13 @@ the input, and when a line raises, so after an error the session holds
 every line before the failing one.  A directive run on its own (through
 ``execute``, as the repl does) publishes its write at once.
 
-A query text is parsed once per session: ``Session.parse``, which the
-repl's ``eval`` and ``answer`` use, keeps the formula of each text that
-parses and returns it for every later read of that text.  A text's
-formula depends only on the text and the declared predicates, which are
-never removed, and formulas are immutable, so a kept formula is the one a
-new parse would build.  Parse errors are not kept.  Directive lines
-(``assert``, ``rule``, ``know`` and every ``load_kb`` line) are parsed
-each time and not kept, so loading a KB leaves nothing behind.
+A query text is parsed and interpreted once per session: ``Session.parse``,
+which the repl's ``eval`` and ``answer`` use, keeps the formula of each
+text that parses, and a sentence's concept, interned at its first parse,
+for every later read.  Parse errors are not kept, nor are texts whose
+interpretation raises.  Directive lines (``assert``, ``rule``, ``know``
+and every ``load_kb`` line) are parsed each time and not kept, so loading
+a KB leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -85,6 +84,7 @@ class Session:
         self._rows: dict[Concept, set[tuple]] | None = None
         self._particulars: set | None = None
         self._parsed: dict[str, Formula] = {}  # query text -> its formula
+        self._concepts: dict[int, Concept] = {}  # id of a kept sentence -> its concept
 
     @property
     def memory(self) -> Memory:
@@ -188,7 +188,10 @@ class Session:
     # -- engine commands ------------------------------------------------
 
     def eval_formula(self, f: Formula) -> bool:
-        return worlds.eval_sentence(self.world, f, self.table)
+        concept = self._concepts.get(id(f))
+        if concept is None:  # an open formula, or one this session did not parse
+            return worlds.eval_sentence(self.world, f, self.table)
+        return bool(worlds.extension(self.world, concept).tuples)
 
     def chain(self, budget: int | None = None) -> tuple[TraceStep, ...]:
         memory, steps = epistemic.forward_chain(
@@ -208,7 +211,12 @@ class Session:
         return steps
 
     def answer(self, f: Formula) -> str:
-        return epistemic.answer(self.memory, self.world, f, self.table)
+        concept = self._concepts.get(id(f))
+        if concept is None:  # an open formula, or one this session did not parse
+            if f.free_vars:  # rejected before its interpretation interns anything
+                raise epistemic.EpistemicError("queries must be sentences")
+            concept = self.table.interpret(f)
+        return epistemic.answer(self.memory, self.world, concept, self.table)
 
     def render(self, atom_id: int) -> str:
         return render_nl(self.memory.get(atom_id), self.table, self.templates)
@@ -217,16 +225,22 @@ class Session:
 
     def parse(self, text: str, col: int = 0) -> Formula:
         """The formula of the query ``text``, which starts at 0-based column
-        ``col`` of its line.  The formula of every text that parses is kept
-        and returned again for that text.  This is sound: formulas are
-        immutable values, and a parse reads only the text and
-        ``Vocabulary.resolve``, whose declared predicates are never removed,
-        so a text that parsed once always parses to an equal formula.  A
-        ``ParseError`` is never kept, so a text that names a predicate not
-        yet declared parses once it is declared."""
+        ``col`` of its line.  The formula of every text that parses is kept,
+        with a sentence's concept keyed by the formula's id, which the kept
+        formula holds.  This is sound: formulas are immutable, a parse reads
+        only the text and declared predicates, which are never removed, and
+        the concept table only grows.  A ``ParseError`` is never kept, nor a
+        sentence whose interpretation raises, which a read then reports; an
+        open formula, which no read accepts, is not interpreted."""
         f = self._parsed.get(text)
         if f is None:
-            f = self._parsed[text] = self._parse_at(parse_formula, text, col)
+            f = self._parse_at(parse_formula, text, col)
+            if not f.free_vars:
+                try:
+                    self._concepts[id(f)] = self.table.interpret(f)
+                except (ConceptError, RecursionError):
+                    return f
+            self._parsed[text] = f
         return f
 
     def execute(self, line: str, line_no: int | None = None) -> str | None:

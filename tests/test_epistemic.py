@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from intenlog import epistemic
+from intenlog.checks import _random_formula
 from intenlog.epistemic import (
     EpistemicError,
     KnowAtom,
@@ -36,6 +37,7 @@ from intenlog.syntax import (
     Vocabulary,
     free_var_tuple,
     serialize,
+    substitute,
 )
 from intenlog.worlds import (
     MissingExtensionError,
@@ -551,26 +553,30 @@ def _unstamp(f, tau, table):
 class TestAnswer:
     def test_open_query_rejected(self, scenario):
         with pytest.raises(EpistemicError, match="sentence"):
-            answer(scenario.memory, scenario.world, scenario.command, scenario.table)
+            answer(scenario.memory, scenario.world, scenario.table.interpret(scenario.command),
+                   scenario.table)
 
     def test_memory_known_yes(self, scenario):
         term = AbstractedTerm(scenario.query)
         scenario.memory, _, _ = assert_experience(
             scenario.memory, term, {}, scenario.table
         )
-        got = answer(scenario.memory, scenario.world, scenario.query, scenario.table)
+        got = answer(scenario.memory, scenario.world, scenario.table.interpret(scenario.query),
+                     scenario.table)
         assert got == "yes"
 
     def test_world_eval_closed_world_no(self, scenario):
         f = Atom(
             scenario.vocabulary.resolve("videoclips", 1), (Constant("clip_nope"),)
         )
-        assert answer(scenario.memory, scenario.world, f, scenario.table) == "no"
+        assert answer(scenario.memory, scenario.world, scenario.table.interpret(f),
+                      scenario.table) == "no"
 
     def test_unknown_when_unevaluable(self, scenario):
         scenario.vocabulary.declare("mystery", 0)
         f = Atom(scenario.vocabulary.resolve("mystery", 0), ())
-        assert answer(scenario.memory, scenario.world, f, scenario.table) == "unknown"
+        assert answer(scenario.memory, scenario.world, scenario.table.interpret(f),
+                      scenario.table) == "unknown"
 
     def test_conjunct_extraction(self, scenario):
         scenario.experience()
@@ -583,7 +589,7 @@ class TestAnswer:
         assert isinstance(sentence, Conj) and not sentence.pairs
         for part in (sentence.lhs, sentence.rhs):
             assert answer(
-                scenario.memory, scenario.world, part, scenario.table
+                scenario.memory, scenario.world, scenario.table.interpret(part), scenario.table
             ) == "yes"
 
 
@@ -737,6 +743,39 @@ def test_answer_matches_the_rescanning_reference_property():
             )
 
 
+def test_answer_decides_on_the_concept_as_the_formula_did():
+    """``answer`` reads only the concept: a concept's arity is its
+    formula's free-variable count, and over seeded random sentences,
+    plain and negated, some known and some known negated, it gives the
+    formula-reading reference's answer, through a kept or a hand-built
+    formula."""
+    rng = random.Random(23)
+    session = load_kb("predicate p/1\npredicate q/2\npredicate r/0\npredicate s/1\n"
+                      "particular b\nassert p(a)\nassert q(a, b)\nassert r()\n")
+    table = session.table
+    preds = [session.vocabulary.resolve(*k) for k in (("p", 1), ("q", 2), ("r", 0), ("s", 1))]
+    variables = [Variable(n) for n in "xyz"]
+    sentences = []
+    for i in range(200):
+        f = _random_formula(rng, preds, variables, [rng.randint(0, 6)])
+        assert table.interpret(f).arity == len(f.free_vars), serialize(f)
+        if f.free_vars:
+            f = substitute(f, {v: Constant(rng.choice("ab")) for v in f.free_vars})
+        if i % 5 == 0:
+            session.know_term(AbstractedTerm(f))
+        elif i % 5 == 1:
+            session.know_term(AbstractedTerm(Neg(f)))
+        sentences += [f, Neg(f)]
+    got = set()
+    for f in sentences:
+        want = reference_answer(session.memory, session.world, f, table)
+        assert answer(session.memory, session.world, table.interpret(f), table) == want
+        assert session.answer(f) == want, serialize(f)
+        assert session.answer(session.parse(serialize(f))) == want, serialize(f)
+        got.add(want)
+    assert got == {"yes", "no", "unknown"}
+
+
 class TestKnownIndex:
     def test_one_memory_builds_its_index_once(self, monkeypatch):
         """A memory grows its index from its parent's: a write indexes
@@ -769,8 +808,8 @@ class TestKnownIndex:
         copy = replace(session.memory)
         size = len(session.memory.atoms())
         assert builds == [1, size] and size == 81
-        assert [answer(copy, session.world, session.parse(q), session.table)
-                for q in questions] == answers
+        concepts = [session.table.interpret(session.parse(q)) for q in questions]
+        assert [answer(copy, session.world, u, session.table) for u in concepts] == answers
         assert builds == [1, size]
 
     def test_a_new_memory_value_gets_its_own_index(self):
@@ -781,8 +820,9 @@ class TestKnownIndex:
         session.execute("know << p(a) >>")
         assert session.memory is not old
         assert session.answer(query) == "yes"
-        assert answer(old, session.world, query, session.table) == "unknown"
-        assert answer(replace(session.memory), session.world, query, session.table) == "yes"
+        concept = session.table.interpret(query)
+        assert answer(old, session.world, concept, session.table) == "unknown"
+        assert answer(replace(session.memory), session.world, concept, session.table) == "yes"
 
     def test_the_index_is_not_part_of_the_value(self):
         memory = load_kb("predicate p/0\nknow << p() >>\n").memory
@@ -824,7 +864,8 @@ class TestCarriedIndex:
         world = session.world.with_memory(fresh)
         for q in questions:
             f = session.parse(q)
-            assert session.answer(f) == answer(fresh, world, f, session.table), (context, q)
+            want = answer(fresh, world, session.table.interpret(f), session.table)
+            assert session.answer(f) == want, (context, q)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_sessions_match_a_rebuilt_memory(self, seed):

@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
+from intenlog import epistemic
 from intenlog.checks import _random_formula
-from intenlog.cli import main, repl
+from intenlog.cli import ENGINE_ERRORS, main, repl
 from intenlog.demo import NL_QUERY, build_demo_session, fixture_text, write_trace
 from intenlog.grounding import (
     corpus_process,
@@ -27,8 +28,9 @@ from intenlog.kb import (
     load_kb,
 )
 from intenlog.parser import ParseError, parse_formula
+from intenlog.prp import ConceptTable
 from intenlog.syntax import AbstractedTerm, Atom, Constant, TimeValue, Variable, serialize
-from intenlog.worlds import WorldError
+from intenlog.worlds import WorldError, eval_sentence
 
 
 class TestLoadKB:
@@ -267,26 +269,89 @@ class TestWorldParticulars:
         assert names == {p.name for p in Session().table.particulars()} | {"a"}
 
 
+def seeded_query_texts(count: int = 300):
+    """A session over p/1, q/2 and r/0, and ``count`` seeded random query
+    texts over them, with Know atoms and abstractions among the leaves."""
+    rng = random.Random(19)
+    session = load_kb("predicate p/1\npredicate q/2\npredicate r/0\n"
+                      "assert p(a)\nassert q(a, b)\nassert r()\n")
+    preds = [session.vocabulary.resolve(*k) for k in (("p", 1), ("q", 2), ("r", 0))]
+    variables = [Variable(n) for n in "xyz"]
+    know = session.vocabulary.resolve("Know", 3)
+    leaves = [
+        Atom(know, (TimeValue("in_present"), Constant("me"),
+                    AbstractedTerm(Atom(preds[1], (variables[0], Constant("a"))),
+                                   (variables[0],)))),
+        Atom(preds[0], (AbstractedTerm(Atom(preds[1], (variables[0], variables[1])),
+                                       (variables[0],), (variables[1],)),)),
+    ]
+    texts = [serialize(_random_formula(rng, preds, variables, [rng.randint(0, 8)], leaves))
+             for _ in range(count)]
+    return session, texts
+
+
+def read(session, f) -> tuple[str, str]:
+    """What the repl prints for ``eval`` and ``answer`` of ``f``."""
+    out = []
+    for reader in (lambda: "t" if session.eval_formula(f) else "f",
+                   lambda: session.answer(f)):
+        try:
+            out.append(reader())
+        except ENGINE_ERRORS as exc:
+            out.append(f"error: {exc}")
+    return tuple(out)
+
+
 class TestParseCache:
     def test_a_kept_formula_equals_a_fresh_parse(self):
-        rng = random.Random(19)
-        session = load_kb("predicate p/1\npredicate q/2\npredicate r/0\n")
-        preds = [session.vocabulary.resolve(*k) for k in (("p", 1), ("q", 2), ("r", 0))]
-        variables = [Variable(n) for n in "xyz"]
-        know = session.vocabulary.resolve("Know", 3)
-        leaves = [
-            Atom(know, (TimeValue("in_present"), Constant("me"),
-                        AbstractedTerm(Atom(preds[1], (variables[0], Constant("a"))),
-                                       (variables[0],)))),
-            Atom(preds[0], (AbstractedTerm(Atom(preds[1], (variables[0], variables[1])),
-                                           (variables[0],), (variables[1],)),)),
-        ]
-        texts = [serialize(_random_formula(rng, preds, variables, [rng.randint(0, 8)], leaves))
-                 for _ in range(300)]
+        session, texts = seeded_query_texts()
         for text in texts + texts:  # the second pass reads only kept formulas
             f = session.parse(text)
             assert f == parse_formula(text, session.vocabulary), text
             assert session.parse(text) is f, text
+            # a sentence keeps the concept its interpretation interns; an
+            # open formula, which no read accepts, keeps none
+            kept = session._concepts.get(id(f))
+            assert kept is (None if f.free_vars else session.table.interpret(f)), text
+        sentences = sum(not session.parse(t).free_vars for t in texts)
+        assert 0 < sentences < len(texts)
+
+    def test_a_repeated_read_interprets_and_interns_nothing(self, monkeypatch):
+        """The first read of each text gives what a session that parses
+        nothing gives; four more reads give it again without calling
+        ``interpret``, and leave the concepts and particulars as they were."""
+        session, texts = seeded_query_texts()
+        reference, _ = seeded_query_texts(0)
+        first = [read(session, session.parse(t)) for t in texts]
+        assert first == [read(reference, parse_formula(t, reference.vocabulary)) for t in texts]
+        dumps = dump_concepts(session), session.table.particulars()
+        assert dumps[0] == dump_concepts(reference)
+        calls = []
+        interpret = ConceptTable.interpret
+        monkeypatch.setattr(ConceptTable, "interpret",
+                            lambda table, f: calls.append(f) or interpret(table, f))
+        for _ in range(4):
+            assert [read(session, session.parse(t)) for t in texts] == first
+        assert calls == []
+        assert (dump_concepts(session), session.table.particulars()) == dumps
+
+    def test_a_formula_of_another_session_reads_with_its_own_table(self):
+        one = load_kb("predicate p/1\nassert p(a)\n")
+        other = load_kb("predicate q/2\npredicate p/1\nassert q(a, b)\nassert p(b)\n")
+        f = one.parse("p(a)")
+        assert (one.eval_formula(f), one.answer(f)) == (True, "yes")
+        assert (other.eval_formula(f), other.answer(f)) == (False, "no")
+        assert one.table.interpret(f).id != other.table.interpret(f).id
+        assert id(f) in one._concepts and id(f) not in other._concepts
+
+    def test_a_text_whose_interpretation_raises_is_not_kept(self):
+        session = Session()
+        text = "~ " * (5 * sys.getrecursionlimit()) + "Top"
+        f = session.parse(text)
+        assert session._parsed == {} and session._concepts == {}
+        with pytest.raises(RecursionError):
+            session.eval_formula(f)
+        assert session.parse(text) is not f
 
     def test_a_parse_error_is_not_kept(self):
         session = Session()
@@ -458,6 +523,43 @@ class TestRepl:
             "eval q(a)\npredicate q/1\nassert q(b)\neval q(a)\nanswer q(a)\nassert q(a)\n"
             "eval q(a)\nanswer q(a)\nquit\n")
         assert out == ["error: line 1, col 6: undeclared predicate q", "f", "no", "t", "yes"]
+        # a Know-backed atom, a grounded predicate, and one text across
+        # chain and consolidate: the concept is kept, the answer never is
+        know = "eval Know(in_present, me, << wet() >>)"
+        scripts = {
+            "know": ["predicate wet/0", "answer wet()", know, "know << wet() >>",
+                     "answer wet()", know],
+            "ground": ["predicate wet/0", "eval wet()", "answer wet()", "ground wet sunny",
+                       "eval wet()", "answer wet()"],
+            "chain": ["predicate raining/0", "predicate wet/0", "assert raining()",
+                      "rule raining() => wet()", "know << raining() >>", "answer wet()",
+                      "answer ~ wet()", know, "chain --budget 0", "answer wet()", know,
+                      "consolidate --tau t1", "answer wet()", know, "answer ~ wet()"],
+        }
+        for case, lines in scripts.items():
+            session = Session()
+            session.registry.register_process(truth_process("sunny", True))
+            reads = {}
+            for line in lines:
+                out = self.run(line + "\n", session)
+                head, _, text = line.partition(" ")
+                if head in ("eval", "answer"):
+                    assert out == [self.fresh_read(session, head, text)], (case, line)
+                    reads.setdefault(line, set()).update(out)
+            assert all(len(outs) > 1 for outs in reads.values()), (case, reads)
+            assert set(session._parsed) == {line.partition(" ")[2] for line in reads}
+
+    @staticmethod
+    def fresh_read(session, head, text):
+        """The read of ``text`` through a new parse and interpretation."""
+        f = parse_formula(text, session.vocabulary)
+        try:
+            if head == "eval":
+                return "t" if eval_sentence(session.world, f, session.table) else "f"
+            concept = session.table.interpret(f)
+            return epistemic.answer(session.memory, session.world, concept, session.table)
+        except ENGINE_ERRORS as exc:
+            return f"error: {exc}"
 
     def test_a_malformed_render_id_answers_with_the_usage(self):
         out = self.run("render k\nrender kx\nquit\n")
