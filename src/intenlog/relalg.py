@@ -29,16 +29,22 @@ first row of ``r1`` whose key lies in the domain and has fewer than
 Each runs the checks of its operator, in the same order, so it fails
 where the operator would.
 
-Everything here is a pure function over immutable values.  The one
-cache is a relation's column index (``Relation.index``), which joins and
-atom reads group rows by: built on first use and kept on the value it
-describes, it is excluded from equality, hashing and repr, so no caller
-can observe it except by its speed.  ``Relation.with_rows`` adds many
-rows in one write and carries every index built so far, sharing all
-buckets but those the new rows join; so a bucket never changes once
-built.  Operator results are built by ``Relation.trusted``, which checks
-nothing since they have the right shape by construction; a relation
-built from outside is checked when it is made.
+Everything here is a pure function over immutable values.  A relation
+keeps two caches, each built on first use and kept on the value it
+describes, and excluded from equality, hashing and repr, so no caller
+can observe them except by their speed.  One is its column index
+(``Relation.index``), which joins and atom reads group rows by.  The
+other, ``Relation._layouts``, holds the extension (a truth value) of
+each ground atom concept read from the relation, keyed by the concept;
+``worlds`` fills it, so the worlds that share the relation lay such an
+atom out once.
+``Relation.with_rows`` adds many rows in one write and carries every
+index built so far, sharing all buckets but those the new rows join;
+so a bucket never changes once built.  The grown relation starts with
+no layouts, since the new rows may change any of them.  Operator
+results are built by ``Relation.trusted``, which checks nothing since
+they have the right shape by construction; a relation built from
+outside is checked when it is made.
 """
 
 from __future__ import annotations
@@ -70,6 +76,7 @@ class Relation:
     arity: int
     tuples: frozenset
     _index: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _layouts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.arity < 0:
@@ -90,9 +97,7 @@ class Relation:
         tuples of that length, built without checking them: for operator
         output, which has that shape by construction."""
         out = object.__new__(cls)
-        object.__setattr__(out, "arity", arity)
-        object.__setattr__(out, "tuples", rows)
-        object.__setattr__(out, "_index", {})
+        out.__dict__.update(arity=arity, tuples=rows, _index={}, _layouts={})
         return out
 
     def index(self, cols: tuple[int, ...]) -> dict[tuple, list[tuple]]:
@@ -109,7 +114,8 @@ class Relation:
     def with_rows(self, rows) -> Relation:
         """This relation plus ``rows``, or itself when it holds them all.
         Each index built so far carries over with the new rows added to
-        their buckets; every other bucket is shared."""
+        their buckets; every other bucket is shared.  No layout carries
+        over."""
         new = set()
         for row in rows:
             if type(row) is not tuple or len(row) != self.arity:

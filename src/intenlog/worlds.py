@@ -23,15 +23,23 @@ A world is a value.  Updating its base, grounded concepts, particulars
 or memory returns a new world that shares everything it did not
 replace, so a world held elsewhere never changes.  Every extension it
 builds is memoized per world and concept.  Atoms read base relations
-through their column index (a ground atom is one membership test), which
-outlives a world as long as later worlds share the relation; an atom
-over distinct variables reads the relation itself.  A write
-(``with_rows``) adds many rows, across predicates, and particulars in
-one new world: each base relation it grows carries its built indexes
-over, and the world carries the active domain over, grown by the new
-elements, when it was built.
-The active domain (its particulars plus every element of its base and
-grounded relations) is built once per world.  Know atoms read the Know
+(including those bound processes installed) and the memory's Know
+relation through their column index (a ground atom is one membership
+test), which outlives a world as long as later worlds share the
+relation; an atom over distinct variables reads the relation itself.  A
+ground atom's extension, a truth value, lives on the relation it reads:
+it is laid out once per relation and kept there for every later world
+that shares the relation, so a write leaves the ground atoms of the
+predicates it did not grow laid out.  An open atom's extension owns its
+rows, so it is laid out per world and freed with the world's memo, not
+kept until the relation is replaced; identity atoms, which read the
+active domain, are built per world.
+A write (``with_rows``) adds many rows, across predicates, and
+particulars in one new world: each base relation it grows carries its
+built indexes over but no layout, and the world carries the active
+domain over, grown by the new elements, when it was built.  The active
+domain (its particulars plus every element of its base and grounded
+relations) is built once per world.  Know atoms read the Know
 relation of the world's memory, which worlds sharing that memory share.
 An identity with a constant holds only of that constant, and only when
 it is a domain element.  Known concepts are not elements, so negating
@@ -90,13 +98,20 @@ def is_canonical_atom(u: Concept) -> bool:
     return len(names) == len(u.entries) and len(set(names)) == len(names)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class World:
-    pred_base: Mapping[tuple[str, int], Relation] = field(default_factory=dict)
-    particulars: frozenset = frozenset()
-    memory: Memory | None = None
-    grounded: Mapping[int, Relation] = field(default_factory=dict)  # by concept id
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    pred_base: Mapping[tuple[str, int], Relation]
+    particulars: frozenset
+    memory: Memory | None
+    grounded: Mapping[int, Relation]  # by concept id
+    _memo: dict = field(repr=False)
+
+    def __init__(self, pred_base: Mapping[tuple[str, int], Relation] | None = None,
+                 particulars: frozenset = frozenset(), memory: Memory | None = None,
+                 grounded: Mapping[int, Relation] | None = None):
+        self.__dict__.update(
+            pred_base={} if pred_base is None else pred_base, particulars=particulars,
+            memory=memory, grounded={} if grounded is None else grounded, _memo={})
 
     def with_base(self, concept: Concept, relation: Relation) -> "World":
         """A new world with the predicate's base relation replaced; the
@@ -267,7 +282,14 @@ def _atom_extension(world: World, u: Concept) -> Relation:
         base = world.pred_base.get((pred.name, pred.arity))
     if base is None:
         raise MissingExtensionError(u)
-    return _layout(u, base)
+    if u.arity:  # an open atom's layout owns its rows: it lives in the world's memo
+        return _layout(u, base)
+    found = base._layouts.get(u)
+    if found is None:
+        found = _layout(u, base)
+        if found is not base:  # keep nothing on the truth constants every session shares
+            base._layouts[u] = found
+    return found
 
 
 def _open_know_atom(u: Concept) -> str | None:

@@ -9,12 +9,16 @@ constant nothing asserted.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import random
 
+from intenlog import relalg
 from intenlog.checks import tarski_eval
 from intenlog.demo import build_demo_session
 from intenlog.grounding import corpus_process
 from intenlog.kb import Session, load_kb
+from intenlog.relalg import Relation
 from intenlog.syntax import (
     AbstractedTerm,
     Atom,
@@ -28,7 +32,7 @@ from intenlog.syntax import (
     serialize,
     serialize_term,
 )
-from intenlog.worlds import extension, satisfying_assignments
+from intenlog.worlds import World, extension, satisfying_assignments
 
 KB = """\
 predicate p/1
@@ -206,3 +210,119 @@ def test_negation_reads_do_not_depend_on_the_memo():
             assert neg.id in primed.world._memo
             assert primed.eval_formula(primed.parse(read)) == truth, (seed, read)
             assert tarski_eval(primed.world, f, {}, primed.table) == truth, (seed, read)
+
+
+# kept reads of the random sessions below: ground atoms (whose layouts
+# the relations keep), some of which a write may make true, partly ground
+# and repeated-variable atoms, Know atoms, the bound predicate g,
+# identities (which read the active domain), and joins and negations
+SESSION_READS = (
+    "r0(c1, c2)",
+    "r0(c2, c1)",
+    "u0(c2)",
+    "u1(c1)",
+    "Know(in_present, me, << u1(c2) >>)",
+    "u0(c2) /\\{} ~ r0(c2, c1)",
+    "g(c1)",
+    "Know(in_present, me, << u0(c1) >>)",
+    "Know(in_present, me, << Know(in_present, me, << u0(c2) >>) >>)",
+    "E{1} (u0(?x) /\\{(1,1)} ~ r0(?x, c2))",
+    "E{1} E{1} (r0(?x, ?y) /\\{(2,1)} ~ u1(?y))",
+    "E{1} ~ r0(c0, ?y)",
+    "r0(c1, ?y)",
+    "r0(?x, c2)",
+    "r0(?x, ?x)",
+    "t0(?x, c1, ?z)",
+    "t0(?x, ?y, ?x)",
+    "g(?x)",
+    "Know(?t, me, << u0(c2) >>)",
+    "?x = ?x",
+    "?x = c7",
+    "r0(?x, ?y) /\\{(2,1)} u0(?y)",
+    "r0(c1, ?y) /\\{(1,1)} g(?y)",
+    "u1(?x) /\\{(1,1)} ~ r0(?x, c3)",
+    "~ u0(?x)",
+    "E{1} (t0(?x, ?y, c2) /\\{(1,2), (2,1)} ~ r0(?y, ?x))",
+)
+SESSION_KB = """\
+predicate u0/1
+predicate u1/1
+predicate r0/2
+predicate t0/3
+predicate g/1
+ground g clips
+assert u0(c0)
+assert u1(c3)
+assert r0(c1, c2)
+assert t0(c1, c1, c2)
+"""
+
+
+def random_session_step(rng, session) -> str:
+    """One write: an assert of a new or a held row, a new particular, a
+    ``know`` or a ``chain``; returns its text."""
+    names = ["c%d" % i for i in range(rng.randint(4, 9))]
+    shape = rng.choice(("new", "new", "new", "held", "particular", "know", "chain"))
+    held = [(pred, row) for (pred, _), rel in sorted(session.world.pred_base.items())
+            if pred != "g" for row in rel.tuples]
+    if shape == "held" and held:
+        pred, row = rng.choice(held)
+        text = f"assert {pred}({', '.join(e.name for e in row)})"
+    elif shape == "particular":
+        text = f"particular {rng.choice(names)}"
+    elif shape == "know":
+        text = f"know << {rng.choice(('u0', 'u1'))}({rng.choice(names)}) >>"
+    elif shape == "chain":
+        session.chain(1)
+        return "chain"
+    else:
+        pred, arity = rng.choice((("u0", 1), ("u1", 1), ("r0", 2), ("r0", 2), ("t0", 3)))
+        text = f"assert {pred}({', '.join(rng.choice(names) for _ in range(arity))})"
+    session.execute(text)
+    return text
+
+
+def cache_free(world):
+    """The same world with every relation and the memory rebuilt, so no
+    column index, layout, Know relation or memo carries over."""
+    fresh = lambda rel: Relation(rel.arity, rel.tuples)  # noqa: E731
+    return World({key: fresh(rel) for key, rel in world.pred_base.items()},
+                 world.particulars, dataclasses.replace(world.memory),
+                 {key: fresh(rel) for key, rel in world.grounded.items()})
+
+
+def tarski_rows(world, f, table) -> frozenset:
+    """The rows of ``f`` by brute force: each tuple over the active
+    domain for which ``checks.tarski_eval`` holds."""
+    names = [v.name for v in free_var_tuple(f)]
+    return frozenset(
+        row for row in itertools.product(world.active_domain(), repeat=len(names))
+        if tarski_eval(world, f, dict(zip(names, row)), table)
+    )
+
+
+def test_kept_reads_agree_with_the_oracle_across_random_writes():
+    """Each write leaves every relation it does not grow, with the ground
+    atoms laid out from it, to the next world; no kept read may tell that
+    from a world built afresh or from the Tarski oracle."""
+    for seed in range(8):
+        rng = random.Random(seed)
+        session = Session()
+        session.registry.register_process(
+            corpus_process("clips", [("c1", True), ("c6", False)], session.table)
+        )
+        load_kb(SESSION_KB, session)
+        steps = []
+        for _ in range(24):
+            steps.append(random_session_step(rng, session))
+            world, table = session.world, session.table
+            fresh = cache_free(world)
+            for text in SESSION_READS:
+                f = session.parse(text)
+                concept = table.interpret(f)
+                if free_var_tuple(f):
+                    read = extension(world, concept)
+                else:
+                    read = relalg.truth(session.eval_formula(f))
+                assert read == extension(fresh, concept), (seed, steps, text)
+                assert read.tuples == tarski_rows(world, f, table), (seed, steps, text)

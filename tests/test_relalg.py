@@ -5,6 +5,8 @@ import random
 import pytest
 
 from intenlog.checks import brute_force_join
+from intenlog.epistemic import Memory
+from intenlog.kb import load_kb
 from intenlog.relalg import (
     FALSE,
     RelAlgError,
@@ -17,6 +19,10 @@ from intenlog.relalg import (
     project_out,
     truth,
 )
+from intenlog.worlds import extension
+
+
+LAYOUT_KB = "predicate p/2\nassert p(a, b)\nassert p(a, a)\nassert p(b, b)\n"
 
 
 def rel(arity, *rows):
@@ -198,6 +204,49 @@ class TestRelationValue:
         assert (hash(r), repr(r), r.sorted_rows()) == before
         assert r == twin and hash(r) == hash(twin) and not twin._index
         assert {r: 1}[twin] == 1
+
+    def test_layouts_are_not_observable(self):
+        session = load_kb(LAYOUT_KB)
+        r = session.world.pred_base[("p", 2)]
+        twin = rel(2, *r.tuples)
+        before = (hash(r), repr(r), r.sorted_rows())
+        atom = session.table.interpret(session.parse("p(a, b)"))
+        assert extension(session.world, atom) is TRUE
+        assert r._layouts == {atom: TRUE}
+        # a later world over the same relation reads the atom from it
+        r._layouts[atom] = FALSE
+        assert extension(session.world.with_memory(Memory()), atom) is FALSE
+        r._layouts[atom] = TRUE
+        assert (hash(r), repr(r), r.sorted_rows()) == before
+        assert r == twin and hash(r) == hash(twin) and not twin._layouts
+        assert {r: 1}[twin] == 1
+
+    def test_a_grown_relation_keeps_every_index_and_no_layout(self):
+        session = load_kb(LAYOUT_KB)
+        for text in ("p(a, ?y)", "p(?x, b)", "p(a, b)", "p(b, a)"):
+            extension(session.world, session.table.interpret(session.parse(text)))
+        r = session.world.pred_base[("p", 2)]
+        assert len(r._layouts) == 2 and set(r._index) == {(0,), (1,)}
+        a, c = session.table.particular("a"), session.table.particular("c")
+        assert r.with_rows([(a, a)]) is r
+        grown = r.with_rows([(c, a)])
+        assert not grown._layouts and len(r._layouts) == 2
+        assert set(grown._index) == set(r._index)
+        assert grown.index((0,))[(c,)] == [(c, a)]
+
+    def test_only_a_ground_atom_keeps_its_layout(self):
+        session = load_kb(LAYOUT_KB)
+        r = session.world.pred_base[("p", 2)]
+        for text in ("p(?x, ?y)", "p(?y, ?x)"):  # canonical: the relation itself
+            assert extension(session.world, session.table.interpret(session.parse(text))) is r
+        for text in ("p(a, ?y)", "p(?x, ?x)"):  # open: rows of its own, per world
+            extension(session.world, session.table.interpret(session.parse(text)))
+        assert not r._layouts
+        # a 0-ary predicate may hold a truth constant, which every session shares
+        flag = session.vocabulary.declare("flag", 0)
+        atom = session.table.intern_atom(flag, ())
+        world = session.world.with_base(atom, TRUE)
+        assert extension(world, atom) is TRUE and not TRUE._layouts
 
     def test_frozen_tuple_rows_are_kept_as_given(self):
         rows = frozenset({("a", "b"), ("b", "a")})
