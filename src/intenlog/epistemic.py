@@ -39,7 +39,7 @@ step keeps the concept it derived and recovers its formula when read.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .prp import Concept, ConceptTable, Particular, SELF_NAME, bottom_up
 from .relalg import Relation
@@ -69,7 +69,7 @@ class EpistemicError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class KnowAtom:
     id: int
     time: Particular
@@ -78,6 +78,10 @@ class KnowAtom:
     provenance: tuple
     depth: int = 0
 
+    def __init__(self, id, time, subject, content, provenance, depth=0):
+        self.__dict__.update(id=id, time=time, subject=subject, content=content,
+                             provenance=provenance, depth=depth)
+
     def key(self) -> tuple:
         return (self.time, self.subject, self.content)
 
@@ -85,13 +89,16 @@ class KnowAtom:
         return f"k{self.id}:Know({self.time}, {self.subject}, u{self.content.id})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TraceStep:
     rule: str
     inputs: tuple[int, ...]
     output: int
     content: Concept
     table: ConceptTable = field(repr=False, compare=False)
+
+    def __init__(self, rule, inputs, output, content, table):
+        self.__dict__.update(rule=rule, inputs=inputs, output=output, content=content, table=table)
 
     @property
     def formula(self) -> Formula:
@@ -218,14 +225,10 @@ def assert_experience(
 def apply_T_open(
     atom: KnowAtom, world: World, table: ConceptTable
 ) -> tuple[Concept, list[Concept]] | None:
-    """Reflexivity on open concepts: enumerate the satisfying instances
-    of the content's hidden variables and know their conjunction.
-
-    Returns the conjunction concept together with the instances, each
-    the content with its columns filled by one row, or None when the
-    content is a proposition, has an empty extension, or cannot be
-    extensionalized at all.
-    """
+    """Reflexivity on open concepts: know the conjunction of the content's
+    satisfying instances, each the content filled with one row of its
+    extension by one ``instantiate`` plan.  Returns (conjunction, instances),
+    or None for a proposition or a content with no rows or no extension."""
     if atom.content.arity == 0:
         return None
     try:
@@ -234,12 +237,9 @@ def apply_T_open(
         return None
     if not rel.tuples:
         return None
-    instances = [table.instantiate(atom.content, dict(enumerate(row, 1)))
-                 for row in rel.sorted_rows()]
-    conjunction = instances[-1]
-    for inst in reversed(instances[:-1]):
-        conjunction = table.conj(inst, conjunction, ())
-    return conjunction, instances
+    fill = table.instantiate(atom.content, range(1, atom.content.arity + 1))
+    instances = [fill(row) for row in rel.sorted_rows()]
+    return reduce(lambda acc, inst: table.conj(inst, acc, ()), reversed(instances)), instances
 
 
 def apply_4(atom: KnowAtom, table: ConceptTable) -> Concept:

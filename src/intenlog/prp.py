@@ -19,14 +19,14 @@ handles are freely shareable.  For the same reason the formula
 recovered from a concept is kept per concept id and built at most
 once, its sub-formulas shared with those of its parents.
 
-``instantiate`` fills columns of a concept with elements by position,
-as substituting into its formula and interpreting the result would,
-without building a formula; deduction derives its instances with it.
+``instantiate`` plans once, from a stack, how to fill some columns of a
+concept with a row's elements as substituting into its formula would;
+deduction runs one plan over every row of a known concept's extension.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Callable, Collection, Mapping
 
 from .relalg import RelAlgError, join_pairs
 from .syntax import (
@@ -306,48 +306,70 @@ class ConceptTable:
                 raise ConceptError(f"not a term: {a!r}")
         return tuple(entries)
 
-    def instantiate(self, u: Concept, cols: Mapping[int, Element]) -> Concept:
-        """The concept of ``u``'s formula with the variables of its 1-based
-        columns ``cols`` replaced by their elements, built by position: a
-        joined right column of a conjunction takes its left partner's
-        element, and an abstraction body is filled on its beta names.
-        Concepts are interned in the order that interpreting the
-        substituted formula would intern them."""
-        if not cols:
-            return u
-        if u.op == "atom":  # columns are first occurrences; an abstraction has its beta names
-            groups = (e[3] if e[0] == "a" else (e[1],) for e in u.entries if e[0] != "g")
-            names = tuple(dict.fromkeys(n for group in groups for n in group))
-            filled = {names[i - 1]: e for i, e in cols.items()}
-            entries = []
-            for e in u.entries:
-                if e[0] == "v" and e[1] in filled:
-                    e = ("g", filled[e[1]])
-                elif e[0] == "a" and (inner := {n: filled[n] for n in e[3] if n in filled}):
-                    _, body, alpha, beta = e
-                    columns = enumerate(self.recover(body).free_vars, 1)
-                    body = self.instantiate(
-                        body, {i: inner[v.name] for i, v in columns if v.name in inner})
-                    beta = tuple(n for n in beta if n not in inner)
-                    e = ("a", body, alpha, beta) if beta else ("g", body)
-                entries.append(e)
-            return self.intern_atom(u.predicate, tuple(entries))
-        if u.op == "conj":
-            left, right = u.children
-            k = left.arity
-            partner = {b: a for a, b in u.pairs}
-            survivors = [b for b in range(1, right.arity + 1) if b not in partner]
-            lcols = {i: e for i, e in cols.items() if i <= k}
-            rcols = {survivors[i - k - 1]: e for i, e in cols.items() if i > k}
-            rcols.update((b, lcols[a]) for b, a in partner.items() if a in lcols)
-            pairs = tuple((a - sum(i < a for i in lcols), b - sum(j < b for j in rcols))
-                          for a, b in u.pairs if a not in lcols)
-            return self.conj(self.instantiate(left, lcols), self.instantiate(right, rcols), pairs)
-        if u.op == "neg":
-            return self.neg(self.instantiate(u.children[0], cols))
-        n = u.position  # exists: the body's columns skip position n
-        inner = {i if i < n else i + 1: e for i, e in cols.items()}
-        return self.exists(n - sum(i < n for i in inner), self.instantiate(u.children[0], inner))
+    def instantiate(self, u: Concept, columns: Collection[int]) -> Callable[[tuple], Concept]:
+        """The function that fills the 1-based ``columns`` of ``u`` with a row
+        as interpreting ``u``'s formula with them substituted would.  A stack
+        of (concept, filled columns) pairs lists its interning steps once, node
+        first and operands right to left; each row runs them in reverse."""
+        template, steps = [None], []  # the row's slots are negative
+        stack = [(u, {c: s for s, c in enumerate(columns, -len(columns))}, 0)]
+        while stack:
+            v, cols, out = stack.pop()
+            if not cols:  # an operand with no column filled is kept as it is
+                template[out] = v
+                continue
+            first = x = len(template)  # kids: (operand, its filled columns, its slot)
+            if v.op == "atom":  # columns are first occurrences; an abstraction has its beta names
+                groups = (e[3] if e[0] == "a" else (e[1],) for e in v.entries if e[0] != "g")
+                names = tuple(dict.fromkeys(n for group in groups for n in group))
+                filled = {names[i - 1]: s for i, s in cols.items()}
+                kids, x, y = [], v.predicate, []
+                for e in v.entries:  # (slot, tag, tail) gives (tag, element, *tail)
+                    s, tag, tail = None, e, ()  # the entry as it is
+                    if e[0] == "v" and e[1] in filled:
+                        s, tag = filled[e[1]], "g"
+                    elif e[0] == "a" and (inner := {n: filled[n] for n in e[3] if n in filled}):
+                        _, body, alpha, beta = e
+                        s, at = first + len(kids), enumerate(self.recover(body).free_vars, 1)
+                        kids.append((body, {i: inner[w.name] for i, w in at if w.name in inner}, s))
+                        beta = tuple(n for n in beta if n not in inner)
+                        tag, tail = ("a", (alpha, beta)) if beta else ("g", ())
+                    y.append((s, tag, tail))
+            elif v.op == "conj":  # a joined right column takes its left partner's element
+                left, right = v.children
+                k = left.arity
+                partner = {b: a for a, b in v.pairs}
+                survivors = [b for b in range(1, right.arity + 1) if b not in partner]
+                lcols = {i: s for i, s in cols.items() if i <= k}
+                rcols = {survivors[i - k - 1]: s for i, s in cols.items() if i > k}
+                rcols.update((b, lcols[a]) for b, a in partner.items() if a in lcols)
+                y = tuple((a - sum(i < a for i in lcols), b - sum(j < b for j in rcols))
+                          for a, b in v.pairs if a not in lcols)
+                kids = [(left, lcols, first), (right, rcols, first + 1)]
+            elif v.op == "neg":
+                kids, y = [(v.children[0], cols, first)], None
+            else:  # exists: the body's columns skip position n
+                n = v.position
+                inner = {i if i < n else i + 1: s for i, s in cols.items()}
+                kids, y = [(v.children[0], inner, first)], n - sum(i < n for i in inner)
+            steps.append((out, v.op, x, y))
+            template += [None] * len(kids)
+            stack += kids
+
+        def fill(row: tuple) -> Concept:
+            vals = [*template, *row]
+            for out, op, x, y in reversed(steps):
+                if op == "atom":
+                    y = tuple(t if s is None else (t, vals[s], *tail) for s, t, tail in y)
+                    vals[out] = self.intern_atom(x, y)
+                elif op == "conj":
+                    vals[out] = self.conj(vals[x], vals[x + 1], y)
+                elif op == "neg":
+                    vals[out] = self.neg(vals[x])
+                else:
+                    vals[out] = self.exists(y, vals[x])
+            return vals[0]
+        return fill
 
     # -- assignments ----------------------------------------------------
 
@@ -379,7 +401,7 @@ class ConceptTable:
                     f"unbound beta variable(s) {', '.join(map(repr, missing))}"
                 )
             cols = {i: g[v] for i, v in enumerate(term.body.free_vars, 1) if v in term.beta}
-            return self.instantiate(self.interpret(term.body), cols)
+            return self.instantiate(self.interpret(term.body), cols)(tuple(cols.values()))
         raise ConceptError(f"not a term: {term!r}")
 
     def element_to_term(self, element: Element) -> Term:

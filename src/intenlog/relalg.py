@@ -159,6 +159,8 @@ def truth(flag: bool) -> Relation:
 def join_pairs(pairs, k: int, j: int) -> tuple[tuple[int, int], ...]:
     """Normalize join pairs for operands of arities (k, j) and check that
     they are usable: every pair in range and no column joined twice."""
+    if not pairs:
+        return ()
     pairs = tuple(sorted({(int(a), int(b)) for a, b in pairs}))
     for a, b in pairs:
         if not (1 <= a <= k and 1 <= b <= j):

@@ -1,6 +1,6 @@
 import random
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -10,6 +10,7 @@ from intenlog.epistemic import (
     EpistemicError,
     KnowAtom,
     Memory,
+    TraceStep,
     add_rule,
     answer,
     apply_4,
@@ -468,6 +469,47 @@ class TestValueContract:
         assert memo
         assert session.consolidate("t1") == ()
         assert session.world is world and session.world._memo == memo
+
+
+class TestRecords:
+    """Know atoms and trace steps set their fields in one step and stay
+    frozen values: copied by ``replace``, compared, hashed and shown by
+    their fields."""
+
+    def test_know_atoms_are_frozen_values(self):
+        session = load_kb(TestValueContract.RULES + "know << p(?x) >>_{x}\n")
+        session.chain(2)
+        for atom in session.memory.atoms():
+            copy = replace(atom)
+            assert copy == atom and hash(copy) == hash(atom) and copy is not atom
+            assert copy.__dict__ == atom.__dict__ and repr(copy) == repr(atom)
+            moved = replace(atom, id=atom.id + 100, depth=atom.depth + 1)
+            assert (moved.id, moved.depth, moved.key()) == (atom.id + 100, atom.depth + 1, atom.key())
+            assert moved != atom
+            with pytest.raises(FrozenInstanceError):
+                atom.depth = 5
+        t = session.table
+        me, now = t.particular("me"), t.particular("in_present")
+        built = KnowAtom(id=7, time=now, subject=me, content=t.truth, provenance=("experience",))
+        assert built == KnowAtom(7, now, me, t.truth, ("experience",), 0)
+        assert repr(built) == f"k7:Know(in_present, me, u{t.truth.id})"
+
+    def test_trace_steps_are_frozen_values_whatever_their_table(self):
+        session = load_kb(TestValueContract.RULES + "know << p(?x) >>_{x}\n")
+        steps = session.chain(2)
+        other = ConceptTable(session.vocabulary)
+        for step in steps:
+            elsewhere = replace(step, table=other)
+            assert elsewhere.table is other and elsewhere == step and hash(elsewhere) == hash(step)
+            assert repr(elsewhere) == repr(step) == (
+                f"TraceStep(rule={step.rule!r}, inputs={step.inputs!r}, "
+                f"output={step.output!r}, content={step.content!r})")
+            assert replace(step, output=0) != step
+            assert step.sentence == serialize(session.table.recover(step.content))
+            with pytest.raises(FrozenInstanceError):
+                step.table = other
+        first = steps[0]
+        assert TraceStep(first.rule, first.inputs, first.output, first.content, other) == first
 
 
 class TestConsolidate:

@@ -1,12 +1,14 @@
 import random
+import sys
 from collections import Counter
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
 from intenlog.checks import tarski_eval
 from intenlog.demo import build_demo_session, fixture_text
-from intenlog.kb import load_kb
+from intenlog.kb import dump_concepts, load_kb
 from intenlog import prp
 from intenlog.relalg import Relation
 from intenlog.prp import (
@@ -571,7 +573,7 @@ def test_instantiate_fills_columns_as_substitution_does_property():
         domain = sorted(world.active_domain(), key=lambda e: e.id)
         for row in product(domain, repeat=u.arity):
             binds = {v: table.element_to_term(e) for v, e in zip(base.free_vars, row)}
-            inst = table.instantiate(u, dict(enumerate(row, 1)))
+            inst = table.instantiate(u, range(1, u.arity + 1))(row)
             assert inst is table.interpret(substitute(base, binds)), (f, row)
             assert tarski_eval(world, table.recover(inst), {}, table) == (row in rel.tuples)
         if u.arity < 2:
@@ -592,3 +594,127 @@ def test_instantiate_fills_columns_as_substitution_does_property():
             }
             assert extension(world, part).tuples == frozenset(selected)
     assert min(coverage.values()) >= 20 and len(coverage) == 4, coverage
+
+
+def reference_instantiate(table, u, cols):
+    """The recursive fill that ``ConceptTable.instantiate`` replaced: the
+    concept of ``u``'s formula with the variables of its 1-based columns
+    ``cols`` replaced by their elements, interning the left operand, the
+    right operand and then the node, an abstraction body before its atom."""
+    if not cols:
+        return u
+    if u.op == "atom":
+        groups = (e[3] if e[0] == "a" else (e[1],) for e in u.entries if e[0] != "g")
+        names = tuple(dict.fromkeys(n for group in groups for n in group))
+        filled = {names[i - 1]: e for i, e in cols.items()}
+        entries = []
+        for e in u.entries:
+            if e[0] == "v" and e[1] in filled:
+                e = ("g", filled[e[1]])
+            elif e[0] == "a" and (inner := {n: filled[n] for n in e[3] if n in filled}):
+                _, body, alpha, beta = e
+                columns = enumerate(table.recover(body).free_vars, 1)
+                body = reference_instantiate(
+                    table, body, {i: inner[v.name] for i, v in columns if v.name in inner})
+                beta = tuple(n for n in beta if n not in inner)
+                e = ("a", body, alpha, beta) if beta else ("g", body)
+            entries.append(e)
+        return table.intern_atom(u.predicate, tuple(entries))
+    if u.op == "conj":
+        left, right = u.children
+        k = left.arity
+        partner = {b: a for a, b in u.pairs}
+        survivors = [b for b in range(1, right.arity + 1) if b not in partner]
+        lcols = {i: e for i, e in cols.items() if i <= k}
+        rcols = {survivors[i - k - 1]: e for i, e in cols.items() if i > k}
+        rcols.update((b, lcols[a]) for b, a in partner.items() if a in lcols)
+        pairs = tuple((a - sum(i < a for i in lcols), b - sum(j < b for j in rcols))
+                      for a, b in u.pairs if a not in lcols)
+        return table.conj(reference_instantiate(table, left, lcols),
+                          reference_instantiate(table, right, rcols), pairs)
+    if u.op == "neg":
+        return table.neg(reference_instantiate(table, u.children[0], cols))
+    n = u.position
+    inner = {i if i < n else i + 1: e for i, e in cols.items()}
+    return table.exists(n - sum(i < n for i in inner),
+                        reference_instantiate(table, u.children[0], inner))
+
+
+class ReferenceTable(ConceptTable):
+    """A concept table that fills columns, ``extend_assignment``'s included,
+    through ``reference_instantiate``."""
+
+    def instantiate(self, u, columns):
+        return lambda row: reference_instantiate(self, u, dict(zip(columns, row)))
+
+
+def test_instantiate_interns_as_the_recursive_reference_does():
+    """Twin tables take the same calls: interpreting a random open formula,
+    filling all its columns with rows of the active domain, and filling
+    some of them through ``extend_assignment``.  One fills from the plan,
+    the other through the recursive reference.  Every call returns the
+    same id on both, and both end with the same concept listing."""
+    rng = random.Random(37)
+    coverage = Counter()
+    for _ in range(200):
+        world, table, preds, leaf = instance_world(rng)
+        f = random_open_formula(rng, preds, 3, coverage)
+        if rng.random() < 0.4:
+            coverage["beta abstraction"] += 1
+            f = join(rng, f, leaf, coverage) or leaf
+        if not f.free_vars:
+            continue
+        domain = sorted(world.active_domain(), key=lambda e: e.id)
+        terms = [table.element_to_term(e) for e in domain]
+        rows = list(product(terms, repeat=len(f.free_vars)))
+        rows = rng.sample(rows, min(len(rows), 12))
+        partial = []
+        for _ in range(3 if len(f.free_vars) > 1 else 0):
+            coverage["partial fill"] += 1
+            beta = tuple(v for v in f.free_vars if rng.random() < 0.5) or f.free_vars[:1]
+            beta = beta if len(beta) < len(f.free_vars) else beta[1:]
+            partial.append((beta, [rng.choice(terms) for _ in beta]))
+        calls, listings = [], []
+        for twin in (ConceptTable(table.vocabulary), ReferenceTable(table.vocabulary)):
+            u = twin.interpret(f)
+            got = [u.id]
+            for row in rows:
+                elements = tuple(twin.extend_assignment({}, t) for t in row)
+                got.append(twin.instantiate(u, range(1, u.arity + 1))(elements).id)
+            for beta, values in partial:
+                g = {v: twin.extend_assignment({}, t) for v, t in zip(beta, values)}
+                alpha = tuple(v for v in f.free_vars if v not in beta)
+                got.append(twin.extend_assignment(g, AbstractedTerm(f, alpha, beta)).id)
+            calls.append(got)
+            listings.append(dump_concepts(SimpleNamespace(table=twin)))
+        assert calls[0] == calls[1], f
+        assert listings[0] == listings[1], f
+    assert min(coverage.values()) >= 20 and len(coverage) == 4, coverage
+
+
+def test_a_fill_deeper_than_the_recursion_limit_runs_from_a_stack(monkeypatch):
+    """A 5000-deep negation chain over p(?x) fills through ``instantiate``,
+    and one over p(?x, ?y) through ``extend_assignment``, at the default
+    recursion limit.  ``interpret`` still recurses on a formula, so the
+    abstraction's body is handed its concept rather than interpreted."""
+    depth = 5000
+    assert depth > 4 * sys.getrecursionlimit()
+    table = ConceptTable(Vocabulary())
+    p1, p2 = table.vocabulary.declare("p", 1), table.vocabulary.declare("p", 2)
+    a, b = table.particular("a"), table.particular("b")
+
+    def chain(u):
+        for _ in range(depth):
+            u = table.neg(u)
+        return u
+
+    u = chain(table.intern_atom(p1, var_entries("x")))
+    filled = table.instantiate(u, (1,))((a,))
+    assert filled is chain(table.intern_atom(p1, (("g", a),)))
+    v = chain(table.intern_atom(p2, var_entries("x", "y")))
+    body = table.recover(v)
+    monkeypatch.setattr(table, "interpret", lambda f: v if f is body else pytest.fail(f))
+    term = AbstractedTerm(body, (Variable("y"),), (Variable("x"),))
+    part = table.extend_assignment({Variable("x"): b}, term)
+    assert part is chain(table.intern_atom(p2, (("g", b), ("v", "y"))))
+    assert table.recover(part).free_vars == (Variable("y"),)

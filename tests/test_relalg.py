@@ -14,6 +14,7 @@ from intenlog.relalg import (
     TRUE,
     complement,
     join_complement,
+    join_pairs,
     natural_join,
     project_complement,
     project_out,
@@ -154,6 +155,25 @@ class TestProjectOut:
 
     def test_deduplicates(self):
         assert project_out(rel(2, ("a", "b"), ("a", "c")), 2) == rel(1, ("a",))
+
+
+def test_join_pairs_normalize_and_keep_their_error_texts():
+    """Empty pairs, as a tuple or a list, give the empty tuple at once;
+    other pairs are sorted, deduplicated and checked, with the same texts."""
+    for k, j in ((0, 0), (2, 3)):
+        assert join_pairs((), k, j) == () and join_pairs([], k, j) == ()
+        assert type(join_pairs([], k, j)) is tuple
+    assert join_pairs([[2, 1], (1, 3), (2, 1)], 2, 3) == ((1, 3), (2, 1))
+    for pairs, text in (
+        (((3, 1),), "join pair (3,1) out of range for arities (2,3)"),
+        ([[0, 2]], "join pair (0,2) out of range for arities (2,3)"),
+        (((1, 4),), "join pair (1,4) out of range for arities (2,3)"),
+        (((1, 1), (2, 1)), "duplicate column in join pairs ((1, 1), (2, 1))"),
+        ([(1, 3), (1, 2)], "duplicate column in join pairs ((1, 2), (1, 3))"),
+    ):
+        with pytest.raises(RelAlgError) as info:
+            join_pairs(pairs, 2, 3)
+        assert str(info.value) == text
 
 
 def test_union_via_de_morgan_derivation():
