@@ -11,23 +11,17 @@ goes.  A join loops over the operand with fewer rows (the left one on
 a tie) and probes the column index of the other, which is usually a
 base relation whose index outlives the value.
 
-A negation under a join or a projection never builds the universe:
-``join_complement`` is the join with a complement, computed as an
-anti-join that ranges only the unjoined columns of the negated operand
-over the domain, and ``project_complement`` is the projection of a
-complement, computed by counting the rows that extend each remaining
-tuple.  Both reject, as ``complement`` does, a negated operand with an
-element outside the domain.
-
-A closed quantifier's truth is only whether its body has a row, so three
-witness tests answer that for an operator's result without building
-it: ``join_nonempty`` stops at the first key of the smaller operand
-found in the larger one's index, ``join_complement_nonempty`` at the
-first row of ``r1`` whose key lies in the domain and has fewer than
-|domain|^m partners (m the unjoined columns of the negated operand), and
-``complement_nonempty`` compares a relation's rows with |domain|^k.
-Each runs the checks of its operator, in the same order, so it fails
-where the operator would.
+A join is a row stream: ``join_rows`` and ``join_complement_rows`` run
+their checks when called and return the output arity and a lazy
+iterator of rows.  ``build`` makes the relation (at arity 0, the shared
+``TRUE`` or ``FALSE``), and the first row, if any, is the witness a
+closed quantifier needs, so one function serves both.  A negation under
+a join or a projection never builds the universe: ``join_complement_rows``
+is an anti-join that lists lazily, at the first row of ``r1`` with each
+join key, the missing tuples in the unjoined columns of the negated
+operand, and ``project_complement`` counts the rows that extend each
+remaining tuple.  Both reject, as ``complement`` does, a negated
+operand with an element outside the domain.
 
 Everything here is a pure function over immutable values.  A relation
 keeps two caches, each built on first use and kept on the value it
@@ -179,8 +173,17 @@ def _join_columns(pairs, j: int) -> tuple[tuple[int, ...], tuple[int, ...], list
     return firsts, seconds, [i for i in range(j) if i not in seconds]
 
 
-def natural_join(r1: Relation, r2: Relation, pairs) -> Relation:
-    """Join on explicit column pairs; empty pairs give the Cartesian product.
+def build(arity: int, rows) -> Relation:
+    """The relation of arity ``arity`` holding ``rows``, tuples of that
+    length; at arity 0, the shared ``TRUE`` or ``FALSE``."""
+    if arity:
+        return Relation.trusted(arity, frozenset(rows))
+    return truth(next(iter(rows), None) is not None)
+
+
+def join_rows(r1: Relation, r2: Relation, pairs):
+    """The arity and the lazy rows of the join on explicit column pairs;
+    empty pairs give the Cartesian product.
 
     Output columns are all of ``r1`` followed by the non-joined columns
     of ``r2`` in their original order.  The loop runs over the operand
@@ -190,38 +193,21 @@ def natural_join(r1: Relation, r2: Relation, pairs) -> Relation:
     """
     pairs = join_pairs(pairs, r1.arity, r2.arity)
     firsts, seconds, keep = _join_columns(pairs, r2.arity)
-    out_arity = r1.arity + len(keep)
+    arity = r1.arity + len(keep)
     if not pairs:
-        rows = {t1 + t2 for t1 in r1.tuples for t2 in r2.tuples}
-        return Relation.trusted(out_arity, frozenset(rows))
-    rows = set()
+        return arity, (t1 + t2 for t1 in r1.tuples for t2 in r2.tuples) if r2.tuples else ()
     if len(r2.tuples) < len(r1.tuples):
         buckets = r1.index(firsts)
-        for t2 in r2.tuples:
-            rest = tuple(t2[i] for i in keep)
-            rows.update(t1 + rest for t1 in buckets.get(tuple(t2[b] for b in seconds), ()))
-    else:
-        buckets = r2.index(seconds)
-        for t1 in r1.tuples:
-            key = tuple(t1[a] for a in firsts)
-            for t2 in buckets.get(key, ()):
-                rows.add(t1 + tuple(t2[i] for i in keep))
-    return Relation.trusted(out_arity, frozenset(rows))
-
-
-def join_nonempty(r1: Relation, r2: Relation, pairs) -> bool:
-    """Whether ``natural_join(r1, r2, pairs)`` has a row, without
-    building it: the keys of the operand with fewer rows (``r1`` on a
-    tie) probe the other's column index, and the first key found is a
-    witness."""
-    pairs = join_pairs(pairs, r1.arity, r2.arity)
-    firsts, seconds, _ = _join_columns(pairs, r2.arity)
-    if len(r2.tuples) < len(r1.tuples):
-        r1, r2, firsts, seconds = r2, r1, seconds, firsts
-    if not (pairs and r1.tuples):
-        return bool(r1.tuples)
+        return arity, (t1 + tuple(t2[i] for i in keep) for t2 in r2.tuples
+                       for t1 in buckets.get(tuple(t2[b] for b in seconds), ()))
     buckets = r2.index(seconds)
-    return any(tuple(t[c] for c in firsts) in buckets for t in r1.tuples)
+    return arity, (t1 + tuple(t2[i] for i in keep) for t1 in r1.tuples
+                   for t2 in buckets.get(tuple(t1[a] for a in firsts), ()))
+
+
+def natural_join(r1: Relation, r2: Relation, pairs) -> Relation:
+    """The relation of ``join_rows``."""
+    return build(*join_rows(r1, r2, pairs))
 
 
 def _check_domain(r: Relation, domain: frozenset) -> None:
@@ -247,66 +233,55 @@ def complement(r: Relation, domain: frozenset) -> Relation:
 def complement_nonempty(r: Relation, domain: frozenset) -> bool:
     """Whether ``complement(r, domain)`` has a row, without building it:
     whether ``r``, which the check keeps inside the domain, has fewer
-    than |domain|^k rows (on arity 0, whether it is false)."""
+    than |domain|^k rows (on arity 0, whether it is false).  The one
+    witness kept beside its builder: counting rows beats scanning the
+    universe for a missing one."""
     if r.arity:
         _check_domain(r, domain)
     return len(r.tuples) < len(domain) ** r.arity
 
 
-def _anti_join(r1: Relation, r2: Relation, pairs, domain: frozenset):
-    """The checks of a join of ``r1`` with ``complement(r2, domain)``,
-    then the columns of ``r1`` that key a row, in the order of the
-    columns of ``r2`` they join, the unjoined columns of ``r2``, and a
-    function from a key to the rows of ``r2`` that hold it.  When the key
-    is a whole row of ``r2`` that function is a membership test, which
-    needs no index."""
+def join_complement_rows(r1: Relation, r2: Relation, pairs, domain: frozenset):
+    """The arity and the lazy rows of ``natural_join(r1, complement(r2,
+    domain), pairs)`` without the complement: a row of ``r1`` whose join
+    key lies in the domain is extended by every tuple over the domain,
+    in the unjoined columns of ``r2``, that no row of ``r2`` with that
+    key holds.  The join's checks run before the complement's."""
     pairs = join_pairs(pairs, r1.arity, r2.arity)
     if r2.arity:
         _check_domain(r2, domain)
     firsts, seconds, keep = _join_columns(sorted(pairs, key=lambda pair: pair[1]), r2.arity)
-    if not keep:
-        return firsts, keep, lambda key: (key,) if key in r2.tuples else ()
-    if not seconds:  # an index on no columns would be one bucket of every row
-        return firsts, keep, lambda key: r2.tuples
-    buckets = r2.index(seconds)
-    return firsts, keep, lambda key: buckets.get(key, ())
+    keys = ((t1, tuple(t1[a] for a in firsts)) for t1 in r1.tuples)
+    if not keep:  # a row of r1 survives unless r2 holds its key, a whole row
+        return r1.arity, (t1 for t1, key in keys
+                          if key not in r2.tuples and domain.issuperset(key))
+    # an index on no columns would be one bucket of every row
+    buckets = r2.index(seconds) if seconds else {(): r2.tuples}
+    return r1.arity + len(keep), _missing_rows(keys, keep, buckets, domain)
 
 
-def join_complement(r1: Relation, r2: Relation, pairs, domain: frozenset) -> Relation:
-    """``natural_join(r1, complement(r2, domain), pairs)`` without the
-    complement: a row of ``r1`` whose join key lies in the domain is
-    extended by every tuple over the domain, in the unjoined columns of
-    ``r2``, that no row of ``r2`` with that key holds."""
-    firsts, keep, partners = _anti_join(r1, r2, pairs, domain)
-    if not keep:  # a row of r1 survives unless r2 holds its key
-        keys = ((t1, tuple(t1[a] for a in firsts)) for t1 in r1.tuples)
-        rows = frozenset(t1 for t1, key in keys
-                         if not partners(key) and domain.issuperset(key))
-        return Relation.trusted(r1.arity, rows)
-    missing: dict[tuple, list[tuple]] = {}  # by join key: the rests to add
-    rows = set()
-    for t1 in r1.tuples:
-        key = tuple(t1[a] for a in firsts)
-        rests = missing.get(key)
-        if rests is None:
-            rests = missing[key] = []
-            if domain.issuperset(key):  # else no row of the complement has the key
-                held = {tuple(t2[i] for i in keep) for t2 in partners(key)}
-                universe = itertools.product(domain, repeat=len(keep))
-                rests.extend(t for t in universe if t not in held)
-        rows.update(t1 + rest for rest in rests)
-    return Relation.trusted(r1.arity + len(keep), frozenset(rows))
-
-
-def join_complement_nonempty(r1: Relation, r2: Relation, pairs, domain: frozenset) -> bool:
-    """Whether ``join_complement(r1, r2, pairs, domain)`` has a row,
-    without building it: the first row of ``r1`` whose key lies in the
-    domain and has fewer than |domain|^(unjoined columns) partners in
-    ``r2`` is a witness."""
-    firsts, keep, partners = _anti_join(r1, r2, pairs, domain)
+def _missing_rows(keys, keep, buckets, domain: frozenset):
+    """Each row of ``r1``, from ``keys`` (pairs of a row and its join key),
+    extended by every tuple over the domain that no row of the key's
+    bucket holds in the columns ``keep``.  The first row of a key lists
+    those tuples lazily and keeps them for the key's later rows, so a
+    witness stops at the first missing tuple and groups nothing."""
     full = len(domain) ** len(keep)
-    keys = (tuple(t1[a] for a in firsts) for t1 in r1.tuples)
-    return any(domain.issuperset(key) and len(partners(key)) < full for key in keys)
+    missing: dict[tuple, list[tuple]] = {}  # by join key: the tuples listed so far
+    for t1, key in keys:
+        rests = missing.get(key)
+        if rests is not None:
+            yield from (t1 + rest for rest in rests)
+            continue
+        rests = missing[key] = []
+        partners = buckets.get(key, ())
+        if len(partners) == full or not domain.issuperset(key):
+            continue  # no row of the complement has the key
+        held = {tuple(t2[i] for i in keep) for t2 in partners}
+        for rest in itertools.product(domain, repeat=len(keep)):
+            if rest not in held:
+                rests.append(rest)
+                yield t1 + rest
 
 
 def project_complement(r: Relation, n: int, domain: frozenset) -> Relation:

@@ -7,15 +7,17 @@ Know relation of the memory it holds.  Composite extensions are
 computed homomorphically: indexed conjunction via natural join,
 negation via active-domain complement, positional quantification via
 projection, with the truth concept always extensionalized to truth.
-A negation under a conjunction (as its right operand) or under a
-quantifier is never extensionalized on its own: the node reads the
-negated concept and calls ``relalg.join_complement`` or
-``relalg.project_complement``, so only a bare negation builds the
-complement over the active domain.  A closed quantifier (an ``exists``
-of arity 0) asks only for a witness: whether its body has a row.  A
-quantifier under it passes the question on to its body, and a
-conjunction or negation answers it with a ``relalg`` witness test, after
-the checks of the operator it stands in for; so the nodes under a closed
+A conjunction's rows come from one lazy stream, ``_conj_rows``, which
+a built node exhausts and a closed quantifier reads one row of.  A
+negation under a conjunction, on either side, or under a quantifier is
+never extensionalized on its own: a negated operand of a conjunction is
+read by ``relalg.join_complement_rows``, and a quantifier over a
+negation by ``relalg.project_complement``, so only a bare negation
+builds the complement over the active domain.  A closed quantifier (an
+``exists`` of arity 0) asks only whether its body has a row: it walks
+down the quantifiers under it, and a conjunction answers with its first
+row, a negation with ``relalg.complement_nonempty``, after the checks
+of the operator each stands in for.  So the nodes under a closed
 quantifier may go unmaterialized and unmemoized, while their operands
 are extensions as usual.
 
@@ -48,6 +50,7 @@ an open Know atom is an error.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -208,12 +211,7 @@ def _compute(world: World, u: Concept) -> Relation:
     if u.op == "atom":
         return _atom_extension(world, u)
     if u.op == "conj":
-        left = extension(world, u.children[0])
-        right = u.children[1]
-        if right.op == "neg":
-            return _negated(world, right, lambda inner, domain: relalg.join_complement(
-                left, inner, u.pairs, domain))
-        return relalg.natural_join(left, extension(world, right), u.pairs)
+        return relalg.build(*_conj_rows(world, u))
     if u.op == "neg":
         return _negated(world, u, relalg.complement)
     if u.op == "exists":
@@ -227,27 +225,49 @@ def _compute(world: World, u: Concept) -> Relation:
     raise WorldError(f"cannot extensionalize {u!r}")
 
 
+def _conj_rows(world: World, u: Concept):
+    """The arity and the lazy rows of the conjunction ``u``, after the
+    checks of the operators it stands in for, in their order.  A negated
+    right operand is an anti-join; a negated left one, ``~A /\\P B``, is
+    the anti-join of ``B`` against ``A`` on the swapped pairs, with the
+    columns put back in order.  When both are negated the left one is
+    built."""
+    left, right = u.children
+    if right.op == "neg":
+        r1 = extension(world, left)
+        return _negated(world, right, lambda inner, domain: relalg.join_complement_rows(
+            r1, inner, u.pairs, domain))
+    if left.op != "neg":
+        return relalg.join_rows(extension(world, left), extension(world, right), u.pairs)
+    _negated(world, left, relalg.complement_nonempty)  # A's checks come before B is read
+    inner, r2 = extension(world, left.children[0]), extension(world, right)
+    _, rows = relalg.join_complement_rows(
+        r2, inner, [(b, a) for a, b in u.pairs], world.active_domain())
+    if u.arity < 2:  # no columns to put back in order
+        return u.arity, rows
+    to_right = dict(u.pairs)
+    spare = [a for a in range(1, left.arity + 1) if a not in to_right]
+    order = [to_right[a] - 1 if a in to_right else r2.arity + spare.index(a)
+             for a in range(1, left.arity + 1)]
+    order += [b - 1 for b in range(1, r2.arity + 1) if b not in to_right.values()]
+    return u.arity, map(operator.itemgetter(*order), rows)
+
+
 def _nonempty(world: World, u: Concept) -> bool:
     """Whether ``extension(world, u)`` has a row, for a closed quantifier
     over ``u``.  A memoized extension answers at once; otherwise a
-    quantifier has a row exactly when its body does, and a conjunction
-    or negation asks ``relalg`` for a witness after the checks of the
-    operator it stands in for.  Nodes it answers for are neither built
-    nor memoized; their operands, and any other node, are extensions."""
-    cached = world._memo.get(u.id)
+    quantifier has a row exactly when its body does, a conjunction when
+    its stream yields one, and a negation asks ``relalg`` for a witness.
+    Nodes it answers for are neither built nor memoized; their operands,
+    and any other node, are extensions."""
+    while (cached := world._memo.get(u.id)) is None and u.op == "exists":
+        u = u.children[0]
     if cached is not None:
         return bool(cached.tuples)
-    if u.op == "exists":
-        return _nonempty(world, u.children[0])
     if u.op == "neg":
         return _negated(world, u, relalg.complement_nonempty)
     if u.op == "conj":
-        left = extension(world, u.children[0])
-        right = u.children[1]
-        if right.op == "neg":
-            return _negated(world, right, lambda inner, domain: (
-                relalg.join_complement_nonempty(left, inner, u.pairs, domain)))
-        return relalg.join_nonempty(left, extension(world, right), u.pairs)
+        return next(iter(_conj_rows(world, u)[1]), None) is not None
     return bool(extension(world, u).tuples)
 
 

@@ -12,9 +12,11 @@ from intenlog.relalg import (
     RelAlgError,
     Relation,
     TRUE,
+    build,
     complement,
-    join_complement,
+    join_complement_rows,
     join_pairs,
+    join_rows,
     natural_join,
     project_complement,
     project_out,
@@ -304,23 +306,67 @@ def outcome(fn, *args):
         return f"RelAlgError: {exc}"
 
 
+def join_complement(r1, r2, pairs, domain):
+    return build(*join_complement_rows(r1, r2, pairs, domain))
+
+
+def has_a_row(stream):
+    """The first-row witness of a row stream."""
+    return next(iter(stream[1]), None) is not None
+
+
 class TestNegationOperators:
-    """``join_complement`` and ``project_complement`` against the
-    compositions they stand for, on seeded random relations over domains
-    of one to three elements; ``z`` never lies in the domain."""
+    """The row streams, ``join_complement_rows`` and ``project_complement``
+    against the compositions they stand for, on seeded random relations
+    over domains of one to three elements; ``z`` never lies in the
+    domain."""
 
     def test_join_complement_is_the_join_with_the_complement(self):
         rng = random.Random(2)
+        built = collections.Counter()
         for _ in range(600):
             domain = frozenset("abc"[: rng.randint(1, 3)])
             k, j = rng.randint(0, 3), rng.randint(0, 3)
-            r1 = random_rel(rng, k, sorted(domain) + ["z"])  # keys outside the domain
+            r1 = random_rel(rng, k, sorted(domain) + ["z"], max_rows=rng.choice((0, 8)))
             inside = sorted(domain) if rng.random() < 0.9 else sorted(domain) + ["z"]
-            r2 = random_rel(rng, j, inside)
+            r2 = random_rel(rng, j, inside, max_rows=rng.choice((0, 8, len(domain) ** j)))
             n = rng.randint(0, min(k, j))
             pairs = tuple(zip(rng.sample(range(1, k + 1), n), rng.sample(range(1, j + 1), n)))
-            want = outcome(lambda: natural_join(r1, complement(r2, domain), pairs))
-            assert outcome(join_complement, r1, r2, pairs, domain) == want, (r1, r2, pairs)
+            joined = build(*join_rows(r1, r2, pairs))
+            assert joined == brute_force_join(r1, r2, pairs), (r1, r2, pairs)
+            assert has_a_row(join_rows(r1, r2, pairs)) is bool(joined), (r1, r2, pairs)
+            want = outcome(lambda: brute_force_join(r1, complement(r2, domain), pairs))
+            got = outcome(join_complement, r1, r2, pairs, domain)
+            assert got == want, (r1, r2, pairs)
+            if isinstance(got, Relation):
+                witness = has_a_row(join_complement_rows(r1, r2, pairs, domain))
+                assert witness is bool(got), (r1, r2, pairs)
+            for result in (joined, got):
+                if isinstance(result, Relation) and result.arity == 0:
+                    assert result is (TRUE if result.tuples else FALSE)
+                    built[result is TRUE] += 1
+        assert min(built.values()) > 10
+
+    def test_a_stream_fails_at_the_call_with_the_first_error_of_its_checks(self):
+        """Pairs are checked before the domain, each with its own text,
+        at the call, so a builder and a first-row witness fail alike."""
+        pair = "RelAlgError: join pair (2,1) out of range for arities (1,2)"
+        duplicate = "RelAlgError: duplicate column in join pairs ((1, 1), (2, 1))"
+        outside = "RelAlgError: tuple element 'z' outside the active domain"
+        empty = "RelAlgError: complement requested over an empty active domain"
+        a, az, ab = rel(1, ("a",)), rel(2, ("a", "z")), rel(2, ("a", "b"))
+        for stream, args, text in (
+            (join_rows, (a, ab, ((2, 1),)), pair),
+            (join_rows, (ab, ab, ((1, 1), (2, 1))), duplicate),
+            (join_complement_rows, (a, az, ((2, 1),), AD), pair),
+            (join_complement_rows, (a, az, ((2, 1),), frozenset()), pair),
+            (join_complement_rows, (ab, az, ((1, 1), (2, 1)), AD), duplicate),
+            (join_complement_rows, (a, az, ((1, 1),), AD), outside),
+            (join_complement_rows, (FALSE, az, (), AD), outside),
+            (join_complement_rows, (a, ab, ((1, 1),), frozenset()), empty),
+            (join_complement_rows, (FALSE, az, (), frozenset()), empty),
+        ):
+            assert outcome(stream, *args) == text, (stream.__name__, args)
 
     def test_project_complement_is_the_projection_of_the_complement(self):
         rng = random.Random(3)

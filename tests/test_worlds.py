@@ -1,3 +1,5 @@
+import collections
+import itertools
 import random
 from functools import cached_property
 
@@ -20,6 +22,7 @@ from intenlog.relalg import Relation
 from intenlog.syntax import (
     KNOW_NAME,
     Atom,
+    Conj,
     Constant,
     Exists,
     Identity,
@@ -589,7 +592,41 @@ def test_negation_under_a_join_or_quantifier_builds_no_complement(monkeypatch):
     assert session.eval_formula(session.parse("E{1} ~ u(?x)")) is True
     assert calls == []
     session.eval_formula(session.parse("E{1} (~ r(a, ?y) /\\{} u(c))"))  # a negated left operand
-    assert len(calls) == 1
+    assert calls == []
+
+
+def test_a_negated_left_operand_over_a_large_domain_builds_no_complement(monkeypatch):
+    """At 400 elements the complement of ``r`` would hold 160000 rows;
+    the anti-join of ``u(c0)`` against ``r`` stops at its first row."""
+    lines = ["predicate u/1", "predicate r/2", *(f"particular c{i}" for i in range(400)),
+             "assert u(c0)", "assert r(c0, c1)", "assert r(c1, c2)"]
+    session = load_kb("\n".join(lines) + "\n")
+    calls = []
+    complement = relalg.complement
+    monkeypatch.setattr(relalg, "complement", lambda *a: calls.append(a) or complement(*a))
+    for text, truth in (("E{1} E{1} (~ r(?x, ?y) /\\{} u(c0))", True),
+                        ("E{1} E{1} (~ r(?x, ?y) /\\{} u(c1))", False),
+                        ("E{1} (~ r(c0, ?y) /\\{(1,1)} u(?x))", True),
+                        ("E{1} (~ u(?x) /\\{(1,1)} r(?x, c2))", True),
+                        ("E{1} (~ u(?x) /\\{(1,1)} r(?x, c1))", False)):
+        assert session.eval_formula(session.parse(text)) is truth, text
+    assert calls == []
+
+
+def test_a_negated_open_know_atom_fails_before_the_operand_beside_it_is_read():
+    """``p`` is declared with no rows, so reading it would fail too; the
+    negated left operand is read and checked first, as when it was built."""
+    session = load_kb("predicate u/1\npredicate p/1\nparticular a\nassert u(a)\n"
+                      "know << u(?x) >>_{x}\n")
+    know = "Know(in_present, me, ?x)"
+    u = session.table.interpret(session.parse(know))
+    for text in (f"E{{1}} E{{1}} (~ {know} /\\{{}} p(?y))", f"E{{1}} (~ {know} /\\{{}} p(?y))"):
+        with pytest.raises(WorldError) as raised:
+            extension(session.world, session.table.interpret(session.parse(text)))
+        assert str(raised.value) == (
+            f"cannot negate the open Know atom u{u.id} {know}: "
+            "known concepts are not elements of the active domain"
+        )
 
 
 def test_a_complement_joined_on_no_column_indexes_nothing():
@@ -738,7 +775,8 @@ def _nodes(u):
 
 def _materialized(world, u) -> Relation:
     """A node's extension from its children's through the operators a
-    closed quantifier's witness test stands in for."""
+    closed quantifier's witness test stands in for, each negated operand
+    built as a complement."""
     domain = world.active_domain()
     if u.op == "neg":
         return relalg.complement(extension(world, u.children[0]), domain)
@@ -746,9 +784,6 @@ def _materialized(world, u) -> Relation:
         return relalg.project_out(extension(world, u.children[0]), u.position)
     if u.op == "conj":
         left, right = u.children
-        if right.op == "neg":
-            return relalg.join_complement(extension(world, left),
-                                          extension(world, right.children[0]), u.pairs, domain)
         return relalg.natural_join(extension(world, left), extension(world, right), u.pairs)
     return extension(world, u)
 
@@ -798,6 +833,45 @@ def test_a_closed_quantifier_agrees_with_the_materialized_operators():
             _closed_truth(world, u, sentence)
             closed += 1
     assert closed > 300
+
+
+def test_a_negated_left_operand_agrees_with_the_oracles():
+    """``~A /\\P B``, open and closed, on worlds seeded as above but with
+    at most three declared elements, against the Tarski oracle and the
+    join with the built complement of ``A``."""
+    rng = random.Random(1981)
+    variables = [Variable(n) for n in ("x", "y", "z")]
+    others = [Variable(n) for n in ("u", "v", "w")]
+    seen = collections.Counter()
+    for _ in range(150):
+        vocabulary = Vocabulary()
+        table = ConceptTable(vocabulary)
+        world, preds, domain = _random_world(rng, table, vocabulary, max_domain=3)
+        world, leaves = _grounded_and_known(rng, world, table, preds, domain, variables)
+        elements = sorted(world.active_domain(), key=relalg.element_key)
+        for pairs in ((), ((1, 1),), ((2, 1),)):
+            a = _random_formula(rng, preds, variables, [2], leaves)
+            b = _random_formula(rng, preds, others, [1])
+            k, j = len(a.free_vars), len(b.free_vars)
+            if any(x > k or y > j for x, y in pairs) or k + j - len(pairs) > 3:
+                continue
+            f = Conj(Neg(a), b, pairs)
+            u = table.interpret(f)
+            fresh = [World(world.pred_base, world.particulars, world.memory, world.grounded)
+                     for _ in range(2)]
+            got = extension(fresh[0], u)
+            assert got == _materialized(fresh[1], u), f
+            names = [v.name for v in free_var_tuple(f)]
+            rows = {row for row in itertools.product(elements, repeat=len(names))
+                    if tarski_eval(world, f, dict(zip(names, row)), table)}
+            assert got.tuples == rows, f
+            sentence = f
+            for _ in names:
+                sentence = Exists(1, sentence)
+            truth = _closed_truth(world, u, table.interpret(sentence))
+            assert truth is tarski_eval(world, sentence, {}, table)
+            seen[pairs, truth] += 1
+    assert len(seen) == 6 and min(seen.values()) > 5
 
 
 def _subformulas(f):
@@ -873,12 +947,12 @@ def test_a_closed_quantifier_over_a_complement_needs_a_domain(text):
 def test_a_closed_quantifier_builds_no_node_under_it(monkeypatch):
     session = load_kb(NEGATION_KB)
     calls = []
-    for name in ("natural_join", "join_complement", "project_out", "project_complement"):
+    for name in ("build", "project_out", "project_complement"):
         operator = getattr(relalg, name)
         monkeypatch.setattr(relalg, name, lambda *a, _op=operator, _name=name: (
             calls.append(_name) or _op(*a)))
     reads = ("E{1} E{1} (r(?x, ?y) /\\{(2,1)} r(?y, c))", "E{1} (u(?x) /\\{(1,1)} ~ r(?x, c))",
-             "E{1} E{1} ~ r(?x, ?y)", "E{1} ~ u(?x)")
+             "E{1} (~ u(?x) /\\{(1,1)} r(?x, c))", "E{1} E{1} ~ r(?x, ?y)", "E{1} ~ u(?x)")
     truths = [session.eval_formula(session.parse(t)) for t in reads]
     assert truths == [tarski_eval(session.world, session.parse(t), {}, session.table)
                       for t in reads]
