@@ -11,17 +11,19 @@ goes.  A join loops over the operand with fewer rows (the left one on
 a tie) and probes the column index of the other, which is usually a
 base relation whose index outlives the value.
 
-A join is a row stream: ``join_rows`` and ``join_complement_rows`` run
-their checks when called and return the output arity and a lazy
-iterator of rows.  ``build`` makes the relation (at arity 0, the shared
-``TRUE`` or ``FALSE``), and the first row, if any, is the witness a
-closed quantifier needs, so one function serves both.  A negation under
-a join or a projection never builds the universe: ``join_complement_rows``
-is an anti-join that lists lazily, at the first row of ``r1`` with each
-join key, the missing tuples in the unjoined columns of the negated
-operand, and ``project_complement`` counts the rows that extend each
-remaining tuple.  Both reject, as ``complement`` does, a negated
-operand with an element outside the domain.
+A negated operand is a value, ``Complement(r, domain)``: the tuples
+over the domain that ``r`` lacks, never listed.  Making one runs the
+complement's checks, so ``join_rows``, ``project_out`` and ``nonempty``
+read it without building the universe: a join with it is an anti-join
+that lists, at the first row with each join key, the missing tuples in
+its unjoined columns; a projection of it counts the rows that extend
+each remaining tuple; and it has a row when ``r`` has fewer than
+|domain|^k.  ``complement`` lists one.  A join is a row stream:
+``join_rows`` returns the output arity and a lazy iterator of rows.
+``build`` makes the relation (at arity 0, the shared ``TRUE`` or
+``FALSE``), and the first row, if any, is the witness a closed
+quantifier needs, so one function serves both.  ``join_rows`` takes
+pairs as ``join_pairs`` returns them; ``natural_join`` checks them.
 
 Everything here is a pure function over immutable values.  A relation
 keeps two caches, each built on first use and kept on the value it
@@ -44,6 +46,7 @@ outside is checked when it is made.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 
@@ -181,35 +184,6 @@ def build(arity: int, rows) -> Relation:
     return truth(next(iter(rows), None) is not None)
 
 
-def join_rows(r1: Relation, r2: Relation, pairs):
-    """The arity and the lazy rows of the join on explicit column pairs;
-    empty pairs give the Cartesian product.
-
-    Output columns are all of ``r1`` followed by the non-joined columns
-    of ``r2`` in their original order.  The loop runs over the operand
-    with fewer rows (``r1`` on a tie) and probes the other's column
-    index on its join columns, so a join with a large base relation,
-    whose index outlives the value, costs the small side plus the output.
-    """
-    pairs = join_pairs(pairs, r1.arity, r2.arity)
-    firsts, seconds, keep = _join_columns(pairs, r2.arity)
-    arity = r1.arity + len(keep)
-    if not pairs:
-        return arity, (t1 + t2 for t1 in r1.tuples for t2 in r2.tuples) if r2.tuples else ()
-    if len(r2.tuples) < len(r1.tuples):
-        buckets = r1.index(firsts)
-        return arity, (t1 + tuple(t2[i] for i in keep) for t2 in r2.tuples
-                       for t1 in buckets.get(tuple(t2[b] for b in seconds), ()))
-    buckets = r2.index(seconds)
-    return arity, (t1 + tuple(t2[i] for i in keep) for t1 in r1.tuples
-                   for t2 in buckets.get(tuple(t1[a] for a in firsts), ()))
-
-
-def natural_join(r1: Relation, r2: Relation, pairs) -> Relation:
-    """The relation of ``join_rows``."""
-    return build(*join_rows(r1, r2, pairs))
-
-
 def _check_domain(r: Relation, domain: frozenset) -> None:
     """The precondition of a complement of positive arity: a nonempty
     domain that holds every element of ``r``."""
@@ -220,52 +194,85 @@ def _check_domain(r: Relation, domain: frozenset) -> None:
         raise RelAlgError(f"tuple element {e!r} outside the active domain")
 
 
-def complement(r: Relation, domain: frozenset) -> Relation:
-    """Complement within the active domain, a frozenset of elements that
-    stands in for the full domain; on arity 0 it flips truth."""
-    if r.arity == 0:
-        return truth(not r.tuples)
-    _check_domain(r, domain)
-    universe = itertools.product(domain, repeat=r.arity)
-    return Relation.trusted(r.arity, frozenset(t for t in universe if t not in r.tuples))
+class Complement:
+    """The tuples over ``domain`` of ``relation``'s arity that it lacks,
+    never listed: the value of a negated operand.  Making one runs the
+    complement's checks, none at arity 0."""
+
+    __slots__ = ("relation", "domain", "arity")
+
+    def __init__(self, relation: Relation, domain: frozenset):
+        if relation.arity:
+            _check_domain(relation, domain)
+        self.relation, self.domain, self.arity = relation, domain, relation.arity
 
 
-def complement_nonempty(r: Relation, domain: frozenset) -> bool:
-    """Whether ``complement(r, domain)`` has a row, without building it:
-    whether ``r``, which the check keeps inside the domain, has fewer
-    than |domain|^k rows (on arity 0, whether it is false).  The one
-    witness kept beside its builder: counting rows beats scanning the
-    universe for a missing one."""
-    if r.arity:
-        _check_domain(r, domain)
-    return len(r.tuples) < len(domain) ** r.arity
+def _listed(c: Complement):
+    """The rows of ``c``, lazily."""
+    held = c.relation.tuples
+    return (t for t in itertools.product(c.domain, repeat=c.arity) if t not in held)
 
 
-def join_complement_rows(r1: Relation, r2: Relation, pairs, domain: frozenset):
-    """The arity and the lazy rows of ``natural_join(r1, complement(r2,
-    domain), pairs)`` without the complement: a row of ``r1`` whose join
-    key lies in the domain is extended by every tuple over the domain,
-    in the unjoined columns of ``r2``, that no row of ``r2`` with that
-    key holds.  The join's checks run before the complement's."""
-    pairs = join_pairs(pairs, r1.arity, r2.arity)
-    if r2.arity:
-        _check_domain(r2, domain)
-    firsts, seconds, keep = _join_columns(sorted(pairs, key=lambda pair: pair[1]), r2.arity)
-    keys = ((t1, tuple(t1[a] for a in firsts)) for t1 in r1.tuples)
-    if not keep:  # a row of r1 survives unless r2 holds its key, a whole row
-        return r1.arity, (t1 for t1, key in keys
-                          if key not in r2.tuples and domain.issuperset(key))
+def join_rows(x, y, pairs):
+    """The arity and the lazy rows of the join of ``x`` and ``y``, each a
+    relation or a ``Complement``, on column pairs as ``join_pairs``
+    returns them; empty pairs give the Cartesian product.
+
+    Output columns are all of ``x`` followed by the non-joined columns
+    of ``y`` in their original order.  Two relations: the loop runs over
+    the one with fewer rows (``x`` on a tie) and probes the other's
+    column index on its join columns, so a join with a large base
+    relation, whose index outlives the value, costs the small side plus
+    the output.  A complement on the right is an anti-join; on the left,
+    the anti-join of ``y`` against it on the swapped pairs, with the
+    columns put back in order; on both sides, the left one's rows are
+    listed lazily and anti-joined.
+    """
+    if type(y) is Complement:
+        return _anti_join(x.arity, _listed(x) if type(x) is Complement else x.tuples, y, pairs)
+    if type(x) is Complement:
+        arity, rows = _anti_join(y.arity, y.tuples, x, [(b, a) for a, b in pairs])
+        to_y = dict(pairs)
+        spare = iter(range(y.arity, arity))  # x's unjoined columns follow y's in a row
+        order = [to_y[a] - 1 if a in to_y else next(spare) for a in range(1, x.arity + 1)]
+        order += [b - 1 for b in range(1, y.arity + 1) if b not in to_y.values()]
+        return arity, rows if arity < 2 else map(operator.itemgetter(*order), rows)
+    firsts, seconds, keep = _join_columns(pairs, y.arity)
+    arity = x.arity + len(keep)
+    if not pairs:
+        return arity, (t1 + t2 for t1 in x.tuples for t2 in y.tuples) if y.tuples else ()
+    if len(y.tuples) < len(x.tuples):
+        buckets = x.index(firsts)
+        return arity, (t1 + tuple(t2[i] for i in keep) for t2 in y.tuples
+                       for t1 in buckets.get(tuple(t2[b] for b in seconds), ()))
+    buckets = y.index(seconds)
+    return arity, (t1 + tuple(t2[i] for i in keep) for t1 in x.tuples
+                   for t2 in buckets.get(tuple(t1[a] for a in firsts), ()))
+
+
+def _anti_join(k: int, rows, c: Complement, pairs):
+    """The arity and the lazy rows of the join of ``rows``, tuples of
+    length ``k``, with ``c``: a row whose join key lies in the domain is
+    extended by every tuple over the domain, in the unjoined columns of
+    ``c``, that no row of ``c.relation`` with that key holds."""
+    r, domain = c.relation, c.domain
+    firsts, seconds, keep = _join_columns(sorted(pairs, key=operator.itemgetter(1)), c.arity)
+    if not nonempty(c):  # so the rows, maybe a listed complement, are never walked
+        return k + len(keep), ()
+    keys = ((t1, tuple(t1[a] for a in firsts)) for t1 in rows)
+    if not keep:  # a row survives unless r holds its key, a whole row
+        return k, (t1 for t1, key in keys if key not in r.tuples and domain.issuperset(key))
     # an index on no columns would be one bucket of every row
-    buckets = r2.index(seconds) if seconds else {(): r2.tuples}
-    return r1.arity + len(keep), _missing_rows(keys, keep, buckets, domain)
+    buckets = r.index(seconds) if seconds else {(): r.tuples}
+    return k + len(keep), _missing_rows(keys, keep, buckets, domain)
 
 
 def _missing_rows(keys, keep, buckets, domain: frozenset):
-    """Each row of ``r1``, from ``keys`` (pairs of a row and its join key),
-    extended by every tuple over the domain that no row of the key's
-    bucket holds in the columns ``keep``.  The first row of a key lists
-    those tuples lazily and keeps them for the key's later rows, so a
-    witness stops at the first missing tuple and groups nothing."""
+    """Each row from ``keys`` (pairs of a row and its join key) extended
+    by every tuple over the domain that no row of the key's bucket holds
+    in the columns ``keep``.  The first row of a key lists those tuples
+    lazily and keeps them for the key's later rows, so a witness stops
+    at the first missing tuple and groups nothing."""
     full = len(domain) ** len(keep)
     missing: dict[tuple, list[tuple]] = {}  # by join key: the tuples listed so far
     for t1, key in keys:
@@ -284,28 +291,46 @@ def _missing_rows(keys, keep, buckets, domain: frozenset):
                 yield t1 + rest
 
 
-def project_complement(r: Relation, n: int, domain: frozenset) -> Relation:
-    """``project_out(complement(r, domain), n)`` without the complement:
-    a tuple over the domain in the other columns survives when fewer
-    than |domain| rows of ``r`` extend it at column ``n``."""
-    k = r.arity
-    if k:
-        _check_domain(r, domain)
+def natural_join(x, y, pairs) -> Relation:
+    """The relation of ``join_rows``, on ``pairs`` from outside, which
+    ``join_pairs`` normalizes and checks first."""
+    return build(*join_rows(x, y, join_pairs(pairs, x.arity, y.arity)))
+
+
+def complement(r: Relation, domain: frozenset) -> Relation:
+    """Complement within the active domain, a frozenset of elements that
+    stands in for the full domain: ``Complement(r, domain)`` listed.  On
+    arity 0 it flips truth."""
+    if r.arity == 0:
+        return truth(not r.tuples)
+    return build(r.arity, _listed(Complement(r, domain)))
+
+
+def nonempty(x) -> bool:
+    """Whether ``x``, a relation or a ``Complement``, has a row: for a
+    complement, whether its relation, which the checks keep inside the
+    domain, has fewer than |domain|^k rows (on arity 0, whether it is
+    false)."""
+    if type(x) is Complement:
+        return len(x.relation.tuples) < len(x.domain) ** x.arity
+    return bool(x.tuples)
+
+
+def project_out(x, n: int) -> Relation:
+    """Eliminate column ``n`` of ``x``, a relation or a ``Complement``;
+    eliminating the only column leaves a truth value.  A complement is
+    not listed: a tuple over the domain in the other columns survives
+    when fewer than |domain| rows of its relation extend it at column
+    ``n``."""
+    k = x.arity
     if not 1 <= n <= k:
         raise RelAlgError(f"projection position {n} out of range for arity {k}")
+    if type(x) is not Complement:
+        return Relation.trusted(k - 1, frozenset(t[: n - 1] + t[n:] for t in x.tuples))
     if k == 1:  # an index on no columns would hold every row in one bucket
-        return truth(len(r.tuples) < len(domain))
-    extensions = r.index(tuple(c for c in range(k) if c != n - 1))
-    size = len(domain)
-    rows = frozenset(t for t in itertools.product(domain, repeat=k - 1)
-                     if len(extensions.get(t, ())) < size)
-    return Relation.trusted(k - 1, rows)
-
-
-def project_out(r: Relation, n: int) -> Relation:
-    """Eliminate column ``n``; eliminating the only column leaves a truth
-    value."""
-    k = r.arity
-    if not 1 <= n <= k:
-        raise RelAlgError(f"projection position {n} out of range for arity {k}")
-    return Relation.trusted(k - 1, frozenset(t[: n - 1] + t[n:] for t in r.tuples))
+        return truth(nonempty(x))
+    extensions = x.relation.index(tuple(c for c in range(k) if c != n - 1))
+    size = len(x.domain)
+    return Relation.trusted(k - 1, frozenset(
+        t for t in itertools.product(x.domain, repeat=k - 1)
+        if len(extensions.get(t, ())) < size))

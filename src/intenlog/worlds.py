@@ -7,19 +7,18 @@ Know relation of the memory it holds.  Composite extensions are
 computed homomorphically: indexed conjunction via natural join,
 negation via active-domain complement, positional quantification via
 projection, with the truth concept always extensionalized to truth.
-A conjunction's rows come from one lazy stream, ``_conj_rows``, which
-a built node exhausts and a closed quantifier reads one row of.  A
-negation under a conjunction, on either side, or under a quantifier is
-never extensionalized on its own: a negated operand of a conjunction is
-read by ``relalg.join_complement_rows``, and a quantifier over a
-negation by ``relalg.project_complement``, so only a bare negation
-builds the complement over the active domain.  A closed quantifier (an
-``exists`` of arity 0) asks only whether its body has a row: it walks
-down the quantifiers under it, and a conjunction answers with its first
-row, a negation with ``relalg.complement_nonempty``, after the checks
-of the operator each stands in for.  So the nodes under a closed
-quantifier may go unmaterialized and unmemoized, while their operands
-are extensions as usual.
+An operand reaches its operator through ``_operand``: its extension,
+or for a negation a ``relalg.Complement`` of its operand's extension
+over the active domain, which runs the complement's checks and is never
+listed.  So a conjunction is ``relalg.join_rows`` over two operands,
+one lazy stream that a built node exhausts and a closed quantifier
+reads one row of; an open quantifier is ``relalg.project_out`` of its
+operand; and only a bare negation builds the complement.  A closed
+quantifier (an ``exists`` of arity 0) asks only whether its body has a
+row: it walks down the quantifiers under it, and a conjunction answers
+with its first row, any other node with ``relalg.nonempty`` of its
+operand.  So the nodes under a closed quantifier may go unmaterialized
+and unmemoized, while their operands are extensions as usual.
 
 A world is a value.  Updating its base, grounded concepts, particulars
 or memory returns a new world that shares everything it did not
@@ -50,7 +49,6 @@ an open Know atom is an error.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -213,72 +211,47 @@ def _compute(world: World, u: Concept) -> Relation:
     if u.op == "conj":
         return relalg.build(*_conj_rows(world, u))
     if u.op == "neg":
-        return _negated(world, u, relalg.complement)
+        negated = _operand(world, u)
+        return relalg.complement(negated.relation, negated.domain)
     if u.op == "exists":
-        body = u.children[0]
         if u.arity == 0:
-            return relalg.truth(_nonempty(world, body))
-        if body.op == "neg":
-            return _negated(world, body, lambda inner, domain: relalg.project_complement(
-                inner, u.position, domain))
-        return relalg.project_out(extension(world, body), u.position)
+            return relalg.truth(_nonempty(world, u.children[0]))
+        return relalg.project_out(_operand(world, u.children[0]), u.position)
     raise WorldError(f"cannot extensionalize {u!r}")
 
 
 def _conj_rows(world: World, u: Concept):
-    """The arity and the lazy rows of the conjunction ``u``, after the
-    checks of the operators it stands in for, in their order.  A negated
-    right operand is an anti-join; a negated left one, ``~A /\\P B``, is
-    the anti-join of ``B`` against ``A`` on the swapped pairs, with the
-    columns put back in order.  When both are negated the left one is
-    built."""
+    """The arity and the lazy rows of the conjunction ``u``."""
     left, right = u.children
-    if right.op == "neg":
-        r1 = extension(world, left)
-        return _negated(world, right, lambda inner, domain: relalg.join_complement_rows(
-            r1, inner, u.pairs, domain))
-    if left.op != "neg":
-        return relalg.join_rows(extension(world, left), extension(world, right), u.pairs)
-    _negated(world, left, relalg.complement_nonempty)  # A's checks come before B is read
-    inner, r2 = extension(world, left.children[0]), extension(world, right)
-    _, rows = relalg.join_complement_rows(
-        r2, inner, [(b, a) for a, b in u.pairs], world.active_domain())
-    if u.arity < 2:  # no columns to put back in order
-        return u.arity, rows
-    to_right = dict(u.pairs)
-    spare = [a for a in range(1, left.arity + 1) if a not in to_right]
-    order = [to_right[a] - 1 if a in to_right else r2.arity + spare.index(a)
-             for a in range(1, left.arity + 1)]
-    order += [b - 1 for b in range(1, r2.arity + 1) if b not in to_right.values()]
-    return u.arity, map(operator.itemgetter(*order), rows)
+    return relalg.join_rows(_operand(world, left), _operand(world, right), u.pairs)
 
 
 def _nonempty(world: World, u: Concept) -> bool:
     """Whether ``extension(world, u)`` has a row, for a closed quantifier
     over ``u``.  A memoized extension answers at once; otherwise a
     quantifier has a row exactly when its body does, a conjunction when
-    its stream yields one, and a negation asks ``relalg`` for a witness.
+    its stream yields one, and any other node when its operand does.
     Nodes it answers for are neither built nor memoized; their operands,
     and any other node, are extensions."""
     while (cached := world._memo.get(u.id)) is None and u.op == "exists":
         u = u.children[0]
     if cached is not None:
         return bool(cached.tuples)
-    if u.op == "neg":
-        return _negated(world, u, relalg.complement_nonempty)
     if u.op == "conj":
         return next(iter(_conj_rows(world, u)[1]), None) is not None
-    return bool(extension(world, u).tuples)
+    return relalg.nonempty(_operand(world, u))
 
 
-def _negated(world: World, neg: Concept, operator):
-    """``operator(inner, domain)``, for the concept under ``neg`` and the
-    world's active domain: a complement, a join or projection of one, or
-    a witness test for one of those."""
+def _operand(world: World, u: Concept) -> Relation | relalg.Complement:
+    """``u``'s extension, or for a negation the ``relalg.Complement`` of
+    its operand's extension over the world's active domain, whose checks
+    run here."""
+    if u.op != "neg":
+        return extension(world, u)
     try:
-        return operator(extension(world, neg.children[0]), world.active_domain())
+        return relalg.Complement(extension(world, u.children[0]), world.active_domain())
     except relalg.RelAlgError:
-        know = _open_know_atom(neg.children[0])
+        know = _open_know_atom(u.children[0])
         if know is None:
             raise
         raise WorldError(

@@ -8,17 +8,17 @@ from intenlog.checks import brute_force_join
 from intenlog.epistemic import Memory
 from intenlog.kb import load_kb
 from intenlog.relalg import (
+    Complement,
     FALSE,
     RelAlgError,
     Relation,
     TRUE,
     build,
     complement,
-    join_complement_rows,
     join_pairs,
     join_rows,
     natural_join,
-    project_complement,
+    nonempty,
     project_out,
     truth,
 )
@@ -306,8 +306,10 @@ def outcome(fn, *args):
         return f"RelAlgError: {exc}"
 
 
-def join_complement(r1, r2, pairs, domain):
-    return build(*join_complement_rows(r1, r2, pairs, domain))
+def negate(relations, negated, wrap, domain):
+    """Each relation, or ``wrap(relation, domain)`` where ``negated``
+    holds true at its position."""
+    return [wrap(r, domain) if neg else r for r, neg in zip(relations, negated)]
 
 
 def has_a_row(stream):
@@ -316,57 +318,60 @@ def has_a_row(stream):
 
 
 class TestNegationOperators:
-    """The row streams, ``join_complement_rows`` and ``project_complement``
-    against the compositions they stand for, on seeded random relations
-    over domains of one to three elements; ``z`` never lies in the
-    domain."""
+    """``Complement`` as ``join_rows``, ``project_out`` and ``nonempty``
+    read it, against the complement ``complement`` lists, on seeded
+    random relations of arity 0 to 3, some empty, over domains of one to
+    three elements; ``z`` never lies in the domain."""
 
     def test_join_complement_is_the_join_with_the_complement(self):
         rng = random.Random(2)
         built = collections.Counter()
-        for _ in range(600):
+        for _ in range(1200):
             domain = frozenset("abc"[: rng.randint(1, 3)])
             k, j = rng.randint(0, 3), rng.randint(0, 3)
-            r1 = random_rel(rng, k, sorted(domain) + ["z"], max_rows=rng.choice((0, 8)))
-            inside = sorted(domain) if rng.random() < 0.9 else sorted(domain) + ["z"]
-            r2 = random_rel(rng, j, inside, max_rows=rng.choice((0, 8, len(domain) ** j)))
+            r1, r2 = (random_rel(rng, n, sorted(domain) + ["z"] * (rng.random() < 0.1),
+                                 max_rows=rng.choice((0, 8, len(domain) ** n)))
+                      for n in (k, j))
             n = rng.randint(0, min(k, j))
-            pairs = tuple(zip(rng.sample(range(1, k + 1), n), rng.sample(range(1, j + 1), n)))
-            joined = build(*join_rows(r1, r2, pairs))
-            assert joined == brute_force_join(r1, r2, pairs), (r1, r2, pairs)
-            assert has_a_row(join_rows(r1, r2, pairs)) is bool(joined), (r1, r2, pairs)
-            want = outcome(lambda: brute_force_join(r1, complement(r2, domain), pairs))
-            got = outcome(join_complement, r1, r2, pairs, domain)
-            assert got == want, (r1, r2, pairs)
-            if isinstance(got, Relation):
-                witness = has_a_row(join_complement_rows(r1, r2, pairs, domain))
-                assert witness is bool(got), (r1, r2, pairs)
-            for result in (joined, got):
-                if isinstance(result, Relation) and result.arity == 0:
-                    assert result is (TRUE if result.tuples else FALSE)
-                    built[result is TRUE] += 1
-        assert min(built.values()) > 10
+            pairs = join_pairs(zip(rng.sample(range(1, k + 1), n),
+                                   rng.sample(range(1, j + 1), n)), k, j)
+            for negated in itertools.product((False, True), repeat=2):
+                want = outcome(lambda: brute_force_join(
+                    *negate((r1, r2), negated, complement, domain), pairs))
+                got = outcome(lambda: build(*join_rows(
+                    *negate((r1, r2), negated, Complement, domain), pairs)))
+                assert got == want, (r1, r2, pairs, negated)
+                if not isinstance(got, Relation):
+                    continue
+                x, y = negate((r1, r2), negated, Complement, domain)
+                assert has_a_row(join_rows(x, y, pairs)) is bool(got)
+                if got.arity == 0:
+                    assert got is (TRUE if got.tuples else FALSE)
+                    built[negated, got is TRUE] += 1
+        assert len(built) == 8 and min(built.values()) > 10
 
     def test_a_stream_fails_at_the_call_with_the_first_error_of_its_checks(self):
-        """Pairs are checked before the domain, each with its own text,
-        at the call, so a builder and a first-row witness fail alike."""
+        """``natural_join`` checks its pairs, each error with its own
+        text; a ``Complement`` runs the domain checks when it is made, so
+        before a join checks its pairs.  A builder and a first-row
+        witness fail alike."""
         pair = "RelAlgError: join pair (2,1) out of range for arities (1,2)"
         duplicate = "RelAlgError: duplicate column in join pairs ((1, 1), (2, 1))"
         outside = "RelAlgError: tuple element 'z' outside the active domain"
         empty = "RelAlgError: complement requested over an empty active domain"
         a, az, ab = rel(1, ("a",)), rel(2, ("a", "z")), rel(2, ("a", "b"))
-        for stream, args, text in (
-            (join_rows, (a, ab, ((2, 1),)), pair),
-            (join_rows, (ab, ab, ((1, 1), (2, 1))), duplicate),
-            (join_complement_rows, (a, az, ((2, 1),), AD), pair),
-            (join_complement_rows, (a, az, ((2, 1),), frozenset()), pair),
-            (join_complement_rows, (ab, az, ((1, 1), (2, 1)), AD), duplicate),
-            (join_complement_rows, (a, az, ((1, 1),), AD), outside),
-            (join_complement_rows, (FALSE, az, (), AD), outside),
-            (join_complement_rows, (a, ab, ((1, 1),), frozenset()), empty),
-            (join_complement_rows, (FALSE, az, (), frozenset()), empty),
+        for read, text in (
+            (lambda: natural_join(a, ab, ((2, 1),)), pair),
+            (lambda: natural_join(ab, ab, ((1, 1), (2, 1))), duplicate),
+            (lambda: natural_join(a, Complement(ab, AD), ((2, 1),)), pair),
+            (lambda: natural_join(Complement(ab, AD), ab, ((1, 1), (2, 1))), duplicate),
+            (lambda: natural_join(a, Complement(az, AD), ((2, 1),)), outside),
+            (lambda: natural_join(a, Complement(ab, frozenset()), ((2, 1),)), empty),
+            (lambda: join_rows(a, Complement(az, AD), ((1, 1),)), outside),
+            (lambda: join_rows(Complement(az, AD), a, ((1, 1),)), outside),
+            (lambda: join_rows(FALSE, Complement(az, frozenset()), ()), empty),
         ):
-            assert outcome(stream, *args) == text, (stream.__name__, args)
+            assert outcome(read) == text, text
 
     def test_project_complement_is_the_projection_of_the_complement(self):
         rng = random.Random(3)
@@ -378,25 +383,31 @@ class TestNegationOperators:
             r = random_rel(rng, k, inside, max_rows=len(domain) ** k)
             n = rng.randint(1, max(k, 1))
             want = outcome(lambda: project_out(complement(r, domain), n))
-            assert outcome(project_complement, r, n, domain) == want, (r, n)
+            got = outcome(lambda: project_out(Complement(r, domain), n))
+            assert got == want, (r, n)
+            if isinstance(got, Relation) and got.arity == 0:
+                assert got is (TRUE if got.tuples else FALSE)
+            listed = outcome(complement, r, domain)
+            if isinstance(listed, Relation):
+                assert nonempty(Complement(r, domain)) is bool(listed), r
 
     def test_an_operand_outside_the_domain_fails_as_complement_does(self):
         r2 = rel(2, ("a", "z"))
         message = outcome(complement, r2, AD)
         assert message == "RelAlgError: tuple element 'z' outside the active domain"
-        assert outcome(join_complement, rel(1, ("a",)), r2, ((1, 1),), AD) == message
-        assert outcome(join_complement, rel(1, ("z",)), r2, (), AD) == message
-        assert outcome(project_complement, r2, 1, AD) == message
+        assert outcome(Complement, r2, AD) == message
         empty = "RelAlgError: complement requested over an empty active domain"
-        assert outcome(join_complement, FALSE, rel(1, ("a",)), (), frozenset()) == empty
-        assert outcome(project_complement, rel(1), 1, frozenset()) == empty
+        assert outcome(complement, rel(1), frozenset()) == empty
+        assert outcome(Complement, rel(1), frozenset()) == empty
+        for r in (TRUE, FALSE):  # no check at arity 0
+            assert nonempty(Complement(r, frozenset())) is (r is FALSE)
 
     def test_counting_needs_no_universe(self):
         domain = frozenset("abc")
-        assert project_complement(rel(1, ("a",), ("b",), ("c",)), 1, domain) == FALSE
-        assert project_complement(rel(1, ("a",)), 1, domain) == TRUE
+        assert project_out(Complement(rel(1, ("a",), ("b",), ("c",)), domain), 1) is FALSE
+        assert project_out(Complement(rel(1, ("a",)), domain), 1) is TRUE
         full_row = rel(2, ("a", "a"), ("b", "a"), ("c", "a"), ("a", "b"))
-        assert project_complement(full_row, 1, domain) == rel(1, ("b",), ("c",))
+        assert project_out(Complement(full_row, domain), 1) == rel(1, ("b",), ("c",))
 
 
 class TestWithRows:
