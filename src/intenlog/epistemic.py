@@ -38,7 +38,6 @@ step keeps the concept it derived and recovers its formula when read.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
 from functools import cached_property, reduce
 
 from .prp import Concept, ConceptTable, Particular, SELF_NAME, bottom_up
@@ -52,6 +51,7 @@ from .syntax import (
     KNOW_NAME,
     Neg,
     TENSES,
+    Value,
     free_var_tuple,
     serialize,
 )
@@ -69,14 +69,8 @@ class EpistemicError(Exception):
     pass
 
 
-@dataclass(frozen=True, init=False)
-class KnowAtom:
-    id: int
-    time: Particular
-    subject: Particular
-    content: Concept
-    provenance: tuple
-    depth: int = 0
+class KnowAtom(Value):
+    _fields = ("id", "time", "subject", "content", "provenance", "depth")
 
     def __init__(self, id, time, subject, content, provenance, depth=0):
         self.__dict__.update(id=id, time=time, subject=subject, content=content,
@@ -89,13 +83,12 @@ class KnowAtom:
         return f"k{self.id}:Know({self.time}, {self.subject}, u{self.content.id})"
 
 
-@dataclass(frozen=True, init=False)
-class TraceStep:
-    rule: str
-    inputs: tuple[int, ...]
-    output: int
-    content: Concept
-    table: ConceptTable = field(repr=False, compare=False)
+class TraceStep(Value):
+    """One derivation: its rule, input atom ids, output atom id and derived
+    concept.  The table it recovers its formula from is kept beside these
+    fields and takes no part in equality, hashing or repr."""
+
+    _fields = ("rule", "inputs", "output", "content")
 
     def __init__(self, rule, inputs, output, content, table):
         self.__dict__.update(rule=rule, inputs=inputs, output=output, content=content, table=table)
@@ -109,24 +102,24 @@ class TraceStep:
         return serialize(self.formula)
 
 
-@dataclass(frozen=True)
-class Memory:
-    temporary: tuple[KnowAtom, ...] = ()
-    permanent: tuple[KnowAtom, ...] = ()
-    next_id: int = 1
-    # each held key's first atom, and the ids of the known propositions:
-    # arity-0 contents and the non-conj nodes on their conjunction spines
-    keys: dict[tuple, KnowAtom] = field(init=False, repr=False, compare=False)
-    known_ids: frozenset = field(init=False, repr=False, compare=False)
-    # the (keys, known_ids) a working set grew; None indexes every atom
-    index: InitVar[tuple | None] = None
+class Memory(Value):
+    """The temporary and permanent stores and the next atom id: a value of
+    these three fields.  Beside them it keeps each held key's first atom
+    (``keys``) and the ids of the known propositions (``known_ids``):
+    arity-0 contents and the non-conj nodes on their conjunction spines.
+    ``index`` passes the (keys, known_ids) a working set grew; None
+    indexes every atom."""
 
-    def __post_init__(self, index):
+    _fields = ("temporary", "permanent", "next_id")
+
+    def __init__(self, temporary: tuple[KnowAtom, ...] = (),
+                 permanent: tuple[KnowAtom, ...] = (), next_id: int = 1,
+                 index: tuple | None = None):
         if index is None:
-            keys = {a.key(): a for a in reversed(self.atoms())}
-            index = keys, _proposition_index(self.atoms())
-        object.__setattr__(self, "keys", index[0])
-        object.__setattr__(self, "known_ids", index[1])
+            atoms = temporary + permanent
+            index = {a.key(): a for a in reversed(atoms)}, _proposition_index(atoms)
+        self.__dict__.update(temporary=temporary, permanent=permanent, next_id=next_id,
+                             keys=index[0], known_ids=index[1])
 
     def atoms(self) -> tuple[KnowAtom, ...]:
         return self.temporary + self.permanent

@@ -23,7 +23,6 @@ Blank lines and ``#`` comments are ignored in both.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .prp import Concept, ConceptTable, NULL_NAME, SELF_NAME
@@ -36,6 +35,7 @@ from .syntax import (
     Formula,
     KNOW_NAME,
     TimeValue,
+    Value,
     Variable,
     Vocabulary,
 )
@@ -50,12 +50,13 @@ class NotParseable(GroundingError):
     """The input does not match any registered language template."""
 
 
-@dataclass(frozen=True)
-class GroundingProcess:
+class GroundingProcess(Value):
     """A deterministic mock process producing a relation."""
 
-    name: str
-    run: Callable[[], Relation]
+    _fields = ("name", "run")
+
+    def __init__(self, name: str, run: Callable[[], Relation]):
+        self.__dict__.update(name=name, run=run)
 
 
 class GroundingRegistry:
@@ -174,28 +175,27 @@ def truth_process(name: str, value: bool) -> GroundingProcess:
 # Spatial description clauses and the partial parse
 
 
-@dataclass(frozen=True)
-class SDC:
+class SDC(Value):
     """A spatial description clause: figure, verb, spatial relation and
     landmark, each optional but never all absent."""
 
-    figure: str | None = None
-    verb: str | None = None
-    spatial_relation: str | None = None
-    landmark: str | None = None
+    _fields = ("figure", "verb", "spatial_relation", "landmark")
 
-    def __post_init__(self):
-        if not (self.figure or self.verb or self.spatial_relation or self.landmark):
+    def __init__(self, figure: str | None = None, verb: str | None = None,
+                 spatial_relation: str | None = None, landmark: str | None = None):
+        if not (figure or verb or spatial_relation or landmark):
             raise GroundingError("an SDC needs at least one component")
+        self.__dict__.update(figure=figure, verb=verb, spatial_relation=spatial_relation,
+                             landmark=landmark)
 
 
-@dataclass(frozen=True)
-class VerbTemplate:
-    lemma: str
-    past: str
-    pred_name: str
-    pred_arity: int
-    slots: tuple[str, ...]
+class VerbTemplate(Value):
+    _fields = ("lemma", "past", "pred_name", "pred_arity", "slots")
+
+    def __init__(self, lemma: str, past: str, pred_name: str, pred_arity: int,
+                 slots: tuple[str, ...]):
+        self.__dict__.update(lemma=lemma, past=past, pred_name=pred_name,
+                             pred_arity=pred_arity, slots=slots)
 
     @property
     def is_retrieval(self) -> bool:

@@ -85,6 +85,7 @@ class Session:
         self._particulars: set | None = None
         self._parsed: dict[str, Formula] = {}  # query text -> its formula
         self._concepts: dict[int, Concept] = {}  # id of a kept sentence -> its concept
+        self._canonicals: dict[Predicate, Concept] = {}  # see _canonical
 
     @property
     def memory(self) -> Memory:
@@ -97,9 +98,13 @@ class Session:
             self.world = self.world.with_memory(value)
 
     def _canonical(self, pred: Predicate):
-        """The atom over distinct variables that base relations attach to."""
-        entries = tuple(("v", f"x{i}") for i in range(1, pred.arity + 1))
-        return self.table.intern_atom(pred, entries)
+        """The atom over distinct variables that base relations attach to,
+        interned at the predicate's first write and kept for later ones."""
+        found = self._canonicals.get(pred)
+        if found is None:
+            entries = tuple(("v", f"x{i}") for i in range(1, pred.arity + 1))
+            found = self._canonicals[pred] = self.table.intern_atom(pred, entries)
+        return found
 
     def _install(self, target, relation: Relation) -> None:
         """The registry's install function: put a bound relation in the world."""

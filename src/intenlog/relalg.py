@@ -47,7 +47,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+
+from .syntax import Value
 
 
 class RelAlgError(Exception):
@@ -68,25 +69,22 @@ def row_key(row: tuple) -> tuple:
     return tuple(element_key(e) for e in row)
 
 
-@dataclass(frozen=True)
-class Relation:
-    arity: int
-    tuples: frozenset
-    _index: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _layouts: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+class Relation(Value):
+    """A set of tuples of length ``arity``: a value of its arity and rows.
+    Its two caches, ``_index`` and ``_layouts``, sit beside them in the
+    instance dict, so they take no part in equality, hashing or repr."""
 
-    def __post_init__(self):
-        if self.arity < 0:
+    _fields = ("arity", "tuples")
+
+    def __init__(self, arity: int, tuples: frozenset):
+        if arity < 0:
             raise RelAlgError("relation arity must be >= 0")
-        rows = self.tuples
-        if type(rows) is not frozenset or set(map(type, rows)) - {tuple}:
-            rows = frozenset(map(tuple, rows))
-            object.__setattr__(self, "tuples", rows)
-        wrong = set(map(len, rows)) - {self.arity}
+        if type(tuples) is not frozenset or set(map(type, tuples)) - {tuple}:
+            tuples = frozenset(map(tuple, tuples))
+        wrong = set(map(len, tuples)) - {arity}
         if wrong:
-            raise RelAlgError(
-                f"tuple of length {min(wrong)} in relation of arity {self.arity}"
-            )
+            raise RelAlgError(f"tuple of length {min(wrong)} in relation of arity {arity}")
+        self.__dict__.update(arity=arity, tuples=tuples, _index={}, _layouts={})
 
     @classmethod
     def trusted(cls, arity: int, rows: frozenset) -> Relation:

@@ -16,15 +16,16 @@ construction time, so anything you can hold is well formed.  The parser
 builds a formula for every KB line and every new query text, so each
 constructor checks each invariant once: a conjunction sorts and
 deduplicates its pairs only when it has two or more, and reads its
-children's stored tuples directly.  The formula classes are frozen
-dataclasses with a hand-written ``__init__`` that writes every field
-into the instance dict in one step; the dataclass still supplies
-equality, hashing, ``dataclasses.replace`` and the error on assignment.
+children's stored tuples directly.  Every value class of the engine,
+here and in the other modules, is a plain subclass of ``Value``: its
+``__init__`` runs its checks and writes every field, and any stored
+extra, into the instance dict in one step, and ``Value`` supplies
+equality, hashing and repr over the class's ``_fields`` and the error on
+assignment or deletion.  A copy is made through the constructor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import ClassVar, Mapping, Union
 
 TENSES = ("in_past", "in_present", "in_future")
@@ -37,52 +38,96 @@ class FormulaError(Exception):
     """A term or formula violates a construction invariant."""
 
 
+class Value:
+    """An immutable value, compared, hashed and shown by its ``_fields``.
+
+    A subclass names its fields in ``_fields`` and writes them in its
+    ``__init__`` through ``self.__dict__``.  Values are equal when they
+    are of one class and their fields are equal, the hash is that of the
+    field tuple, and the repr is ``Name(field=value, ...)``.  Attributes
+    outside ``_fields`` (a stored tuple, a cache) take no part in any of
+    them.  Assigning or deleting an attribute raises ``AttributeError``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # Terms
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
+class Variable(Value):
+    _fields = ("name",)
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str):
+        if not name:
             raise FormulaError("variable name must be nonempty")
+        self.__dict__.update(name=name)
+
+    # compared and hashed without ``_values``: every assignment a query
+    # returns and every abstraction's variable sets hash its variables
+    def __eq__(self, other):
+        if other.__class__ is Variable:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
 
     def __repr__(self):
         return f"?{self.name}"
 
 
-@dataclass(frozen=True)
-class Constant:
-    name: str
+class Constant(Value):
+    _fields = ("name",)
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str):
+        if not name:
             raise FormulaError("constant name must be nonempty")
+        self.__dict__.update(name=name)
 
     def __repr__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class TimeValue:
+class TimeValue(Value):
     """One of the three tense values a leading time argument may take."""
 
-    tense: str
+    _fields = ("tense",)
 
-    def __post_init__(self):
-        if self.tense not in TENSES:
+    def __init__(self, tense: str):
+        if tense not in TENSES:
             raise FormulaError(
-                f"unknown tense {self.tense!r}; expected one of {', '.join(TENSES)}"
+                f"unknown tense {tense!r}; expected one of {', '.join(TENSES)}"
             )
+        self.__dict__.update(tense=tense)
 
     def __repr__(self):
         return self.tense
 
 
-@dataclass(frozen=True)
-class AbstractedTerm:
+class AbstractedTerm(Value):
     """A formula reified as a first-class term.
 
     ``alpha`` holds the abstracted (bound) variables, ``beta`` the
@@ -91,16 +136,14 @@ class AbstractedTerm:
     and only the ``beta`` variables count as free variables of the term.
     """
 
-    body: "Formula"
-    alpha: tuple[Variable, ...] = ()
-    beta: tuple[Variable, ...] = ()
+    _fields = ("body", "alpha", "beta")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(self.alpha))
-        object.__setattr__(self, "beta", tuple(self.beta))
-        body_vars = free_var_tuple(self.body)
-        alpha_set, beta_set = set(self.alpha), set(self.beta)
-        if len(alpha_set) != len(self.alpha) or len(beta_set) != len(self.beta):
+    def __init__(self, body: "Formula", alpha: tuple[Variable, ...] = (),
+                 beta: tuple[Variable, ...] = ()):
+        alpha, beta = tuple(alpha), tuple(beta)
+        body_vars = free_var_tuple(body)
+        alpha_set, beta_set = set(alpha), set(beta)
+        if len(alpha_set) != len(alpha) or len(beta_set) != len(beta):
             raise FormulaError("abstraction variable lists must not repeat")
         if alpha_set & beta_set:
             raise FormulaError("alpha and beta must be disjoint")
@@ -108,10 +151,11 @@ class AbstractedTerm:
             raise FormulaError(
                 "alpha and beta together must partition the body's free variables"
             )
-        if body_vars and not self.alpha:
+        if body_vars and not alpha:
             raise FormulaError(
                 "alpha must be nonempty when the abstracted body has free variables"
             )
+        self.__dict__.update(body=body, alpha=alpha, beta=beta)
 
     @property
     def is_ground(self) -> bool:
@@ -137,12 +181,6 @@ def _check_ground_term(value) -> None:
 # Predicates and formulas
 
 
-def _stored():
-    """The ``free_vars`` field: set once by ``__init__`` and left out of
-    its parameters, equality, hashing and repr."""
-    return field(init=False, repr=False, compare=False)
-
-
 def _args_free(args) -> tuple[Variable, ...]:
     """Check that each argument is a term; return the free variables of
     the argument list in first-appearance order."""
@@ -160,23 +198,30 @@ def _args_free(args) -> tuple[Variable, ...]:
     return tuple(seen.values())
 
 
-@dataclass(frozen=True)
-class Predicate:
-    name: str
-    arity: int
+class Predicate(Value):
+    _fields = ("name", "arity")
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str, arity: int):
+        if not name:
             raise FormulaError("predicate name must be nonempty")
-        if self.arity < 0:
+        if arity < 0:
             raise FormulaError("predicate arity must be >= 0")
+        self.__dict__.update(name=name, arity=arity)
+
+    # compared and hashed without ``_values``: every assert and atom read does one
+    def __eq__(self, other):
+        if other.__class__ is Predicate:
+            return self.name == other.name and self.arity == other.arity
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.arity))
 
     def __repr__(self):
         return f"{self.name}/{self.arity}"
 
 
-@dataclass(frozen=True)
-class Top:
+class Top(Value):
     """The tautology formula; its free-variable tuple is empty."""
 
     free_vars: ClassVar[tuple[Variable, ...]] = ()
@@ -185,11 +230,8 @@ class Top:
         return "Top"
 
 
-@dataclass(frozen=True, init=False)
-class Atom:
-    predicate: Predicate
-    args: tuple[Term, ...] = ()
-    free_vars: tuple[Variable, ...] = _stored()
+class Atom(Value):
+    _fields = ("predicate", "args")
 
     def __init__(self, predicate: Predicate, args: tuple[Term, ...] = ()):
         if type(args) is not tuple:
@@ -202,11 +244,8 @@ class Atom:
         return serialize(self)
 
 
-@dataclass(frozen=True, init=False)
-class Identity:
-    left: Term
-    right: Term
-    free_vars: tuple[Variable, ...] = _stored()
+class Identity(Value):
+    _fields = ("left", "right")
 
     def __init__(self, left: Term, right: Term):
         self.__dict__.update(left=left, right=right, free_vars=_args_free((left, right)))
@@ -215,8 +254,7 @@ class Identity:
         return serialize(self)
 
 
-@dataclass(frozen=True, init=False)
-class Conj:
+class Conj(Value):
     """Indexed conjunction: joins the operands on ``pairs`` of columns.
 
     Each pair (i, j) relates position i of the left operand's free
@@ -226,10 +264,7 @@ class Conj:
     joined, otherwise the canonical tuple would repeat a name.
     """
 
-    lhs: "Formula"
-    rhs: "Formula"
-    pairs: tuple[tuple[int, int], ...] = ()
-    free_vars: tuple[Variable, ...] = _stored()
+    _fields = ("lhs", "rhs", "pairs")
 
     def __init__(self, lhs: "Formula", rhs: "Formula", pairs: tuple[tuple[int, int], ...] = ()):
         # normalized: sorted, distinct, int pairs
@@ -267,10 +302,8 @@ class Conj:
         return serialize(self)
 
 
-@dataclass(frozen=True, init=False)
-class Neg:
-    body: "Formula"
-    free_vars: tuple[Variable, ...] = _stored()
+class Neg(Value):
+    _fields = ("body",)
 
     def __init__(self, body: "Formula"):
         self.__dict__.update(body=body, free_vars=free_var_tuple(body))
@@ -279,13 +312,10 @@ class Neg:
         return serialize(self)
 
 
-@dataclass(frozen=True, init=False)
-class Exists:
+class Exists(Value):
     """Quantifies away the ``position``-th free variable of the body."""
 
-    position: int
-    body: "Formula"
-    free_vars: tuple[Variable, ...] = _stored()
+    _fields = ("position", "body")
 
     def __init__(self, position: int, body: "Formula"):
         bt = free_var_tuple(body)

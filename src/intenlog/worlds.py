@@ -13,7 +13,9 @@ over the active domain, which runs the complement's checks and is never
 listed.  So a conjunction is ``relalg.join_rows`` over two operands,
 one lazy stream that a built node exhausts and a closed quantifier
 reads one row of; an open quantifier is ``relalg.project_out`` of its
-operand; and only a bare negation builds the complement.  A closed
+operand; and only a bare negation builds the complement, through
+``relalg.complement``, which makes the one ``Complement`` it lists (none
+at arity 0, where it flips truth).  A closed
 quantifier (an ``exists`` of arity 0) asks only whether its body has a
 row: it walks down the quantifiers under it, and a conjunction answers
 with its first row, any other node with ``relalg.nonempty`` of its
@@ -49,14 +51,13 @@ an open Know atom is an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from . import relalg
 from .prp import Concept, ConceptTable, Element, IDENTITY_PREDICATE, Particular
 from .relalg import Relation
-from .syntax import Formula, KNOW_NAME, Predicate, free_var_tuple
+from .syntax import Formula, KNOW_NAME, Predicate, Value, free_var_tuple
 
 if TYPE_CHECKING:
     from .epistemic import Memory
@@ -99,13 +100,15 @@ def is_canonical_atom(u: Concept) -> bool:
     return len(names) == len(u.entries) and len(set(names)) == len(names)
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class World:
-    pred_base: Mapping[tuple[str, int], Relation]
-    particulars: frozenset
-    memory: Memory | None
-    grounded: Mapping[int, Relation]  # by concept id
-    _memo: dict = field(repr=False)
+class World(Value):
+    """The base relations by predicate key, the particulars, the memory and
+    the grounded relations by concept id, shown by these four fields.  A
+    world is equal only to itself.  Its memo of extensions, and its active
+    domain once built, sit beside the fields in the instance dict."""
+
+    _fields = ("pred_base", "particulars", "memory", "grounded")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, pred_base: Mapping[tuple[str, int], Relation] | None = None,
                  particulars: frozenset = frozenset(), memory: Memory | None = None,
@@ -211,8 +214,7 @@ def _compute(world: World, u: Concept) -> Relation:
     if u.op == "conj":
         return relalg.build(*_conj_rows(world, u))
     if u.op == "neg":
-        negated = _operand(world, u)
-        return relalg.complement(negated.relation, negated.domain)
+        return _negated(world, u, relalg.complement)
     if u.op == "exists":
         if u.arity == 0:
             return relalg.truth(_nonempty(world, u.children[0]))
@@ -248,8 +250,16 @@ def _operand(world: World, u: Concept) -> Relation | relalg.Complement:
     run here."""
     if u.op != "neg":
         return extension(world, u)
+    return _negated(world, u, relalg.Complement)
+
+
+def _negated(world: World, u: Concept, make):
+    """``make(r, domain)`` for the extension ``r`` of the negation ``u``'s
+    operand and the world's active domain: a ``relalg.Complement``, or
+    the listed complement.  A failed check under an open Know atom is
+    reported as that atom's error."""
     try:
-        return relalg.Complement(extension(world, u.children[0]), world.active_domain())
+        return make(extension(world, u.children[0]), world.active_domain())
     except relalg.RelAlgError:
         know = _open_know_atom(u.children[0])
         if know is None:

@@ -9,13 +9,13 @@ constant nothing asserted.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 
 from intenlog import relalg
 from intenlog.checks import tarski_eval
 from intenlog.demo import build_demo_session
+from intenlog.epistemic import Memory
 from intenlog.grounding import corpus_process
 from intenlog.kb import Session, load_kb
 from intenlog.relalg import Relation
@@ -286,8 +286,9 @@ def cache_free(world):
     """The same world with every relation and the memory rebuilt, so no
     column index, layout, Know relation or memo carries over."""
     fresh = lambda rel: Relation(rel.arity, rel.tuples)  # noqa: E731
+    memory = world.memory
     return World({key: fresh(rel) for key, rel in world.pred_base.items()},
-                 world.particulars, dataclasses.replace(world.memory),
+                 world.particulars, Memory(memory.temporary, memory.permanent, memory.next_id),
                  {key: fresh(rel) for key, rel in world.grounded.items()})
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import sys
 
@@ -478,7 +477,7 @@ def test_stored_free_tuples_match_a_naive_recursion_property():
         free = f.free_vars
         bound = {v: Constant(rng.choice("abc")) for v in free if rng.random() < 0.5}
         parsed = parse_formula(serialize(f), vocab)
-        copied = dataclasses.replace(f)
+        copied = type(f)(*(getattr(f, name) for name in f._fields))  # through the constructor
         recovered = table.recover(table.interpret(f))
         built = [f, parsed, copied, recovered, substitute(f, bound),
                  table.recover(stamp(table.interpret(f), "t1", table))]

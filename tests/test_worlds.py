@@ -617,6 +617,35 @@ def test_a_negated_left_operand_over_a_large_domain_builds_no_complement(monkeyp
     assert calls == []
 
 
+def test_a_bare_negation_makes_one_complement_and_a_ground_one_none(monkeypatch):
+    """A bare negation lists the complement through one
+    ``relalg.complement`` call, which checks the domain once; a ground
+    negation flips truth without making a ``Complement``."""
+    session = load_kb(NEGATION_KB)
+    made, checks = [], []
+
+    class Counted(relalg.Complement):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    check = relalg._check_domain
+    monkeypatch.setattr(relalg, "Complement", Counted)
+    monkeypatch.setattr(relalg, "_check_domain", lambda *a: checks.append(a) or check(*a))
+    table, world = session.table, session.world
+    n = len(world.active_domain())
+    for text, size in (("~ r(?x, ?y)", n * n - 3), ("~ u(?x)", n - 3), ("~ r(c, ?y)", n - 1)):
+        made.clear(), checks.clear()
+        rows = extension(world, table.interpret(session.parse(text))).tuples
+        assert len(rows) == size and len(made) == len(checks) == 1, text
+    for text, truth in (("~ r(a, c)", False), ("~ r(c, c)", True)):
+        made.clear(), checks.clear()
+        assert extension(world, table.interpret(session.parse(text))) == relalg.truth(truth)
+        assert made == checks == [], text
+
+
 def test_a_negated_open_know_atom_fails_before_the_operand_beside_it_is_read():
     """``p`` is declared with no rows, so reading it would fail too; the
     negated left operand is read and checked first, as when it was built."""
