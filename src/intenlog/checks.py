@@ -323,7 +323,7 @@ def _grounded_and_known(rng, world: World, table: ConceptTable, preds, domain, v
     for _ in range(rng.randint(1, 3)):
         content = table.interpret(ground_atom(rng.choice(preds)))
         memory, _, _ = memory.add("temporary", now, me, content, ("experience",))
-    world = world.with_particulars(world.particulars | {now, me}).with_memory(memory)
+    world = world.with_rows({}, (now, me)).with_memory(memory)
     leaves = []
     for _ in range(3):
         time = rng.choice((TimeValue("in_present"), rng.choice(variables)))

@@ -30,7 +30,6 @@ ENGINE_ERRORS = (
     WorldError,
     EpistemicError,
     GroundingError,
-    ValueError,
 )
 
 
@@ -101,9 +100,13 @@ def _repl_command(session: Session, line: str) -> str | None:
         budget = session.budget
         if rest:
             parts = rest.split()
+            usage = KBError("usage: chain [--budget N]")
             if parts[0] != "--budget" or len(parts) != 2:
-                raise KBError("usage: chain [--budget N]")
-            budget = int(parts[1])
+                raise usage
+            try:
+                budget = int(parts[1])
+            except ValueError:  # not a number, or more digits than int() takes
+                raise usage from None
         steps = session.chain(budget)
         lines = [f"{len(steps)} new atom(s)"]
         for step in steps:

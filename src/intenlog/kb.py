@@ -127,7 +127,7 @@ class Session:
         if particular in self.world.particulars:
             return
         if self._particulars is None:
-            self.world = self.world.with_particulars(self.world.particulars | {particular})
+            self.world = self.world.with_rows({}, (particular,))
         else:
             self._particulars.add(particular)
 

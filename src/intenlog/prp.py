@@ -73,7 +73,10 @@ class Concept:
 
     ``op`` is one of atom / truth / conj / neg / exists; composites
     keep their children and operator parameters so the underlying
-    formula can be recovered from the table.
+    formula can be recovered from the table.  ``layout`` is None until
+    ``worlds`` first reads an atom, and then how the atom reads its
+    predicate's relation: a function of its entries alone, so every
+    world and relation agrees on it.
     """
 
     __slots__ = (
@@ -85,6 +88,7 @@ class Concept:
         "children",
         "pairs",
         "position",
+        "layout",
     )
 
     def __init__(self, id, arity, op, predicate=None, entries=None, children=(),
@@ -97,6 +101,7 @@ class Concept:
         self.children = children
         self.pairs = pairs
         self.position = position
+        self.layout = None
 
     def __repr__(self):
         return f"u{self.id}:D{self.arity}"

@@ -26,21 +26,16 @@ quantifier needs, so one function serves both.  ``join_rows`` takes
 pairs as ``join_pairs`` returns them; ``natural_join`` checks them.
 
 Everything here is a pure function over immutable values.  A relation
-keeps two caches, each built on first use and kept on the value it
+keeps one cache, its column index (``Relation.index``), which joins and
+atom reads group rows by: built on first use, kept on the value it
 describes, and excluded from equality, hashing and repr, so no caller
-can observe them except by their speed.  One is its column index
-(``Relation.index``), which joins and atom reads group rows by.  The
-other, ``Relation._layouts``, holds the extension (a truth value) of
-each ground atom concept read from the relation, keyed by the concept;
-``worlds`` fills it, so the worlds that share the relation lay such an
-atom out once.
+can observe it except by its speed.
 ``Relation.with_rows`` adds many rows in one write and carries every
 index built so far, sharing all buckets but those the new rows join;
-so a bucket never changes once built.  The grown relation starts with
-no layouts, since the new rows may change any of them.  Operator
-results are built by ``Relation.trusted``, which checks nothing since
-they have the right shape by construction; a relation built from
-outside is checked when it is made.
+so a bucket never changes once built.  Operator results are built by
+``Relation.trusted``, which checks nothing since they have the right
+shape by construction; a relation built from outside is checked when
+it is made.
 """
 
 from __future__ import annotations
@@ -71,8 +66,8 @@ def row_key(row: tuple) -> tuple:
 
 class Relation(Value):
     """A set of tuples of length ``arity``: a value of its arity and rows.
-    Its two caches, ``_index`` and ``_layouts``, sit beside them in the
-    instance dict, so they take no part in equality, hashing or repr."""
+    Its column index, ``_index``, sits beside them in the instance dict,
+    so it takes no part in equality, hashing or repr."""
 
     _fields = ("arity", "tuples")
 
@@ -84,7 +79,7 @@ class Relation(Value):
         wrong = set(map(len, tuples)) - {arity}
         if wrong:
             raise RelAlgError(f"tuple of length {min(wrong)} in relation of arity {arity}")
-        self.__dict__.update(arity=arity, tuples=tuples, _index={}, _layouts={})
+        self.__dict__.update(arity=arity, tuples=tuples, _index={})
 
     @classmethod
     def trusted(cls, arity: int, rows: frozenset) -> Relation:
@@ -92,7 +87,7 @@ class Relation(Value):
         tuples of that length, built without checking them: for operator
         output, which has that shape by construction."""
         out = object.__new__(cls)
-        out.__dict__.update(arity=arity, tuples=rows, _index={}, _layouts={})
+        out.__dict__.update(arity=arity, tuples=rows, _index={})
         return out
 
     def index(self, cols: tuple[int, ...]) -> dict[tuple, list[tuple]]:
@@ -109,8 +104,7 @@ class Relation(Value):
     def with_rows(self, rows) -> Relation:
         """This relation plus ``rows``, or itself when it holds them all.
         Each index built so far carries over with the new rows added to
-        their buckets; every other bucket is shared.  No layout carries
-        over."""
+        their buckets; every other bucket is shared."""
         new = set()
         for row in rows:
             if type(row) is not tuple or len(row) != self.arity:

@@ -27,20 +27,19 @@ or memory returns a new world that shares everything it did not
 replace, so a world held elsewhere never changes.  Every extension it
 builds is memoized per world and concept.  Atoms read base relations
 (including those bound processes installed) and the memory's Know
-relation through their column index (a ground atom is one membership
-test), which outlives a world as long as later worlds share the
-relation; an atom over distinct variables reads the relation itself.  A
-ground atom's extension, a truth value, lives on the relation it reads:
-it is laid out once per relation and kept there for every later world
-that shares the relation, so a write leaves the ground atoms of the
-predicates it did not grow laid out.  An open atom's extension owns its
-rows, so it is laid out per world and freed with the world's memo, not
-kept until the relation is replaced; identity atoms, which read the
-active domain, are built per world.
+relation.  How an atom reads one (its ground columns and values, the
+column pairs its repeated variables require equal, and the first
+column of each variable) depends on the atom alone, so it is laid out
+at the atom's first read and kept on the concept (``Concept.layout``)
+for every world.  A ground atom is then one membership test of its row,
+an atom over distinct variables reads the relation itself, and any
+other atom selects through the relation's column index, which outlives
+a world as long as later worlds share the relation.  Identity atoms,
+which read the active domain, are built per world.
 A write (``with_rows``) adds many rows, across predicates, and
 particulars in one new world: each base relation it grows carries its
-built indexes over but no layout, and the world carries the active
-domain over, grown by the new elements, when it was built.  The active
+built indexes over, and the world carries the active domain over,
+grown by the new elements, when it was built.  The active
 domain (its particulars plus every element of its base and grounded
 relations) is built once per world.  Know atoms read the Know
 relation of the world's memory, which worlds sharing that memory share.
@@ -56,7 +55,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from . import relalg
 from .prp import Concept, ConceptTable, Element, IDENTITY_PREDICATE, Particular
-from .relalg import Relation
+from .relalg import FALSE, TRUE, Relation
 from .syntax import Formula, KNOW_NAME, Predicate, Value, free_var_tuple
 
 if TYPE_CHECKING:
@@ -159,16 +158,6 @@ class World(Value):
         grounded = {**self.grounded, concept.id: relation}
         return World(self.pred_base, self.particulars, self.memory, grounded)
 
-    def with_particulars(self, particulars) -> "World":
-        """A new world with these particulars; when they only add to this
-        world's, it starts with this world's active domain plus them, if
-        that was built."""
-        particulars = frozenset(particulars)
-        world = World(self.pred_base, particulars, self.memory, self.grounded)
-        if "_domain" in vars(self) and particulars >= self.particulars:
-            vars(world)["_domain"] = self._domain | particulars
-        return world
-
     def with_memory(self, memory: Memory) -> "World":
         """A new world over ``memory``; it keeps this world's active
         domain, if that was built, since memory adds nothing to it."""
@@ -208,7 +197,7 @@ def extension(world: World, u) -> Relation | Element:
 
 def _compute(world: World, u: Concept) -> Relation:
     if u.op == "truth":
-        return relalg.TRUE
+        return TRUE
     if u.op == "atom":
         return _atom_extension(world, u)
     if u.op == "conj":
@@ -285,14 +274,18 @@ def _atom_extension(world: World, u: Concept) -> Relation:
         base = world.pred_base.get((pred.name, pred.arity))
     if base is None:
         raise MissingExtensionError(u)
-    if u.arity:  # an open atom's layout owns its rows: it lives in the world's memo
-        return _layout(u, base)
-    found = base._layouts.get(u)
-    if found is None:
-        found = _layout(u, base)
-        if found is not base:  # keep nothing on the truth constants every session shares
-            base._layouts[u] = found
-    return found
+    layout = u.layout
+    if layout is None:
+        layout = u.layout = _layout(u)
+    if not u.arity:  # a ground atom: its layout is its row
+        return TRUE if layout in base.tuples else FALSE
+    cols, values, equal, keep = layout
+    if not cols and not equal:
+        return base  # the projection below would be the identity
+    rows = base.index(cols).get(values, ()) if cols else base.tuples
+    if equal:
+        rows = [row for row in rows if all(row[i] == row[j] for i, j in equal)]
+    return Relation.trusted(u.arity, frozenset(tuple(row[i] for i in keep) for row in rows))
 
 
 def _open_know_atom(u: Concept) -> str | None:
@@ -306,10 +299,12 @@ def _open_know_atom(u: Concept) -> str | None:
     return next(filter(None, map(_open_know_atom, u.children)), None)
 
 
-def _layout(u: Concept, base: Relation) -> Relation:
-    """Derive an atom concept's extension from its predicate's relation:
-    select rows matching the ground arguments and repeated variables,
-    then project to the first occurrence of each variable in order."""
+def _layout(u: Concept) -> tuple:
+    """How the atom concept ``u`` reads its predicate's relation.  A
+    ground atom's layout is its row; any other atom's is the columns of
+    its ground arguments and their values, the column pairs its repeated
+    variables require equal, and the first column of each variable in
+    order, which its extension keeps."""
     positions: dict[str, int] = {}
     ground: list[tuple[int, Element]] = []
     equal: list[tuple[int, int]] = []
@@ -326,17 +321,9 @@ def _layout(u: Concept, base: Relation) -> Relation:
                 "cannot extensionalize an atom holding an open abstraction argument"
             )
     if not positions:
-        return relalg.truth(tuple(e for _, e in ground) in base.tuples)
-    if not ground and not equal:
-        return base  # the projection below would be the identity
-    rows = base.tuples
-    if ground:
-        cols, values = zip(*ground)
-        rows = base.index(cols).get(values, ())
-    if equal:
-        rows = [row for row in rows if all(row[i] == row[j] for i, j in equal)]
-    keep = sorted(positions.values())
-    return Relation.trusted(u.arity, frozenset(tuple(row[i] for i in keep) for row in rows))
+        return tuple(e for _, e in ground)
+    cols, values = zip(*ground) if ground else ((), ())
+    return cols, values, tuple(equal), tuple(sorted(positions.values()))
 
 
 def _identity_extension(world: World, u: Concept) -> Relation:

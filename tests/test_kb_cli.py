@@ -486,6 +486,12 @@ class TestRepl:
         assert "consolidated at t3" in out[2]
         assert "[permanent]" in out[3]
 
+    def test_a_bad_chain_budget_prints_the_usage(self):
+        script = "".join(f"chain {args}\n" for args in (
+            "--budget x", "--budget " + "9" * 5000, "--depth 1", "--budget 1 2", "--budget 0"))
+        out = self.run(script + "quit\n")
+        assert out == ["error: usage: chain [--budget N]"] * 4 + ["0 new atom(s)"]
+
     def test_render_command(self):
         session, info = build_demo_session()
         from intenlog.syntax import AbstractedTerm, free_var_tuple

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
+from intenlog import worlds
 from intenlog.checks import brute_force_join
-from intenlog.epistemic import Memory
 from intenlog.kb import load_kb
 from intenlog.relalg import (
     Complement,
@@ -23,6 +23,7 @@ from intenlog.relalg import (
     truth,
 )
 from intenlog.worlds import extension
+from tests.test_worlds import _scan_layout
 
 
 LAYOUT_KB = "predicate p/2\nassert p(a, b)\nassert p(a, a)\nassert p(b, b)\n"
@@ -227,48 +228,52 @@ class TestRelationValue:
         assert r == twin and hash(r) == hash(twin) and not twin._index
         assert {r: 1}[twin] == 1
 
-    def test_layouts_are_not_observable(self):
+    def test_every_relation_holds_only_its_index(self):
         session = load_kb(LAYOUT_KB)
-        r = session.world.pred_base[("p", 2)]
-        twin = rel(2, *r.tuples)
-        before = (hash(r), repr(r), r.sorted_rows())
-        atom = session.table.interpret(session.parse("p(a, b)"))
-        assert extension(session.world, atom) is TRUE
-        assert r._layouts == {atom: TRUE}
-        # a later world over the same relation reads the atom from it
-        r._layouts[atom] = FALSE
-        assert extension(session.world.with_memory(Memory()), atom) is FALSE
-        r._layouts[atom] = TRUE
-        assert (hash(r), repr(r), r.sorted_rows()) == before
-        assert r == twin and hash(r) == hash(twin) and not twin._layouts
-        assert {r: 1}[twin] == 1
-
-    def test_a_grown_relation_keeps_every_index_and_no_layout(self):
-        session = load_kb(LAYOUT_KB)
-        for text in ("p(a, ?y)", "p(?x, b)", "p(a, b)", "p(b, a)"):
+        for text in ("p(a, ?y)", "p(?x, b)", "p(a, b)", "p(b, a)", "p(?x, ?x)"):
             extension(session.world, session.table.interpret(session.parse(text)))
         r = session.world.pred_base[("p", 2)]
-        assert len(r._layouts) == 2 and set(r._index) == {(0,), (1,)}
-        a, c = session.table.particular("a"), session.table.particular("c")
+        assert set(r._index) == {(0,), (1,)}
+        a, b, c = (session.table.particular(n) for n in "abc")
         assert r.with_rows([(a, a)]) is r
         grown = r.with_rows([(c, a)])
-        assert not grown._layouts and len(r._layouts) == 2
         assert set(grown._index) == set(r._index)
         assert grown.index((0,))[(c,)] == [(c, a)]
+        # the buckets the new row does not join are shared
+        assert grown.index((0,))[(a,)] is r.index((0,))[(a,)]
+        assert grown.index((1,))[(b,)] is r.index((1,))[(b,)]
+        domain = frozenset((a, b, c))
+        relations = [
+            rel(2, ("a", "b")), Relation.trusted(1, frozenset({("a",)})), r, grown, TRUE, FALSE,
+            natural_join(r, grown, ((1, 2),)), complement(r, domain), project_out(r, 1),
+            project_out(Complement(r, domain), 1), build(*join_rows(r, Complement(r, domain), ())),
+        ]
+        for relation in relations:
+            assert set(vars(relation)) == {"arity", "tuples", "_index"}
 
-    def test_only_a_ground_atom_keeps_its_layout(self):
-        session = load_kb(LAYOUT_KB)
-        r = session.world.pred_base[("p", 2)]
-        for text in ("p(?x, ?y)", "p(?y, ?x)"):  # canonical: the relation itself
-            assert extension(session.world, session.table.interpret(session.parse(text))) is r
-        for text in ("p(a, ?y)", "p(?x, ?x)"):  # open: rows of its own, per world
-            extension(session.world, session.table.interpret(session.parse(text)))
-        assert not r._layouts
-        # a 0-ary predicate may hold a truth constant, which every session shares
-        flag = session.vocabulary.declare("flag", 0)
-        atom = session.table.intern_atom(flag, ())
-        world = session.world.with_base(atom, TRUE)
-        assert extension(world, atom) is TRUE and not TRUE._layouts
+    def test_each_atom_is_laid_out_once_across_worlds_and_writes(self, monkeypatch):
+        planned = collections.Counter()
+        plan = worlds._layout
+        monkeypatch.setattr(worlds, "_layout", lambda u: planned.update([u.id]) or plan(u))
+        session = load_kb(LAYOUT_KB + "predicate q/1\nassert q(a)\n")
+        texts = ("p(a, b)", "p(b, c)", "p(a, ?y)", "p(?x, b)", "p(?x, ?x)", "p(?y, ?x)",
+                 "q(a)", "q(c)", "Know(in_present, me, << q(b) >>)", "Know(?t, me, ?c)")
+        atoms = [session.table.interpret(session.parse(t)) for t in texts]
+        writes = ("assert p(b, c)", "assert q(c)", "know << q(b) >>", "assert p(c, c)",
+                  "assert q(b)", "know << p(a, b) >>")
+        seen = [session.world]
+        for write in (None, *writes):
+            if write:
+                session.execute(write)
+                seen.append(session.world)
+            for world in seen:
+                for u in atoms:
+                    pred = u.predicate
+                    base = (world.memory.know_relation if pred.name == "Know"
+                            else world.pred_base[(pred.name, pred.arity)])
+                    assert extension(world, u) == _scan_layout(u.entries, base.tuples), u.entries
+        assert set(planned) >= {u.id for u in atoms}
+        assert set(planned.values()) == {1}
 
     def test_frozen_tuple_rows_are_kept_as_given(self):
         rows = frozenset({("a", "b"), ("b", "a")})

@@ -453,13 +453,11 @@ def test_derived_worlds_collect_their_own_domain(setup):
     phi = table.interpret(Atom(phi_pred, (Variable("x"), Variable("y"))))
     newcomer, extra = table.particular("newcomer"), table.particular("extra")
     w1 = world.with_base(phi, Relation(2, frozenset({(newcomer, clips[0])})))
-    w2 = w1.with_particulars(world.particulars | {extra})
+    w2 = w1.with_rows({}, (extra,))
     w3 = w2.with_base(u_clips, Relation(1, frozenset()))
-    w4 = w3.with_particulars(())
-    for w in (world, w1, w2, w3, w4):
+    for w in (world, w1, w2, w3):
         assert w.active_domain() == scan(w)
     assert newcomer in w1.active_domain() and extra in w2.active_domain()
-    assert w4.active_domain() == {newcomer, clips[0]}
     assert world.active_domain() == first
 
 
@@ -550,10 +548,10 @@ def test_new_memory_or_particulars_carry_the_domain_of_a_fresh_one():
             if rng.random() < 0.3:
                 world = world.with_memory(Memory(next_id=rng.randint(1, 9)))
             else:
-                # grown, kept, or shrunk: only the first two may reuse the domain
+                # grown or kept: both reuse the domain, if it was built
                 kept = rng.sample(domain, rng.randint(0, len(domain)))
                 extra = [newcomer] if rng.random() < 0.5 else []
-                world = world.with_particulars(kept + extra)
+                world = world.with_rows({}, kept + extra)
             fresh = World(dict(world.pred_base), world.particulars, world.memory, world.grounded)
             assert world.active_domain() == fresh.active_domain()
 
