@@ -33,20 +33,22 @@ ENGINE_ERRORS = (
 )
 
 
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _build_session(args) -> Session:
     session = Session(budget=args.budget)
     if getattr(args, "templates", None):
-        with open(args.templates) as fh:
-            session.templates = load_templates(fh.read())
+        session.templates = load_templates(_read(args.templates))
     if getattr(args, "corpus", None):
-        with open(args.corpus) as fh:
-            corpus = load_corpus(fh.read())
+        corpus = load_corpus(_read(args.corpus))
         session.registry.register_process(
             corpus_process("corpus_clips", corpus, session.table)
         )
     if args.kb:
-        with open(args.kb) as fh:
-            load_kb(fh.read(), session)
+        load_kb(_read(args.kb), session)
     return session
 
 
@@ -87,6 +89,17 @@ def repl(session: Session, stdin=sys.stdin, report=print) -> int:
     return 0
 
 
+def _number(text: str, usage: str) -> int:
+    """The number ``text`` spells in ASCII digits; a KBError with the
+    ``usage`` line for any other text, or more digits than int() takes."""
+    if not (text.isascii() and text.isdigit()):
+        raise KBError(usage)
+    try:
+        return int(text)
+    except ValueError:
+        raise KBError(usage) from None
+
+
 def _repl_command(session: Session, line: str) -> str | None:
     head, _, rest = line.partition(" ")
     rest = rest.strip()
@@ -100,13 +113,10 @@ def _repl_command(session: Session, line: str) -> str | None:
         budget = session.budget
         if rest:
             parts = rest.split()
-            usage = KBError("usage: chain [--budget N]")
+            usage = "usage: chain [--budget N]"
             if parts[0] != "--budget" or len(parts) != 2:
-                raise usage
-            try:
-                budget = int(parts[1])
-            except ValueError:  # not a number, or more digits than int() takes
-                raise usage from None
+                raise KBError(usage)
+            budget = _number(parts[1], usage)
         steps = session.chain(budget)
         lines = [f"{len(steps)} new atom(s)"]
         for step in steps:
@@ -119,11 +129,8 @@ def _repl_command(session: Session, line: str) -> str | None:
         steps = session.consolidate(parts[1])
         return f"{len(steps)} atom(s) consolidated at {parts[1]}"
     if head == "render":
-        try:
-            atom_id = int(rest.lstrip("k"))
-        except ValueError:
-            raise KBError("usage: render <atom-id>") from None
-        return session.render(atom_id)
+        digits = rest[1:] if rest.startswith("k") else rest
+        return session.render(_number(digits, "usage: render <atom-id>"))
     if head == "dump":
         if rest == "concepts":
             return dump_concepts(session).rstrip("\n")
@@ -163,7 +170,7 @@ def main(argv=None) -> int:
     if args.command == "repl":
         try:
             session = _build_session(args)
-        except (KBError, ParseError, GroundingError, OSError) as exc:
+        except (KBError, ParseError, GroundingError, OSError, UnicodeDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         code = repl(session)

@@ -20,22 +20,29 @@ Directives execute in order; asserting an undeclared predicate,
 referencing an unregistered process, or both asserting and grounding
 one predicate is an error naming the line.
 
+A plain ``assert`` line, ``name(arg, ..., arg)`` over identifiers on a
+declared predicate that is neither Know nor grounded, is read without
+the parser: its arguments intern their particulars in order and its row
+is written as ``Session.assert_fact`` writes one.  Any other ``assert``
+line is parsed and goes to ``assert_fact``, which reports every error.
+
 ``load_kb`` writes each run of consecutive ``assert`` and ``particular``
-lines as one batch: their new rows and particulars are collected
-privately and published as one world, so loading is linear in the size
-of the KB.  ``predicate`` lines, comments and blank lines do not end a
-run; the batch is published before any other directive, at the end of
-the input, and when a line raises, so after an error the session holds
-every line before the failing one.  A directive run on its own (through
-``execute``, as the repl does) publishes its write at once.
+lines as one batch: their new rows, from either reader, and their new
+particulars are collected privately and published as one world, so
+loading is linear in the size of the KB.  ``predicate`` lines, comments
+and blank lines do not end a run; the batch is published before any
+other directive, at the end of the input, and when a line raises, so
+after an error the session holds every line before the failing one.  A
+directive run on its own (through ``execute``, as the repl does)
+publishes its write at once.
 
 A query text is parsed and interpreted once per session: ``Session.parse``,
 which the repl's ``eval`` and ``answer`` use, keeps the formula of each
 text that parses, and a sentence's concept, interned at its first parse,
 for every later read.  Parse errors are not kept, nor are texts whose
-interpretation raises.  Directive lines (``assert``, ``rule``, ``know``
-and every ``load_kb`` line) are parsed each time and not kept, so loading
-a KB leaves nothing behind.
+interpretation raises.  Directive lines (``rule``, ``know`` and an
+``assert`` that is not a plain fact) are parsed each time, and no
+directive line is kept, so loading a KB leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -53,12 +60,22 @@ from .syntax import (
     Atom,
     Formula,
     FormulaError,
+    KNOW_NAME,
     Predicate,
     Vocabulary,
     serialize,
     serialize_term,
 )
 from .worlds import World, WorldError
+
+
+# ``name(arg, ..., arg)`` over identifiers as the parser's tokenizer reads
+# them (a lone ``_`` is its UNDERSCORE token), with its whitespace class
+# around every token: the shape of an assert line that is read without
+# the parser.  Group 2 holds the arguments, which _ARG_RE lists in order.
+_IDENT = r"(?:[A-Za-z][A-Za-z0-9_]*|_[A-Za-z0-9_]+)"
+_FACT_RE = re.compile(rf"({_IDENT})\s*\(\s*((?:{_IDENT}(?:\s*,\s*{_IDENT})*)?)\s*\)")
+_ARG_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
 class KBError(Exception):
@@ -154,7 +171,10 @@ class Session:
 
     def assert_fact(self, f: Formula) -> None:
         """Add a ground atom to the world's base extension of its predicate:
-        at once, or when the open write batch is published."""
+        at once, or when the open write batch is published.  A plain
+        ``assert`` line (see the module docstring) skips the parser and
+        this method; every other one is parsed and comes here, so this is
+        where each rejected assert is reported."""
         if not isinstance(f, Atom):
             raise KBError(f"only atoms can be asserted, got {serialize(f)}")
         if f.free_vars:
@@ -167,7 +187,11 @@ class Session:
                 f"by process {process!r}"
             )
         worlds.check_base_predicate(pred)
-        row = tuple(self.table.extend_assignment({}, a) for a in f.args)
+        self._write_row(pred, tuple(self.table.extend_assignment({}, a) for a in f.args))
+
+    def _write_row(self, pred: Predicate, row: tuple) -> None:
+        """Add ``row`` to ``pred``'s base relation: at once, or into the
+        open write batch unless the world already holds it."""
         concept = self._canonical(pred)
         if self._rows is None:
             self.world = self.world.with_rows({concept: (row,)})
@@ -293,6 +317,14 @@ class Session:
             self.declare_particular(rest)
             return None
         if head == "assert":
+            m = _FACT_RE.fullmatch(rest)
+            if m is not None:  # a plain fact: its row, if nothing rejects it
+                name, args = m.group(1), _ARG_RE.findall(m.group(2))
+                pred = self.vocabulary.get(name, len(args))
+                if (pred is not None and name not in ("Top", KNOW_NAME)
+                        and self.registry.bound_process(name, len(args)) is None):
+                    self._write_row(pred, tuple(map(self.table.particular, args)))
+                    return None
             self.assert_fact(self._parse_at(parse_formula, rest, start))
             return None
         self._publish()  # every other directive reads or replaces the world

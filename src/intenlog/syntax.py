@@ -476,6 +476,10 @@ class Vocabulary:
     def has(self, predicate: Predicate) -> bool:
         return (predicate.name, predicate.arity) in self._preds
 
+    def get(self, name: str, nargs: int) -> Predicate | None:
+        """The predicate declared as ``name`` at arity ``nargs``, if any."""
+        return self._preds.get((name, nargs))
+
     def resolve(self, name: str, nargs: int) -> Predicate:
         pred = self._preds.get((name, nargs))
         if pred is not None:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from intenlog import epistemic
+from intenlog import epistemic, kb
 from intenlog.checks import _random_formula
 from intenlog.cli import ENGINE_ERRORS, main, repl
 from intenlog.demo import NL_QUERY, build_demo_session, fixture_text, write_trace
@@ -112,6 +112,10 @@ BAD_LINES = {
     "particular 9c": "expected 'particular <name>', got '9c'",
     "assert p1(c0,, c1)": "line 1, col 14: expected a term, found ','",
     "ground gfact yes": "cannot ground gfact/0: it already has asserted facts",
+    "assert gbad ( )": "cannot assert gbad(): gbad/0 is grounded by process 'yes'",
+    "assert Know(in_past, me, c0)": "the epistemic predicate is memory-backed, not base-assigned",
+    "assert open1(c0, c1)":
+        "line 1, col 8: arity mismatch: open1 declared with arity 1, applied to 2 argument(s)",
 }
 
 
@@ -198,6 +202,125 @@ class TestLoadBatch:
                 assert got[0] == (f"line {no}: {BAD_LINES[bad]}", no), (case, lines)
                 met.add(bad)
         assert met == set(BAD_LINES)
+
+
+# The declarations the plain-fact tests assert under: a predicate at two
+# arities, names the tokenizer reads as keywords or tense words, and a
+# unary and a nullary grounded predicate.
+FACT_KB = ["predicate r/2", "predicate r/1", "predicate q/0", "predicate s/3",
+           "predicate Top/1", "predicate in_past/1", "predicate E/1", "predicate _p/1",
+           "predicate g/1", "ground g clips", "predicate h/0", "ground h yes"]
+FACT_BASE = {"r": 2, "q": 0, "s": 3, "in_past": 1, "E": 1, "_p": 1}
+FACT_NAMES = ["r", "q", "s", "Top", "in_past", "E", "_p", "g", "h", "Know", "nope", "_"]
+FACT_ARGS = ["a", "b", "c9", "_x", "__", "in_past", "in_present", "Top", "Know", "E",
+             "_", "?x", "7", "<< q() >>", "a\u00e9"]
+FACT_SPACES = ["", "", "", " ", "  ", "\t", "\u00a0", "\x0c"]
+FACT_EDITS = ["_", "?", "0", "42", "<<", ">>", "Top", "Know", "in_future", " ", "\t",
+              "\u00a0", "\x0c", "\u00e9", ",", "(", ")", "=", "~", "x"]
+
+
+def fact_session() -> Session:
+    session = provisioned_session()
+    session.registry.register_process(corpus_process("clips", [("c1", True)], session.table))
+    load_kb(FACT_KB, session)
+    return session
+
+
+def random_assert_line(rng: random.Random) -> str:
+    """A seeded ``assert`` line: a fact over the names of FACT_KB with
+    random spacing, often mutated by inserting, replacing or deleting
+    a piece of text."""
+    if rng.random() < 0.6:
+        name = rng.choice(sorted(FACT_BASE))
+        arity = FACT_BASE[name]
+    else:
+        name = rng.choice(FACT_NAMES)
+        arity = rng.choice((0, 1, 1, 2, 2, 3))
+    space = lambda: rng.choice(FACT_SPACES)
+    args = [space() + rng.choice(FACT_ARGS[:6] if rng.random() < 0.7 else FACT_ARGS) + space()
+            for _ in range(arity)]
+    text = name + space() + "(" + ",".join(args) + (space() if not args else "") + ")"
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        at = rng.randint(0, len(text))
+        cut = rng.choice((0, 0, 1))
+        text = text[:at] + rng.choice(FACT_EDITS) * rng.randint(0, 1) + text[at + cut:]
+    return "assert " + text
+
+
+def assert_by_parser(monkeypatch):
+    """Read every assert line with ``parse_formula`` and ``assert_fact``,
+    as an assert line that is not a plain fact always is."""
+    monkeypatch.setattr(kb, "_FACT_RE", re.compile(r"(?!)"))
+
+
+def run_asserts(lines, load: bool):
+    """The error of each line, as (text, line), and the dumps after
+    each line run live or after the whole run under ``load_kb``, which
+    goes on after a failing line."""
+    session = fact_session()
+    errors, states = [], []
+    if load:
+        done = 0
+        while done < len(lines):
+            try:
+                load_kb(lines[done:], session)
+                done = len(lines)
+            except KBError as exc:
+                errors.append((str(exc), done + exc.line))
+                done += exc.line
+        states.append([d(session) for d in DUMPS])
+    else:
+        for no, line in enumerate(lines, 1):
+            try:
+                session.execute(line, no)
+            except KBError as exc:
+                errors.append((str(exc), exc.line))
+            states.append([d(session) for d in DUMPS])
+    return errors, states
+
+
+class TestPlainFacts:
+    def test_a_plain_fact_is_read_as_the_parser_reads_it(self, monkeypatch):
+        """Seeded assert lines give the same errors, rows, particular ids
+        and concepts with the plain-fact reader as through the parser,
+        run one by one and under ``load_kb``; many lines take each path."""
+        rng = random.Random(28)
+        parsed = []
+        monkeypatch.setattr(kb, "parse_formula",
+                            lambda text, vocabulary: parsed.append(text) or
+                            parse_formula(text, vocabulary))
+        lines_run = plain = 0
+        for case in range(80):
+            lines = [random_assert_line(rng) for _ in range(rng.randint(1, 30))]
+            for load in (False, True):
+                del parsed[:]
+                got = run_asserts(lines, load)
+                if not load:
+                    lines_run += len(lines)
+                    plain += len(lines) - len(parsed)
+                with monkeypatch.context() as patch:
+                    assert_by_parser(patch)
+                    want = run_asserts(lines, load)
+                assert got == want, (case, load, lines)
+        assert 300 < plain < lines_run - 300, (plain, lines_run)
+
+    @pytest.mark.parametrize("text", [
+        "g(fresh1)", "h()", "Know(fresh1, fresh2, fresh3)", "s(fresh1)", "r(fresh1, fresh2, x)",
+        "nope(fresh1)", "Top(fresh1)", "r(_, fresh1)", "r(fresh1, ?x)", "r(fresh1, 7)",
+        "r(fresh1,, fresh2)", "r(fresh1, fresh\u00e92)",
+    ])
+    def test_a_failed_assert_interns_no_particular(self, text):
+        for load in (False, True):
+            session = fact_session()
+            before = dump_concepts(session)
+            with pytest.raises(KBError):
+                if load:
+                    load_kb([f"assert {text}"], session)
+                else:
+                    session.execute(f"assert {text}")
+            assert dump_concepts(session) == before
+            assert "fresh" not in before
+
 
 class TestDumpKB:
     def test_round_trip_is_fixed_point(self):
@@ -492,6 +615,22 @@ class TestRepl:
         out = self.run(script + "quit\n")
         assert out == ["error: usage: chain [--budget N]"] * 4 + ["0 new atom(s)"]
 
+    def test_numbers_are_ascii_digits(self):
+        """A budget or an atom id is ASCII digits, the id with at most one
+        leading k; a sign, an underscore or another script's digit is the
+        usage line."""
+        session, info = build_demo_session()
+        session.know_term(AbstractedTerm(info["command"], info["command"].free_vars, ()))
+        budgets = ("0_0", "\u0660", "-1", "+0", "1.0")
+        ids = ("k0_1", "kk1", "k\u0661", "k+1", "-1", "k 1", "\uff11")
+        script = "".join(f"chain --budget {b}\n" for b in budgets)
+        script += "".join(f"render {i}\n" for i in ids)
+        out = self.run(script + "render k1\nrender 1\nchain --budget 00\nquit\n", session)
+        rendered = session.render(1)
+        assert out[:-1] == (["error: usage: chain [--budget N]"] * 5
+                            + ["error: usage: render <atom-id>"] * 7 + [rendered, rendered])
+        assert re.match(r"\d+ new atom\(s\)", out[-1])
+
     def test_render_command(self):
         session, info = build_demo_session()
         from intenlog.syntax import AbstractedTerm, free_var_tuple
@@ -648,6 +787,14 @@ class TestCliMain:
         main(["demo", "--trace-out", str(t1)])
         main(["demo", "--trace-out", str(t2)])
         assert t1.read_bytes() == t2.read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--kb", "--corpus", "--templates"])
+    def test_an_input_file_that_is_not_utf8_is_a_reported_error(self, flag, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("# caf\u00e9\n".encode("latin-1"))
+        assert main(["repl", flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "can't decode byte 0xe9" in err
 
     def test_entry_point_runs(self):
         proc = subprocess.run(
