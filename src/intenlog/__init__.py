@@ -12,6 +12,7 @@ from .syntax import (
     Atom,
     Conj,
     Constant,
+    EngineError,
     Exists,
     Formula,
     FormulaError,

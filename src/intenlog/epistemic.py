@@ -46,6 +46,7 @@ from .syntax import (
     AbstractedTerm,
     Conj,
     Constant,
+    EngineError,
     Formula,
     IDENTITY_NAME,
     KNOW_NAME,
@@ -65,7 +66,7 @@ RULE_AXK = "AxK"
 RULE_CONSOLIDATE = "consolidate"
 
 
-class EpistemicError(Exception):
+class EpistemicError(EngineError):
     pass
 
 

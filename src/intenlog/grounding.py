@@ -32,6 +32,7 @@ from .syntax import (
     Atom,
     Conj,
     Constant,
+    EngineError,
     Formula,
     KNOW_NAME,
     TimeValue,
@@ -42,7 +43,7 @@ from .syntax import (
 from .worlds import is_canonical_atom
 
 
-class GroundingError(Exception):
+class GroundingError(EngineError):
     pass
 
 

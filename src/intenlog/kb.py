@@ -2,23 +2,26 @@
 
 A session owns one vocabulary, one concept table, the current world
 (which holds the epistemic memory) and the grounding registry; every
-mutation goes through its methods, so a command script and the
-interactive loop behave identically.  Rules live only in permanent
+mutation goes through its methods.  Rules live only in permanent
 memory, as Know atoms of their implication.  Binding a grounding
 process runs it once and installs its relation in the world.
 
-KB grammar, one directive per line, ``#`` comments:
+KB grammar, one command per line, ``#`` comments:
 
-    predicate <name>/<arity>
-    particular <name>
-    ground <pred> <process>
-    rule <formula> => <formula>
-    assert <formula>
-    know <abstracted-term>
+    predicate <name>/<arity>        eval <formula>
+    particular <name>               answer <formula>
+    ground <pred> <process>         chain [--budget N]
+    rule <formula> => <formula>     consolidate --tau <name>
+    assert <formula>                render <atom-id>
+    know <abstracted-term>          dump {concepts|world|memory|kb}
 
-Directives execute in order; asserting an undeclared predicate,
-referencing an unregistered process, or both asserting and grounding
-one predicate is an error naming the line.
+``Session.execute`` runs one line and returns its output, if any, which
+the repl prints and ``load_kb`` drops: a KB file and the repl share one
+command language.  A name (of a predicate, a particular or a
+consolidation time) is an identifier as the tokenizer reads one, and a
+number is ASCII digits.  Commands execute in order; asserting an
+undeclared predicate, referencing an unregistered process, or both
+asserting and grounding one predicate is an error naming the line.
 
 A plain ``assert`` line, ``name(arg, ..., arg)`` over identifiers on a
 declared predicate that is neither Know nor grounded, is read without
@@ -31,18 +34,17 @@ lines as one batch: their new rows, from either reader, and their new
 particulars are collected privately and published as one world, so
 loading is linear in the size of the KB.  ``predicate`` lines, comments
 and blank lines do not end a run; the batch is published before any
-other directive, at the end of the input, and when a line raises, so
+other command, at the end of the input, and when a line raises, so
 after an error the session holds every line before the failing one.  A
-directive run on its own (through ``execute``, as the repl does)
+command run on its own (through ``execute``, as the repl does)
 publishes its write at once.
 
 A query text is parsed and interpreted once per session: ``Session.parse``,
-which the repl's ``eval`` and ``answer`` use, keeps the formula of each
-text that parses, and a sentence's concept, interned at its first parse,
-for every later read.  Parse errors are not kept, nor are texts whose
-interpretation raises.  Directive lines (``rule``, ``know`` and an
-``assert`` that is not a plain fact) are parsed each time, and no
-directive line is kept, so loading a KB leaves nothing behind.
+which ``eval`` and ``answer`` use wherever they run, keeps the formula of
+each text that parses, and a sentence's concept, interned at its first
+parse, for every later read.  Parse errors are not kept, nor are texts
+whose interpretation raises.  The formulas of ``rule``, ``know`` and an
+``assert`` that is not a plain fact are parsed each time and never kept.
 """
 
 from __future__ import annotations
@@ -51,37 +53,50 @@ import re
 
 from . import epistemic, worlds
 from .epistemic import Memory, TraceStep
-from .grounding import GroundingError, GroundingRegistry, TemplateSet, render_nl
+from .grounding import GroundingRegistry, TemplateSet, render_nl
 from .parser import ParseError, parse_formula, parse_term
 from .prp import Concept, ConceptError, ConceptTable
 from .relalg import Relation
 from .syntax import (
     AbstractedTerm,
     Atom,
+    EngineError,
     Formula,
-    FormulaError,
     KNOW_NAME,
     Predicate,
     Vocabulary,
     serialize,
     serialize_term,
 )
-from .worlds import World, WorldError
+from .worlds import World
 
 
-# ``name(arg, ..., arg)`` over identifiers as the parser's tokenizer reads
-# them (a lone ``_`` is its UNDERSCORE token), with its whitespace class
-# around every token: the shape of an assert line that is read without
-# the parser.  Group 2 holds the arguments, which _ARG_RE lists in order.
+# An identifier as the tokenizer reads it (a lone ``_`` is its UNDERSCORE
+# token), the rule for every name a command takes.  _FACT_RE, an assert line
+# read without the parser, is ``name(arg, ..., arg)`` over identifiers with
+# the tokenizer's whitespace around each token; _ARG_RE lists group 2.
 _IDENT = r"(?:[A-Za-z][A-Za-z0-9_]*|_[A-Za-z0-9_]+)"
+_NAME_RE = re.compile(_IDENT)
+_PREDICATE_RE = re.compile(rf"({_IDENT})/([0-9]+)")
 _FACT_RE = re.compile(rf"({_IDENT})\s*\(\s*((?:{_IDENT}(?:\s*,\s*{_IDENT})*)?)\s*\)")
 _ARG_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
-class KBError(Exception):
+class KBError(EngineError):
     def __init__(self, message: str, line: int | None = None):
         super().__init__(f"line {line}: {message}" if line else message)
         self.line = line
+
+
+def _number(text: str, usage: str) -> int:
+    """The number ``text`` spells in ASCII digits; a KBError with the
+    ``usage`` line for any other text, or more digits than int() takes."""
+    if not (text.isascii() and text.isdigit()):
+        raise KBError(usage)
+    try:
+        return int(text)
+    except ValueError:
+        raise KBError(usage) from None
 
 
 class Session:
@@ -233,6 +248,8 @@ class Session:
 
     def consolidate(self, tau: str) -> tuple[TraceStep, ...]:
         """Consolidate at ``tau``, which the stamped knowledge makes a particular."""
+        if not _NAME_RE.fullmatch(tau):
+            raise KBError(f"consolidation time must be a name, got {tau!r}")
         memory, steps = epistemic.consolidate(self.memory, tau, self.table)
         self.memory = memory
         self.trace.extend(steps)
@@ -273,20 +290,19 @@ class Session:
         return f
 
     def execute(self, line: str, line_no: int | None = None) -> str | None:
-        """Run one KB directive; returns printable output, if any.  A
-        formula the parser accepts but the engine recurses too deeply on
-        is reported as the parser reports a deeper one."""
+        """Run one command and return its output, if any.  An engine error is
+        a KBError naming ``line_no``, and so is a formula the parser accepts
+        but the engine recurses too deeply on, as the parser reports one."""
         try:
             return self._execute(line)
         except RecursionError:
             raise KBError("formula nested too deeply", line_no) from None
-        except (KBError, ParseError, FormulaError, ConceptError, WorldError, GroundingError,
-                epistemic.EpistemicError) as exc:
+        except EngineError as exc:
             raise KBError(str(exc), line_no) from exc
 
     def _parse_at(self, parse, text: str, col: int):
         """Parse ``text``, which starts at 0-based column ``col`` of its
-        directive's line; a ``ParseError`` gives the column in that line."""
+        command's line; a ``ParseError`` gives the column in that line."""
         try:
             return parse(text, self.vocabulary)
         except ParseError as exc:
@@ -302,7 +318,7 @@ class Session:
         rest = rest.strip()
         start = len(line.rstrip()) - len(rest)  # rest's column in the line
         if head == "predicate":
-            m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)/([0-9]+)", rest)
+            m = _PREDICATE_RE.fullmatch(rest)
             if m is None:
                 raise KBError(f"expected 'predicate <name>/<arity>', got {rest!r}")
             try:
@@ -312,7 +328,7 @@ class Session:
             self.declare_predicate(m.group(1), arity)
             return None
         if head == "particular":
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", rest):
+            if not _NAME_RE.fullmatch(rest):
                 raise KBError(f"expected 'particular <name>', got {rest!r}")
             self.declare_particular(rest)
             return None
@@ -327,7 +343,7 @@ class Session:
                     return None
             self.assert_fact(self._parse_at(parse_formula, rest, start))
             return None
-        self._publish()  # every other directive reads or replaces the world
+        self._publish()  # every other command reads or replaces the world
         if head == "ground":
             parts = rest.split()
             if len(parts) != 2:
@@ -347,11 +363,38 @@ class Session:
                 raise KBError(f"know expects an abstracted term, got {rest!r}")
             atom = self.know_term(term)
             return f"k{atom.id}"
+        if head in ("eval", "answer"):
+            f = self.parse(rest, start)
+            if head == "eval":
+                return "t" if self.eval_formula(f) else "f"
+            return self.answer(f)
+        if head == "chain":
+            parts, usage = rest.split(), "usage: chain [--budget N]"
+            if parts and (len(parts) != 2 or parts[0] != "--budget"):
+                raise KBError(usage)
+            steps = self.chain(_number(parts[1], usage) if parts else None)
+            return "\n".join([f"{len(steps)} new atom(s)"] + [
+                f"  k{step.output} [{step.rule}] {step.sentence}" for step in steps])
+        if head == "consolidate":
+            parts = rest.split()
+            if len(parts) != 2 or parts[0] != "--tau":
+                raise KBError("usage: consolidate --tau <T>")
+            steps = self.consolidate(parts[1])
+            return f"{len(steps)} atom(s) consolidated at {parts[1]}"
+        if head == "render":
+            digits = rest[1:] if rest.startswith("k") else rest
+            return self.render(_number(digits, "usage: render <atom-id>"))
+        if head == "dump":
+            dump = {"concepts": dump_concepts, "world": dump_world,
+                    "memory": dump_memory, "kb": dump_kb}.get(rest)
+            if dump is None:
+                raise KBError("usage: dump {concepts|world|memory|kb}")
+            return dump(self).rstrip("\n")
         raise KBError(f"unknown directive {head!r}")
 
 
 def load_kb(source, session: Session | None = None) -> Session:
-    """Execute every directive of a KB text (or iterable of lines)."""
+    """Execute every command of a KB text (or iterable of lines)."""
     if session is None:
         session = Session()
     lines = source.splitlines() if isinstance(source, str) else list(source)
@@ -427,15 +470,11 @@ def dump_memory(session: Session) -> str:
         ("temporary", session.memory.temporary),
         ("permanent", session.memory.permanent),
     ):
-        for atom in atoms:
-            prov = atom.provenance[0]
-            if prov == "derived":
-                prov = f"derived:{atom.provenance[1]}"
-            elif prov == "consolidated":
-                prov = f"consolidated:{atom.provenance[1]}"
+        for atom in atoms:  # a provenance shows its kind and its rule or time
             lines.append(
                 f"k{atom.id} [{store}] Know({atom.time}, {atom.subject}, "
-                f"u{atom.content.id}) {prov} "
+                f"u{atom.content.id}) {':'.join(atom.provenance[:2])} "
                 f"{serialize(session.table.recover(atom.content))}"
             )
     return "\n".join(lines) + "\n" if lines else "memory empty\n"
+

@@ -33,6 +33,7 @@ from .syntax import (
     Atom,
     Conj,
     Constant,
+    EngineError,
     Exists,
     Formula,
     FormulaError,
@@ -47,7 +48,7 @@ from .syntax import (
 )
 
 
-class ParseError(Exception):
+class ParseError(EngineError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line}, col {col}: {message}")
         self.message = message

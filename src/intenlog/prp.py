@@ -34,6 +34,7 @@ from .syntax import (
     Atom,
     Conj,
     Constant,
+    EngineError,
     Exists,
     Formula,
     FormulaError,
@@ -51,7 +52,7 @@ from .syntax import (
 )
 
 
-class ConceptError(Exception):
+class ConceptError(EngineError):
     pass
 
 

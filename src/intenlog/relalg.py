@@ -43,10 +43,10 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .syntax import Value
+from .syntax import EngineError, Value
 
 
-class RelAlgError(Exception):
+class RelAlgError(EngineError):
     pass
 
 

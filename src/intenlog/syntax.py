@@ -34,7 +34,11 @@ KNOW_NAME = "Know"
 IDENTITY_NAME = "="
 
 
-class FormulaError(Exception):
+class EngineError(Exception):
+    """The base of every error the engine reports to its user."""
+
+
+class FormulaError(EngineError):
     """A term or formula violates a construction invariant."""
 
 

@@ -56,13 +56,13 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 from . import relalg
 from .prp import Concept, ConceptTable, Element, IDENTITY_PREDICATE, Particular
 from .relalg import FALSE, TRUE, Relation
-from .syntax import Formula, KNOW_NAME, Predicate, Value, free_var_tuple
+from .syntax import EngineError, Formula, KNOW_NAME, Predicate, Value, free_var_tuple
 
 if TYPE_CHECKING:
     from .epistemic import Memory
 
 
-class WorldError(Exception):
+class WorldError(EngineError):
     pass
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from intenlog import epistemic, kb
 from intenlog.checks import _random_formula
-from intenlog.cli import ENGINE_ERRORS, main, repl
+from intenlog.cli import main, repl
 from intenlog.demo import NL_QUERY, build_demo_session, fixture_text, write_trace
 from intenlog.grounding import (
     corpus_process,
@@ -29,7 +29,7 @@ from intenlog.kb import (
 )
 from intenlog.parser import ParseError, parse_formula
 from intenlog.prp import ConceptTable
-from intenlog.syntax import AbstractedTerm, Atom, Constant, TimeValue, Variable, serialize
+from intenlog.syntax import AbstractedTerm, Atom, Constant, EngineError, TimeValue, Variable, serialize
 from intenlog.worlds import WorldError, eval_sentence
 
 
@@ -116,14 +116,20 @@ BAD_LINES = {
     "assert Know(in_past, me, c0)": "the epistemic predicate is memory-backed, not base-assigned",
     "assert open1(c0, c1)":
         "line 1, col 8: arity mismatch: open1 declared with arity 1, applied to 2 argument(s)",
+    "chain --budget x": "usage: chain [--budget N]",
+    "consolidate --tau t-1": "consolidation time must be a name, got 't-1'",
+    "particular _": "expected 'particular <name>', got '_'",
+    "predicate _/1": "expected 'predicate <name>/<arity>', got '_/1'",
 }
 
 
 def random_load_kb(rng: random.Random, bad: str | None) -> list[str]:
-    """KB lines mixing every directive; ``bad``, if given, goes at a random
-    position after the four lines that declare what it names."""
+    """KB lines mixing every command but render and dump; ``bad``, if
+    given, goes at a random position after the four lines that declare
+    what it names."""
     names = [f"c{i}" for i in range(5)]
     preds = {}  # name -> arity, in declaration order
+    facts = ["Top"]  # sentences that eval reads without an error
     grounded = 0
     lines = ["predicate open1/1", "predicate gbad/0", "ground gbad yes", "predicate gfact/0"]
     for _ in range(rng.randint(5, 40)):
@@ -139,6 +145,7 @@ def random_load_kb(rng: random.Random, bad: str | None) -> list[str]:
             name = rng.choice(list(preds))
             args = ", ".join(rng.choice(names) for _ in range(preds[name]))
             lines.append(f"assert {name}({args})")
+            facts.append(f"{name}({args})")
         elif kind < 0.7 and len(unary) > 1:
             first, second = rng.sample(unary, 2)
             lines.append(f"rule {first}(?x) => {second}(?x)")
@@ -147,8 +154,12 @@ def random_load_kb(rng: random.Random, bad: str | None) -> list[str]:
         elif kind < 0.8:
             lines += [f"predicate g{grounded}/0", f"ground g{grounded} yes"]
             grounded += 1
-        elif kind < 0.9:
+        elif kind < 0.86:
             lines.append(rng.choice(("", "# a comment", "   ")))
+        elif kind < 0.93:
+            fact = rng.choice(facts)
+            lines.append(rng.choice(("chain", "chain --budget 0", "consolidate --tau t1",
+                                     f"eval {fact}", f"eval ~ {fact}", f"answer {fact}")))
         else:
             lines.append(f"assert {lines[-1].partition(' ')[2]}"
                          if lines[-1].startswith("assert") else "particular c0")
@@ -165,9 +176,9 @@ def provisioned_session() -> Session:
 
 
 def run_lines(lines, load: bool):
-    """The dumps, the world's particulars and the error after running
-    ``lines`` through ``load_kb`` or line by line through ``execute``, and
-    the dumps after one more live write."""
+    """The dumps, the world's particulars, the trace and the error after
+    running ``lines`` through ``load_kb`` or line by line through
+    ``execute``, and the dumps after one more live write."""
     session = provisioned_session()
     error = None
     try:
@@ -180,6 +191,7 @@ def run_lines(lines, load: bool):
         error = (str(exc), exc.line)
     state = [d(session) for d in DUMPS]
     state.append(sorted(p.name for p in session.world.particulars))
+    state.append([(s.rule, s.inputs, s.output, s.sentence) for s in session.trace])
     session.execute("particular late")
     session.execute("assert open1(late)")
     state += [d(session) for d in DUMPS]
@@ -420,7 +432,7 @@ def read(session, f) -> tuple[str, str]:
                    lambda: session.answer(f)):
         try:
             out.append(reader())
-        except ENGINE_ERRORS as exc:
+        except EngineError as exc:
             out.append(f"error: {exc}")
     return tuple(out)
 
@@ -703,7 +715,7 @@ class TestRepl:
                 return "t" if eval_sentence(session.world, f, session.table) else "f"
             concept = session.table.interpret(f)
             return epistemic.answer(session.memory, session.world, concept, session.table)
-        except ENGINE_ERRORS as exc:
+        except EngineError as exc:
             return f"error: {exc}"
 
     def test_a_malformed_render_id_answers_with_the_usage(self):
@@ -766,6 +778,28 @@ class TestRepl:
         assert out[0].startswith("error:")
         assert out[1] == "t"
 
+    def test_a_kb_file_runs_the_commands_the_repl_runs(self, tmp_path):
+        """A script loaded with --kb leaves the memory and trace that the
+        same lines piped into the repl leave."""
+        script = ("predicate p/1\npredicate q/1\nassert p(a)\nrule p(?x) => q(?x)\n"
+                  "know << p(?x) >>_{x}\nchain --budget 1\neval p(a)\nanswer q(a)\n"
+                  "consolidate --tau t1\ndump world\n")
+        kb_file = tmp_path / "script.kb"
+        kb_file.write_text(script)
+        outs = []
+        for args, stdin in ((["--kb", str(kb_file)], ""), ([], script)):
+            trace = tmp_path / f"trace{len(outs)}.jsonl"
+            proc = subprocess.run(
+                [sys.executable, "-m", "intenlog", "repl", *args, "--trace-out", str(trace)],
+                input=stdin + "dump memory\n", capture_output=True, text=True,
+            )
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+            outs.append((proc.stdout, trace.read_text()))
+        (loaded, loaded_trace), (piped, piped_trace) = outs
+        assert "[permanent]" in loaded and "error" not in piped
+        assert piped.endswith(loaded)
+        assert loaded_trace == piped_trace and '"rule": "consolidate"' in loaded_trace
+
 
 class TestCliMain:
     def test_demo_exit_zero(self, capsys, tmp_path):
@@ -787,6 +821,21 @@ class TestCliMain:
         main(["demo", "--trace-out", str(t1)])
         main(["demo", "--trace-out", str(t2)])
         assert t1.read_bytes() == t2.read_bytes()
+
+    @pytest.mark.parametrize("budget", ["-1", "\u0660", "+0", "0_0", "1.0"])
+    def test_a_budget_that_is_not_ascii_digits_is_a_usage_error(self, budget, capsys):
+        for command in ("demo", "repl"):
+            with pytest.raises(SystemExit) as info:
+                main(["--budget", budget, command])
+            assert info.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument --budget: invalid budget {budget!r}: expected ASCII digits" in err
+
+    def test_a_demo_tau_that_is_not_a_name_is_a_reported_error(self, capsys, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        assert main(["demo", "--tau", "t-1", "--trace-out", str(trace)]) == 2
+        assert capsys.readouterr().err == "error: consolidation time must be a name, got 't-1'\n"
+        assert not trace.exists()
 
     @pytest.mark.parametrize("flag", ["--kb", "--corpus", "--templates"])
     def test_an_input_file_that_is_not_utf8_is_a_reported_error(self, flag, capsys, tmp_path):
@@ -813,6 +862,17 @@ class TestCliMain:
         )
         assert proc.returncode == 0
         assert "3 clips retrieved" in proc.stdout
+
+
+def test_every_engine_error_derives_from_engine_error():
+    """``Session.execute`` and ``cli.main`` catch one base class."""
+    import intenlog
+
+    for name in ("FormulaError", "ParseError", "ConceptError", "RelAlgError", "WorldError",
+                 "MissingExtensionError", "EpistemicError", "GroundingError", "NotParseable",
+                 "KBError"):
+        assert issubclass(getattr(intenlog, name), intenlog.EngineError), name
+    assert intenlog.EngineError is EngineError
 
 
 def test_demo_empty_corpus_reports_no_derivation(monkeypatch, capsys):
