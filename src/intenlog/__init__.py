@@ -19,7 +19,6 @@ from .syntax import (
     Identity,
     Neg,
     Predicate,
-    TimeValue,
     Top,
     Variable,
     Vocabulary,

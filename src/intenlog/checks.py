@@ -32,7 +32,6 @@ from .syntax import (
     Identity,
     KNOW_NAME,
     Neg,
-    TimeValue,
     Top,
     Variable,
     Vocabulary,
@@ -162,10 +161,8 @@ def _resolve(term, env, table):
         return env[term.name]
     if isinstance(term, Constant):
         return table.particular(term.name)
-    if isinstance(term, AbstractedTerm):
-        assert term.is_ground, "the oracle reads closed abstracted terms only"
-        return table.interpret(term.body)
-    return table.particular(term.tense)
+    assert term.is_ground, "the oracle reads closed abstracted terms only"
+    return table.interpret(term.body)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +323,7 @@ def _grounded_and_known(rng, world: World, table: ConceptTable, preds, domain, v
     world = world.with_rows({}, (now, me)).with_memory(memory)
     leaves = []
     for _ in range(3):
-        time = rng.choice((TimeValue("in_present"), rng.choice(variables)))
+        time = rng.choice((Constant("in_present"), rng.choice(variables)))
         subject = rng.choice((Constant("me"), rng.choice(variables)))
         content = AbstractedTerm(ground_atom(rng.choice(preds)))
         leaves.append(Atom(table.vocabulary.resolve(KNOW_NAME, 3), (time, subject, content)))

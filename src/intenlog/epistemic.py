@@ -45,7 +45,6 @@ from .relalg import Relation
 from .syntax import (
     AbstractedTerm,
     Conj,
-    Constant,
     EngineError,
     Formula,
     IDENTITY_NAME,
@@ -417,7 +416,7 @@ def stamp(u: Concept, tau: str, table: ConceptTable) -> Concept:
 
 
 def consolidate(
-    memory: Memory, tau, table: ConceptTable
+    memory: Memory, tau: str, table: ConceptTable
 ) -> tuple[Memory, tuple[TraceStep, ...]]:
     """Move temporary knowledge to permanent memory, stamping ``tau``.
 
@@ -428,14 +427,13 @@ def consolidate(
     """
     if not memory.temporary:
         return memory, ()
-    tau_term = tau if isinstance(tau, Constant) else Constant(str(tau))
     steps: list[TraceStep] = []
     ws = _WorkingSet(Memory((), memory.permanent, memory.next_id))
     for atom in memory.temporary:
-        content = stamp(atom.content, tau_term.name, table)
+        content = stamp(atom.content, tau, table)
         derived, added = ws.add(
             ws.permanent, atom.time, atom.subject, content,
-            ("consolidated", tau_term.name, atom.id), atom.depth,
+            ("consolidated", tau, atom.id), atom.depth,
         )
         if added:
             steps.append(TraceStep(RULE_CONSOLIDATE, (atom.id,), derived.id, content, table))

@@ -23,7 +23,7 @@ Blank lines and ``#`` comments are ignored in both.
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable
+from typing import Callable
 
 from .prp import Concept, ConceptTable, NULL_NAME, SELF_NAME
 from .relalg import Relation
@@ -35,7 +35,6 @@ from .syntax import (
     EngineError,
     Formula,
     KNOW_NAME,
-    TimeValue,
     Value,
     Variable,
     Vocabulary,
@@ -213,12 +212,10 @@ _TEMPLATE_RE = re.compile(
 
 
 class TemplateSet:
-    def __init__(self, templates: Iterable[VerbTemplate] = ()):
+    def __init__(self):
         self._by_lemma: dict[str, VerbTemplate] = {}
         self._by_past: dict[str, VerbTemplate] = {}
         self._by_pred: dict[str, VerbTemplate] = {}
-        for t in templates:
-            self.add(t)
 
     def add(self, template: VerbTemplate) -> None:
         if template.is_retrieval:
@@ -332,6 +329,9 @@ def pars(nl, templates: TemplateSet, vocabulary: Vocabulary) -> Formula:
     if found is None:
         raise NotParseable(f"no registered verb in {' '.join(tokens)!r}")
     verb_index, template, tense = found
+    if tense == "in_future":  # the auxiliary belongs to the verb, not the figure
+        del tokens[verb_index - 1]
+        verb_index -= 1
     if template.is_retrieval:
         return _pars_retrieval(tokens, verb_index, template, tense, templates, vocabulary)
     return _pars_spatial(tokens, verb_index, template, tense, vocabulary)
@@ -341,7 +341,7 @@ def _pars_spatial(tokens, verb_index, template, tense, vocabulary) -> Formula:
     sdcs = chunk_sdcs(tokens, template, verb_index)
     by_relation = {s.spatial_relation: s for s in sdcs if s.spatial_relation}
     figure = sdcs[0].figure.replace(" ", "_")
-    args = [TimeValue(tense), Constant(figure)]
+    args = [Constant(tense), Constant(figure)]
     for slot in template.slots[1:]:
         sdc = by_relation.get(slot)
         if sdc is None:
@@ -371,7 +371,7 @@ def _pars_retrieval(tokens, verb_index, template, tense, templates, vocabulary) 
     variable = Variable("y")
     atom = Atom(
         pred,
-        (TimeValue(tense), Constant(SELF_NAME), variable, AbstractedTerm(query)),
+        (Constant(tense), Constant(SELF_NAME), variable, AbstractedTerm(query)),
     )
     if plural is None:
         return atom
@@ -393,25 +393,18 @@ def render_nl(x, table: ConceptTable, templates: TemplateSet) -> str:
     from .epistemic import KnowAtom
 
     if isinstance(x, KnowAtom):
-        body = _render_concept(x.content, table, templates, capitalize=False)
+        body = _render_inner(x.content, table, templates)
         if body.startswith("I am (me)"):
             return f"I (me) know that {body}."
         return f"I know that {body}."
     concept = x if isinstance(x, Concept) else table.interpret(x)
-    text = _render_concept(concept, table, templates, capitalize=True, voice="command")
+    text = _render_inner(concept, table, templates, voice="command")
+    text = text[:1].upper() + text[1:]
     return f"{text}." if text.startswith("I ") else text
 
 
 def _words(name: str) -> str:
     return name.replace("_", " ")
-
-
-def _render_concept(u: Concept, table, templates, capitalize: bool,
-                    voice: str = "progressive") -> str:
-    text = _render_inner(u, table, templates, voice)
-    if capitalize and text:
-        text = text[0].upper() + text[1:]
-    return text
 
 
 def _render_inner(u: Concept, table, templates, voice: str = "progressive") -> str:

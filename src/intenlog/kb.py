@@ -64,6 +64,7 @@ from .syntax import (
     Formula,
     KNOW_NAME,
     Predicate,
+    TENSES,
     Vocabulary,
     serialize,
     serialize_term,
@@ -250,6 +251,8 @@ class Session:
         """Consolidate at ``tau``, which the stamped knowledge makes a particular."""
         if not _NAME_RE.fullmatch(tau):
             raise KBError(f"consolidation time must be a name, got {tau!r}")
+        if tau in TENSES:
+            raise KBError(f"consolidation time must not be a tense word, got {tau!r}")
         memory, steps = epistemic.consolidate(self.memory, tau, self.table)
         self.memory = memory
         self.trace.extend(steps)

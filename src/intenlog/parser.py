@@ -1,8 +1,9 @@
 """Concrete grammar for formulas and terms.
 
 The textual form mirrors the algebra: ``pred(arg, ...)`` atoms with
-``?x`` variables, ``in_past``/``in_present``/``in_future`` time values
-and ``<< formula >>_{a b}^{c d}`` abstracted terms (subscript = alpha,
+``?x`` variables, names (the tense words ``in_past``, ``in_present`` and
+``in_future`` are names like any other, read as constants) and
+``<< formula >>_{a b}^{c d}`` abstracted terms (subscript = alpha,
 superscript = beta, both optional; a missing subscript defaults alpha
 to all free variables of the body).  Connectives are ``/\\{(i,j),...}``
 for the indexed conjunction, ``~`` for negation, ``E{n}`` for the
@@ -39,9 +40,7 @@ from .syntax import (
     FormulaError,
     Identity,
     Neg,
-    TENSES,
     Term,
-    TimeValue,
     Top,
     Variable,
     Vocabulary,
@@ -193,8 +192,8 @@ class _Parser:
         return f
 
     def atom(self) -> Formula:
-        """``name(arg, ...)``; a constant or time-value argument is built
-        here, any other by ``term``."""
+        """``name(arg, ...)``; a constant argument is built here, any other
+        by ``term``."""
         kinds, texts = self.kinds, self.texts
         name = self.pos
         i = name + 2
@@ -202,8 +201,7 @@ class _Parser:
         if kinds[i] != "RPAREN":
             while True:
                 if kinds[i] == "IDENT":
-                    text = texts[i]
-                    args.append(TimeValue(text) if text in TENSES else Constant(text))
+                    args.append(Constant(texts[i]))
                     i += 1
                 else:
                     self.pos = i
@@ -229,7 +227,7 @@ class _Parser:
             return Variable(text[1:])
         if kind == "IDENT":
             self.pos = i + 1
-            return TimeValue(text) if text in TENSES else Constant(text)
+            return Constant(text)
         if kind == "LABS":
             return self.abstraction()
         raise self.error(f"expected a term, found {text or 'end of input'!r}")

@@ -44,7 +44,6 @@ from .syntax import (
     Predicate,
     TENSES,
     Term,
-    TimeValue,
     Top,
     Variable,
     Vocabulary,
@@ -294,8 +293,6 @@ class ConceptTable:
                 entries.append(("v", a.name))
             elif isinstance(a, Constant):
                 entries.append(("g", self.particular(a.name)))
-            elif isinstance(a, TimeValue):
-                entries.append(("g", self.particular(a.tense)))
             elif isinstance(a, AbstractedTerm):
                 if a.is_ground:
                     entries.append(("g", self.interpret(a.body)))
@@ -396,8 +393,6 @@ class ConceptTable:
             return g[term]
         if isinstance(term, Constant):
             return self.particular(term.name)
-        if isinstance(term, TimeValue):
-            return self.particular(term.tense)
         if isinstance(term, AbstractedTerm):
             if not term.beta:
                 return self.interpret(term.body)
@@ -413,8 +408,6 @@ class ConceptTable:
     def element_to_term(self, element: Element) -> Term:
         """Render a domain element as a ground term of the syntax."""
         if isinstance(element, Particular):
-            if element.name in TENSES:
-                return TimeValue(element.name)
             return Constant(element.name)
         if isinstance(element, Concept):
             body = self.recover(element)

@@ -115,22 +115,6 @@ class Constant(Value):
         return self.name
 
 
-class TimeValue(Value):
-    """One of the three tense values a leading time argument may take."""
-
-    _fields = ("tense",)
-
-    def __init__(self, tense: str):
-        if tense not in TENSES:
-            raise FormulaError(
-                f"unknown tense {tense!r}; expected one of {', '.join(TENSES)}"
-            )
-        self.__dict__.update(tense=tense)
-
-    def __repr__(self):
-        return self.tense
-
-
 class AbstractedTerm(Value):
     """A formula reified as a first-class term.
 
@@ -169,11 +153,11 @@ class AbstractedTerm(Value):
         return serialize_term(self)
 
 
-Term = Union[Variable, Constant, TimeValue, AbstractedTerm]
+Term = Union[Variable, Constant, AbstractedTerm]
 
 
 def _check_ground_term(value) -> None:
-    if not isinstance(value, (Variable, Constant, TimeValue, AbstractedTerm)):
+    if not isinstance(value, (Variable, Constant, AbstractedTerm)):
         raise FormulaError(f"not a term: {value!r}")
     if isinstance(value, Variable):
         raise FormulaError(f"expected a ground term, got variable {value!r}")
@@ -190,7 +174,7 @@ def _args_free(args) -> tuple[Variable, ...]:
     the argument list in first-appearance order."""
     seen: dict[str, Variable] = {}  # variables are equal when their names are
     for a in args:
-        if isinstance(a, (Constant, TimeValue)):
+        if isinstance(a, Constant):
             continue
         if isinstance(a, Variable):
             seen.setdefault(a.name, a)
@@ -427,7 +411,7 @@ def serialize(x) -> str:
         x = stack.pop()
         if type(x) is str:
             out.append(x)
-        elif isinstance(x, (Variable, Constant, TimeValue, Top)):
+        elif isinstance(x, (Variable, Constant, Top)):
             out.append(repr(x))
         elif isinstance(x, Atom):
             pieces = [f"{x.predicate.name}("]

@@ -32,7 +32,6 @@ from intenlog.syntax import (
     Constant,
     Neg,
     TENSES,
-    TimeValue,
     Variable,
     Vocabulary,
     free_var_tuple,
@@ -68,7 +67,7 @@ class Scenario:
         self.query = Atom(
             self.vocabulary.resolve("Walk", 5),
             (
-                TimeValue("in_past"),
+                Constant("in_past"),
                 Constant("person"),
                 Constant("from_the_couches_in_the_room"),
                 Constant("NULL"),
@@ -106,7 +105,7 @@ class Scenario:
         self.command = Conj(
             Atom(
                 self.vocabulary.resolve("Find", 4),
-                (TimeValue("in_present"), Constant("me"), Variable("y"),
+                (Constant("in_present"), Constant("me"), Variable("y"),
                  AbstractedTerm(self.query)),
             ),
             Atom(self.vocabulary.resolve("videoclips", 1), (Variable("y"),)),
@@ -225,7 +224,7 @@ class TestIntrospection:
         recovered = scenario.table.recover(inner)
         assert isinstance(recovered, Atom)
         assert recovered.predicate.name == "Know"
-        assert recovered.args[0] == TimeValue("in_present")
+        assert recovered.args[0] == Constant("in_present")
         assert recovered.args[1] == Constant("me")
         body = recovered.args[2]
         assert isinstance(body, AbstractedTerm)
@@ -536,7 +535,7 @@ class TestConsolidate:
             find = f.lhs
             assert find.predicate.arity == 5
             assert find.args[0] == Constant("t42")
-            assert find.args[1] == TimeValue("in_past")
+            assert find.args[1] == Constant("in_past")
             assert isinstance(f.rhs, Atom) and f.rhs.predicate.name == "videoclips"
             assert len(f.rhs.args) == 1  # the clip class stays unstamped
 
@@ -582,11 +581,12 @@ def _unstamp(f, tau, table):
             f.predicate.name != "Know"
             and len(f.args) >= 2
             and f.args[0] == Constant(tau)
-            and isinstance(f.args[1], TimeValue)
+            and isinstance(f.args[1], Constant)
+            and f.args[1].name in TENSES
         ):
             tense = f.args[1]
-            if tense.tense == "in_past":
-                tense = TimeValue("in_present")
+            if tense.name == "in_past":
+                tense = Constant("in_present")
             pred = table.vocabulary.resolve(f.predicate.name, f.predicate.arity - 1)
             return Atom(pred, (tense,) + f.args[2:])
         return f
@@ -699,7 +699,7 @@ def _stamp_cases(seed):
         f = rich_formula(rng, vocab, depth=4)
         fv = f.free_vars
         shared = Conj(f, Neg(f), tuple((i, i) for i in range(1, len(fv) + 1)))
-        known = Atom(know, (TimeValue("in_present"), Constant("me"), AbstractedTerm(f, fv)))
+        known = Atom(know, (Constant("in_present"), Constant("me"), AbstractedTerm(f, fv)))
         out += [f, shared, Conj(known, shared), Conj(shared, known)]
     return out
 

@@ -15,6 +15,7 @@ from intenlog.grounding import (
     truth_process,
 )
 from intenlog.kb import KBError, Session, dump_kb, dump_world, load_kb
+from intenlog.prp import ConceptTable
 from intenlog.relalg import Relation
 from intenlog.syntax import (
     AbstractedTerm,
@@ -22,9 +23,9 @@ from intenlog.syntax import (
     Conj,
     Constant,
     Neg,
-    TimeValue,
     Variable,
     Vocabulary,
+    serialize,
 )
 from intenlog.worlds import MissingExtensionError, extension
 
@@ -201,7 +202,7 @@ class TestPars:
         assert f == Atom(
             vocab.resolve("Walk", 5),
             (
-                TimeValue("in_past"),
+                Constant("in_past"),
                 Constant("person"),
                 Constant("from_the_couches_in_the_room"),
                 Constant("NULL"),
@@ -215,7 +216,7 @@ class TestPars:
         assert f.pairs == ((1, 1),)
         find, clips = f.lhs, f.rhs
         assert find.predicate.name == "Find"
-        assert find.args[0] == TimeValue("in_present")
+        assert find.args[0] == Constant("in_present")
         assert find.args[1] == Constant("me")
         assert find.args[2] == Variable("y")
         assert isinstance(find.args[3], AbstractedTerm)
@@ -240,12 +241,15 @@ class TestPars:
         assert f.args[3] == Constant("through_the_corridor")
 
     def test_future_tense(self, vocab):
-        f = pars("the cat will walk from the door to the kitchen", TEMPLATES, vocab)
-        assert f.args[0] == TimeValue("in_future")
+        text = "the cat will walk from the door to the kitchen"
+        f = pars(text, TEMPLATES, vocab)
+        assert f.args[0] == Constant("in_future")
+        assert f.args[1] == Constant("cat")
+        assert render_nl(f, ConceptTable(vocab), TEMPLATES) == text.capitalize()
 
     def test_present_tense(self, vocab):
         f = pars("the cat walks from the door to the kitchen", TEMPLATES, vocab)
-        assert f.args[0] == TimeValue("in_present")
+        assert f.args[0] == Constant("in_present")
 
     def test_missing_figure(self, vocab):
         with pytest.raises(NotParseable, match="figure"):
@@ -274,6 +278,42 @@ class TestSDCs:
     def test_empty_sdc_rejected(self):
         with pytest.raises(GroundingError, match="at least one"):
             SDC()
+
+
+CLIP_QUERY = "<< Walk(in_past, cat, from_a, NULL, to_b) >>"
+# the body of a know line, as formula text or as a sentence that pars reads
+# into it -> the render of the known atom
+KNOW_RENDERS = {
+    "find-present": ("formula", f"Find(in_present, me, c1, {CLIP_QUERY})",
+                     "I (me) know that I am (me) finding the videoclip c1 such that "
+                     "the cat walked from a to b."),
+    "find-future": ("formula", f"Find(in_future, me, c1, {CLIP_QUERY})",
+                    "I know that I will find the videoclip c1 such that the cat walked "
+                    "from a to b."),
+    "find-past": ("formula", f"Find(in_past, me, c1, {CLIP_QUERY})",
+                  "I know that I found the videoclip c1 such that the cat walked from a to b."),
+    "stamped-walk": ("formula", "Walk(t1, in_past, cat, from_a, NULL, to_b)",
+                     "I know that the cat walked at t1 from a to b."),
+    "top": ("formula", "Top", "I know that truth."),
+    "conjunction": ("formula", "(Walk(in_past, cat, from_a, NULL, to_b) /\\{} "
+                    "Walk(in_present, dog, NULL, NULL, to_c))",
+                    "I know that the cat walked from a to b and the dog walks to c."),
+    "command-without-set": ("sentence", "find videoclip such that the cat walked from the door",
+                            "I (me) know that I am (me) finding videoclip such that "
+                            "the cat walked from the door."),
+    "sentence-without-relation": ("sentence", "the cat walked", "I know that the cat walked."),
+}
+
+
+@pytest.mark.parametrize("case", KNOW_RENDERS)
+def test_a_known_atom_renders(case):
+    kind, text, rendered = KNOW_RENDERS[case]
+    session = load_kb("predicate Walk/5\npredicate Walk/6\npredicate Find/4\n")
+    session.templates = TEMPLATES
+    if kind == "sentence":
+        text = serialize(pars(text, TEMPLATES, session.vocabulary))
+    assert session.execute(f"know << {text} >>") == "k1"
+    assert session.execute("render k1") == rendered
 
 
 class TestRenderNL:

@@ -29,7 +29,15 @@ from intenlog.kb import (
 )
 from intenlog.parser import ParseError, parse_formula
 from intenlog.prp import ConceptTable
-from intenlog.syntax import AbstractedTerm, Atom, Constant, EngineError, TimeValue, Variable, serialize
+from intenlog.syntax import (
+    TENSES,
+    AbstractedTerm,
+    Atom,
+    Constant,
+    EngineError,
+    Variable,
+    serialize,
+)
 from intenlog.worlds import WorldError, eval_sentence
 
 
@@ -414,7 +422,7 @@ def seeded_query_texts(count: int = 300):
     variables = [Variable(n) for n in "xyz"]
     know = session.vocabulary.resolve("Know", 3)
     leaves = [
-        Atom(know, (TimeValue("in_present"), Constant("me"),
+        Atom(know, (Constant("in_present"), Constant("me"),
                     AbstractedTerm(Atom(preds[1], (variables[0], Constant("a"))),
                                    (variables[0],)))),
         Atom(preds[0], (AbstractedTerm(Atom(preds[1], (variables[0], variables[1])),
@@ -835,6 +843,27 @@ class TestCliMain:
         trace = tmp_path / "trace.jsonl"
         assert main(["demo", "--tau", "t-1", "--trace-out", str(trace)]) == 2
         assert capsys.readouterr().err == "error: consolidation time must be a name, got 't-1'\n"
+        assert not trace.exists()
+
+    def test_a_tense_word_is_not_a_consolidation_time(self, capsys, tmp_path):
+        """A stamp reads its tense right after the time, so a time that is a
+        tense word would be read as a tense: the repl, a KB line and the demo
+        all refuse it before memory changes."""
+        message = "consolidation time must not be a tense word, got '{}'"
+        lines = "predicate p/1\nknow << p(a) >>\n"
+        out = []
+        repl(Session(), stdin=io.StringIO(
+            lines + "".join(f"consolidate --tau {t}\n" for t in TENSES) + "dump memory\nquit\n"),
+            report=lambda *a, **k: out.append(a[0] if a else ""))
+        assert out[1:4] == ["error: " + message.format(t) for t in TENSES]
+        assert out[4] == "k1 [temporary] Know(in_present, me, u10) experience p(a)"
+        with pytest.raises(KBError) as raised:
+            load_kb(lines + "consolidate --tau in_past\n")
+        assert raised.value.line == 3
+        assert str(raised.value) == "line 3: " + message.format("in_past")
+        trace = tmp_path / "trace.jsonl"
+        assert main(["demo", "--tau", "in_past", "--trace-out", str(trace)]) == 2
+        assert capsys.readouterr().err == "error: " + message.format("in_past") + "\n"
         assert not trace.exists()
 
     @pytest.mark.parametrize("flag", ["--kb", "--corpus", "--templates"])

@@ -26,7 +26,6 @@ from intenlog.syntax import (
     Constant,
     Exists,
     Neg,
-    TimeValue,
     Variable,
     free_var_tuple,
     serialize,
@@ -107,7 +106,7 @@ def random_atom(rng, vocabulary):
         return Atom(q, (Variable("x"), Variable("x")))  # the grounded concept
     # a Know atom over a closed term, which may mention a query-only constant
     content = AbstractedTerm(Atom(p, (Constant(rng.choice(CONSTANTS)),)))
-    time = rng.choice((TimeValue("in_present"), Variable("x")))
+    time = rng.choice((Constant("in_present"), Variable("x")))
     return Atom(vocabulary.resolve("Know", 3), (time, Constant("me"), content))
 
 

@@ -29,7 +29,6 @@ from intenlog.syntax import (
     Neg,
     Predicate,
     TENSES,
-    TimeValue,
     Top,
     Variable,
     Vocabulary,
@@ -106,7 +105,7 @@ class TestAlgebra:
         walk = Atom(
             table.vocabulary.resolve("Walk", 5),
             (
-                TimeValue("in_past"),
+                Constant("in_past"),
                 Constant("person"),
                 Constant("from_the_couches_in_the_room"),
                 Constant("NULL"),
@@ -115,7 +114,7 @@ class TestAlgebra:
         )
         find = Atom(
             table.vocabulary.resolve("Find", 4),
-            (TimeValue("in_present"), Constant("me"), Variable("y"), AbstractedTerm(walk)),
+            (Constant("in_present"), Constant("me"), Variable("y"), AbstractedTerm(walk)),
         )
         u1 = table.interpret(find)
         u2 = table.interpret(Atom(table.vocabulary.resolve("videoclips", 1), (Variable("y"),)))
@@ -246,7 +245,7 @@ class TestExtendAssignment:
         assert table.extend_assignment({}, term) is u
 
     def test_element_to_term_tense(self, table):
-        assert table.element_to_term(table.particular("in_past")) == TimeValue("in_past")
+        assert table.element_to_term(table.particular("in_past")) == Constant("in_past")
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +347,6 @@ class StructuralKeys:
                     names.append(a.name)
                 elif isinstance(a, Constant):
                     parts.append(("g", "Particular", self.particular(a.name)))
-                elif isinstance(a, TimeValue):
-                    parts.append(("g", "Particular", self.particular(a.tense)))
                 elif a.is_ground:
                     parts.append(("g", "Concept", self.interpret(a.body)[0]))
                 else:
@@ -376,7 +373,7 @@ def random_argument(rng, vocab):
     if r < 0.55:
         return Constant(rng.choice("abc"))
     if r < 0.65:
-        return TimeValue(rng.choice(TENSES))
+        return Constant(rng.choice(TENSES))
     body = random_formula(rng, vocab, depth=1)
     names = list(free_var_tuple(body))
     rng.shuffle(names)
@@ -385,7 +382,7 @@ def random_argument(rng, vocab):
 
 
 def random_reified_formula(rng, vocab):
-    """A formula whose atoms may hold constants, time values and abstracted
+    """A formula whose atoms may hold constants, tense words and abstracted
     terms, ground or not, and identities between such terms."""
     r = rng.random()
     if r < 0.3:

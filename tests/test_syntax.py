@@ -13,7 +13,6 @@ from intenlog.syntax import (
     Identity,
     Neg,
     Predicate,
-    TimeValue,
     Top,
     Variable,
     Vocabulary,
@@ -151,8 +150,8 @@ class TestSubstitute:
                 Constant("to_the_dining_room_table"),
             ),
         )
-        g = substitute(walk, {Variable("t"): TimeValue("in_past")})
-        assert g.args[0] == TimeValue("in_past")
+        g = substitute(walk, {Variable("t"): Constant("in_past")})
+        assert g.args[0] == Constant("in_past")
         assert names(g) == ()
 
     def test_non_free_binding_rejected(self):
@@ -381,7 +380,7 @@ def rich_formula(rng, vocab, depth=3):
         arity = rng.randint(1, 3)
         args = [rich_term(rng, vocab, depth) for _ in range(arity)]
         if rng.random() < 0.3:
-            args[0] = TimeValue(rng.choice(("in_past", "in_present", "in_future")))
+            args[0] = Constant(rng.choice(("in_past", "in_present", "in_future")))
         return Atom(vocab.declare(f"h{arity}", arity), tuple(args))
     op = rng.choice(("conj", "neg", "exists", "conj"))
     if op == "neg":
@@ -407,8 +406,6 @@ def reference_serialize(x):
         return f"?{x.name}"
     if isinstance(x, Constant):
         return x.name
-    if isinstance(x, TimeValue):
-        return x.tense
     if isinstance(x, AbstractedTerm):
         out = f"<< {reference_serialize(x.body)} >>"
         if x.alpha:

@@ -23,7 +23,6 @@ from intenlog.syntax import (
     Identity,
     Neg,
     Predicate,
-    TimeValue,
     Top,
     Variable,
 )
@@ -50,9 +49,6 @@ CASES = {
                  [(lambda: Variable(""), FormulaError, "variable name must be nonempty")]),
     "Constant": (lambda: Constant("a"), "a", "name",
                  [(lambda: Constant(""), FormulaError, "constant name must be nonempty")]),
-    "TimeValue": (lambda: TimeValue("in_past"), "in_past", "tense",
-                  [(lambda: TimeValue("now"), FormulaError,
-                    "unknown tense 'now'; expected one of in_past, in_present, in_future")]),
     "AbstractedTerm": (
         lambda: AbstractedTerm(Atom(P, (X,)), [X]), "<< p(?x) >>_{x}", "alpha",
         [(lambda: AbstractedTerm(Atom(P, (X,)), (X, X)), FormulaError,
@@ -136,9 +132,7 @@ def test_value_contract(name):
 
 def test_values_of_different_classes_with_equal_fields_differ():
     assert Constant("a") != Variable("a") and Variable("a") != Constant("a")
-    assert TimeValue("in_past") != Constant("in_past")
-    assert Constant("in_past") != TimeValue("in_past")
-    assert len({Constant("a"), Variable("a"), TimeValue("in_past"), Constant("in_past")}) == 4
+    assert len({Constant("a"), Variable("a")}) == 2
     assert Constant("a") != "a" and Predicate("p", 1) != ("p", 1)
 
 
