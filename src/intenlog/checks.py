@@ -6,9 +6,10 @@ operators (a negation under a join or a quantifier against the full
 complement), the sentence suite evaluates with a brute-force
 substitution evaluator that reads base, grounded and Know relations
 directly and uses the concept layer only to intern, the join suite
-uses a nested-loop reference join, and the parse suite round-trips
+uses a nested-loop reference join, the parse suite round-trips
 random formulas through ``serialize`` and checks where mutated texts
-fail.
+fail, and the nl suite round-trips random sentences and commands,
+spelled by its own generator, through ``pars`` and ``render_nl``.
 All generators are seeded, so every run is reproducible.
 """
 
@@ -18,20 +19,24 @@ import random
 import time
 
 from . import relalg, worlds
+from .demo import fixture_text
 from .epistemic import Memory
+from .grounding import SPATIAL_RELATIONS, load_templates, pars, render_nl
 from .parser import ParseError, parse_formula
-from .prp import ConceptTable
+from .prp import ConceptTable, NULL_NAME, SELF_NAME
 from .relalg import Relation
 from .syntax import (
     AbstractedTerm,
     Atom,
     Conj,
     Constant,
+    EngineError,
     Exists,
     Formula,
     Identity,
     KNOW_NAME,
     Neg,
+    TENSES,
     Top,
     Variable,
     Vocabulary,
@@ -484,12 +489,137 @@ def check_parse(cases: int = 1000, seed: int = 1879) -> tuple[bool, str]:
     return True, f"{cases} round trips, {rejected} of {cases} mutants rejected in {elapsed:.1f}s"
 
 
+# Figure, landmark and object words: no article, relation word, verb
+# form, "will", "such", "that" or word of "in the given set of".
+_NL_WORDS = ("cat", "dog", "person", "big", "red", "old", "door", "kitchen", "hall",
+             "room", "table", "couches", "dining", "garden", "window", "stairs")
+_NL_PLURALS = ("videoclips", "clips", "scenes")
+_NL_RESERVED = ("the", "a", "an", "will", "such", "that", "in", "given", "set", "of",
+                "me", "videoclip", "clip", "scene") + SPATIAL_RELATIONS
+# The generator spells each tense's verb as a user writes it, in the
+# third person of a sentence and the command voice of a retrieval.
+_NL_SPELLING = {
+    "in_past": ("{past}", "{past}"),
+    "in_present": ("{lemma}s", "{lemma}"),
+    "in_future": ("will {lemma}", "will {lemma}"),
+}
+
+
+def _nl_word(rng: random.Random, taken: set, end: str = "") -> str:
+    """A made-up word of two or three syllables that is not yet taken."""
+    while True:
+        word = "".join(rng.choice("bdgklmnprvz") + rng.choice("aeiou")
+                       for _ in range(rng.randint(2, 3))) + end
+        if word not in taken:
+            taken.add(word)
+            return word
+
+
+def _nl_templates(rng: random.Random) -> str:
+    """One to three spatial templates over random relation slots and a
+    retrieval template, with made-up verbs, regular or not."""
+    taken = set(_NL_WORDS + _NL_PLURALS + _NL_RESERVED)
+    lines = []
+    for i in range(rng.randint(1, 3) + 1):
+        lemma = _nl_word(rng, taken)
+        past = lemma + "d" if rng.random() < 0.5 else _nl_word(rng, taken, "t")
+        if i == 0:
+            obj = rng.choice(("videoclip", "clip", "scene"))
+            lines.append(f"verb {lemma} past={past} pred=R/4 slots={obj},query")
+            continue
+        slots = ["figure"] + rng.sample(SPATIAL_RELATIONS, rng.randint(0, 3))
+        lines.append(f"verb {lemma} past={past} pred=V{i}/{1 + len(slots)} "
+                     f"slots={','.join(slots)}")
+    rng.shuffle(lines)
+    return "\n".join(lines)
+
+
+def _nl_sentence(rng: random.Random, template, vocabulary: Vocabulary):
+    """A spatial sentence over ``template`` in a random tense, with a
+    random subset of its relations in random order, and its formula."""
+    tense = rng.choice(TENSES)
+    figure = rng.sample(_NL_WORDS, rng.randint(1, 3))
+    verb = _NL_SPELLING[tense][0].format(lemma=template.lemma, past=template.past)
+    words = [rng.choice(("", "the", "a", "an")), *figure, verb]
+    landmarks = {}
+    for relation in rng.sample(template.slots[1:], rng.randint(0, len(template.slots) - 1)):
+        landmarks[relation] = [relation] + ["the"] * rng.randint(0, 1) + rng.sample(
+            _NL_WORDS, rng.randint(1, 3))
+        words += landmarks[relation]
+    args = [Constant(tense), Constant("_".join(figure))] + [
+        Constant("_".join(landmarks.get(slot, [NULL_NAME]))) for slot in template.slots[1:]]
+    pred = vocabulary.resolve(template.pred_name, template.pred_arity)
+    return " ".join(w for w in words if w), Atom(pred, tuple(args))
+
+
+def _nl_command(rng: random.Random, template, spatial, vocabulary: Vocabulary):
+    """A retrieval command over ``template`` in a random tense, with a
+    nested spatial requirement and maybe a plural partner, and its formula."""
+    tense = rng.choice(TENSES)
+    requirement, query = _nl_sentence(rng, rng.choice(spatial), vocabulary)
+    verb = _NL_SPELLING[tense][1].format(lemma=template.lemma, past=template.past)
+    text = f"{verb} {template.object_word} such that {requirement}"
+    y = Variable("y")
+    pred = vocabulary.resolve(template.pred_name, template.pred_arity)
+    atom = Atom(pred, (Constant(tense), Constant(SELF_NAME), y, AbstractedTerm(query)))
+    if rng.random() < 0.5:
+        return text, atom
+    plural = rng.choice(_NL_PLURALS)
+    partner = Atom(vocabulary.resolve(plural, 1), (y,))
+    return f"{text} in the given set of {plural}", Conj(atom, partner, ((1, 1),))
+
+
+def check_nl(cases: int = 1000, seed: int = 1988) -> tuple[bool, str]:
+    """``render_nl`` inverts ``pars``.  Over the bundled templates and
+    seeded random ones, each random sentence or retrieval command ``s``
+    parses to the formula ``f`` it was built from, and both laws hold:
+    pars(render(pars(s))) == pars(s) and render(pars(render(f))) == render(f)."""
+    rng = random.Random(seed)
+    started = time.monotonic()
+    fixture = fixture_text("templates.txt")
+    commands = 0
+    for case in range(cases):
+        try:
+            templates = load_templates(fixture if case % 2 == 0 else _nl_templates(rng))
+            vocabulary = Vocabulary()
+            for template in templates:
+                vocabulary.declare(template.pred_name, template.pred_arity)
+            for plural in _NL_PLURALS:
+                vocabulary.declare(plural, 1)
+            table = ConceptTable(vocabulary)
+            spatial = [t for t in templates if not t.is_retrieval]
+            retrieval = [t for t in templates if t.is_retrieval]
+            if rng.random() < 0.5:
+                text, f = _nl_command(rng, rng.choice(retrieval), spatial, vocabulary)
+                commands += 1
+            else:
+                text, f = _nl_sentence(rng, rng.choice(spatial), vocabulary)
+            if rng.random() < 0.5:
+                text = text[:1].upper() + text[1:]
+            parsed = pars(text, templates, vocabulary)
+            if parsed != f:
+                return False, f"case {case}: {text!r} parses to {serialize(parsed)}"
+            said = render_nl(parsed, table, templates)  # render(f), as parsed == f
+            back = pars(said, templates, vocabulary)
+            if back != parsed:  # pars(render(pars(s))) == pars(s)
+                return False, f"case {case}: {text!r} renders as {said!r}, which parses apart"
+            again = render_nl(back, table, templates)
+            if again != said:  # render(pars(render(f))) == render(f)
+                return False, f"case {case}: {said!r} renders again as {again!r}"
+        except EngineError as exc:
+            return False, f"case {case}: {type(exc).__name__}: {exc}"
+    elapsed = time.monotonic() - started
+    return True, (f"{cases - commands} sentences and {commands} commands round-tripped "
+                  f"in {elapsed:.1f}s")
+
+
 ALL_CHECKS = (
     ("homomorphism", check_homomorphism),
     ("tarski", check_tarski),
     ("union", check_union),
     ("join-bookkeeping", check_join_bookkeeping),
     ("parse", check_parse),
+    ("nl", check_nl),
 )
 
 

@@ -9,11 +9,15 @@ an individual atomic concept for a grounded proposition, runs the
 process once and hands its relation to the registry owner's install
 function, which puts it in the world; worlds never run a process.
 
-The language side is deliberately narrow: a verb template file drives
-both the chunking of spatial commands into figure / verb / spatial
-relation / landmark clauses and the inverse rendering of formulas and
-Know atoms back to sentences.  Unmatched input is an error, never a
-guess.
+The language side is deliberately narrow.  Verb templates give each
+verb's lemma and past form; ``FRAMES`` spells every tense's verb from
+them once.  ``pars`` reads those forms to chunk spatial sentences into
+figure / verb / spatial relation / landmark clauses and to read
+retrieval commands, and ``render_nl`` writes them back, so a parsed
+sentence renders as one that parses to the same formula.  A template
+whose verb form is taken or whose relation slot ``pars`` cannot fill,
+unmatched input, and an atom whose arity or tense no frame has are
+errors, never a guess.
 
 Corpus file, one record per line:      clip <id> satisfies=<true|false>
 Verb template file, one per line:      verb <lemma> past=<form> pred=<name>/<arity> slots=<s1,s2,...>
@@ -25,7 +29,7 @@ from __future__ import annotations
 import re
 from typing import Callable
 
-from .prp import Concept, ConceptTable, NULL_NAME, SELF_NAME
+from .prp import Concept, ConceptTable, NULL_NAME, Particular, SELF_NAME
 from .relalg import Relation
 from .syntax import (
     AbstractedTerm,
@@ -35,6 +39,7 @@ from .syntax import (
     EngineError,
     Formula,
     KNOW_NAME,
+    TENSES,
     Value,
     Variable,
     Vocabulary,
@@ -126,14 +131,17 @@ class GroundingRegistry:
 # Table-driven mock processes
 
 
+def _records(source) -> list[tuple[int, str]]:
+    """(line number, text) of each record of a corpus or template file."""
+    lines = source.splitlines() if isinstance(source, str) else list(source)
+    stripped = ((no, raw.strip()) for no, raw in enumerate(lines, 1))
+    return [(no, line) for no, line in stripped if line and not line.startswith("#")]
+
+
 def load_corpus(source) -> list[tuple[str, bool]]:
     """Parse a clip corpus; returns (clip id, positive label) in file order."""
-    lines = source.splitlines() if isinstance(source, str) else list(source)
     out = []
-    for no, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for no, line in _records(source):
         m = re.fullmatch(r"clip\s+(\S+)\s+satisfies=(true|false)", line)
         if m is None:
             raise GroundingError(f"corpus line {no}: cannot parse {line!r}")
@@ -152,7 +160,7 @@ def retrieval_process(
 ) -> GroundingProcess:
     """PR-style mock for the retrieval predicate: emits one tuple
     (present, self, clip, query) per positively labelled clip."""
-    now = table.particular("in_present")
+    now = table.particular(_PRESENT)
     me = table.particular(SELF_NAME)
     rel = Relation(
         4,
@@ -205,6 +213,23 @@ class VerbTemplate(Value):
     def object_word(self) -> str:
         return self.slots[0]
 
+    def spell(self, form: str) -> str:
+        """A verb form of ``FRAMES`` filled with this verb."""
+        return form.format(lemma=self.lemma, past=self.past)
+
+
+ARTICLES = ("the", "a", "an")
+SPATIAL_RELATIONS = ("from", "through", "to")
+_PAST, _PRESENT, _FUTURE = TENSES
+
+# Each tense's verb, written once: the third person of a sentence and the
+# command voice of a retrieval, which pars reads and render_nl writes, and
+# the first person of a known and of a stamped (consolidated) retrieval.
+FRAMES = {
+    _PAST: ("{past}", "{past}", "I {past}", "I have {past}"),
+    _PRESENT: ("{lemma}s", "{lemma}", "I am (me) {lemma}ing", "I am (me) {lemma}ing"),
+    _FUTURE: ("will {lemma}", "will {lemma}", "I will {lemma}", "I will {lemma}"),
+}
 
 _TEMPLATE_RE = re.compile(
     r"verb\s+(\S+)\s+past=(\S+)\s+pred=([A-Za-z_][A-Za-z0-9_]*)/([0-9]+)\s+slots=(\S+)"
@@ -213,61 +238,68 @@ _TEMPLATE_RE = re.compile(
 
 class TemplateSet:
     def __init__(self):
-        self._by_lemma: dict[str, VerbTemplate] = {}
-        self._by_past: dict[str, VerbTemplate] = {}
+        self._forms: dict[tuple[str, ...], tuple[VerbTemplate, str]] = {}
+        self._width = 0  # words in the longest verb form
         self._by_pred: dict[str, VerbTemplate] = {}
 
+    def __iter__(self):
+        return iter(self._by_pred.values())
+
     def add(self, template: VerbTemplate) -> None:
-        if template.is_retrieval:
-            expected = 2 + len(template.slots)
-        else:
-            expected = 1 + len(template.slots)
+        """Register ``template`` and index the forms ``pars`` reads; a form
+        already taken, or a relation slot ``pars`` cannot fill, is an error."""
+        slots, retrieval = template.slots, template.is_retrieval
+        expected = 4 if retrieval else 1 + len(slots)  # the arguments pars fills
         if template.pred_arity != expected:
             raise GroundingError(
                 f"template for {template.pred_name}/{template.pred_arity} expects "
                 f"{expected} argument(s) from its slots"
             )
-        self._by_lemma[template.lemma] = template
-        self._by_past[template.past] = template
+        relations = slots[1:-1] if retrieval else slots[1:]
+        for i, slot in enumerate(relations):
+            if retrieval or slot not in SPATIAL_RELATIONS:
+                raise GroundingError(f"unknown relation slot {slot!r}")
+            if slot in relations[:i]:
+                raise GroundingError(f"repeated relation slot {slot!r}")
+        forms = {}
+        for tense, frame in FRAMES.items():
+            for column in frame[:2]:
+                form = tuple(template.spell(column).split())
+                taken = forms.get(form) or self._forms.get(form)
+                if taken not in (None, (template, tense)):
+                    raise GroundingError(f"verb form {' '.join(form)!r} is already taken "
+                                         f"by {taken[0].pred_name} ({taken[1]})")
+                forms[form] = (template, tense)
+        self._forms.update(forms)
+        self._width = max([self._width] + [len(form) for form in forms])
         self._by_pred[template.pred_name] = template
 
     def for_predicate(self, name: str) -> VerbTemplate | None:
         return self._by_pred.get(name)
 
-    def find_verb(self, tokens: list[str]) -> tuple[int, VerbTemplate, str] | None:
-        """First verb occurrence: (index, template, tense)."""
-        for i, tok in enumerate(tokens):
-            if tok in self._by_past:
-                return i, self._by_past[tok], "in_past"
-            if tok in self._by_lemma:
-                tense = "in_future" if i > 0 and tokens[i - 1] == "will" else "in_present"
-                return i, self._by_lemma[tok], tense
-            if tok.endswith("s") and tok[:-1] in self._by_lemma:
-                return i, self._by_lemma[tok[:-1]], "in_present"
+    def find_verb(self, tokens: list[str]) -> tuple[int, int, VerbTemplate, str] | None:
+        """The first verb form in ``tokens``, the longest one at its start:
+        (index, number of words, template, tense)."""
+        for i in range(len(tokens)):
+            for width in range(self._width, 0, -1):
+                found = self._forms.get(tuple(tokens[i : i + width]))
+                if found is not None:
+                    return (i, width) + found
         return None
 
 
 def load_templates(source) -> TemplateSet:
-    lines = source.splitlines() if isinstance(source, str) else list(source)
     templates = TemplateSet()
-    for no, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for no, line in _records(source):
         m = _TEMPLATE_RE.fullmatch(line)
         if m is None:
             raise GroundingError(f"template line {no}: cannot parse {line!r}")
-        templates.add(
-            VerbTemplate(
-                m.group(1), m.group(2), m.group(3), int(m.group(4)),
-                tuple(m.group(5).split(",")),
-            )
-        )
+        template = VerbTemplate(m[1], m[2], m[3], int(m[4]), tuple(m[5].split(",")))
+        try:
+            templates.add(template)
+        except GroundingError as exc:
+            raise GroundingError(f"template line {no}: {exc}") from None
     return templates
-
-
-ARTICLES = ("the", "a", "an")
-SPATIAL_RELATIONS = ("from", "through", "to")
 
 
 def _tokens(nl) -> list[str]:
@@ -291,25 +323,17 @@ def chunk_sdcs(tokens: list[str], template: VerbTemplate, verb_index: int) -> li
             chunks.append((tok, []))
         else:
             chunks[-1][1].append(tok)
-    seen = set()
+    figure, verb = " ".join(figure_words), tokens[verb_index]
     sdcs = []
-    for i, (sr, landmark_words) in enumerate(chunks):
-        if sr in seen:
+    for sr, landmark_words in chunks:
+        if any(s.spatial_relation == sr for s in sdcs):
             raise NotParseable(f"duplicate spatial relation {sr!r}")
         if not landmark_words:
             raise NotParseable(f"spatial relation {sr!r} lacks a landmark")
-        seen.add(sr)
-        sdcs.append(
-            SDC(
-                figure=" ".join(figure_words) if i == 0 else None,
-                verb=tokens[verb_index] if i == 0 else None,
-                spatial_relation=sr,
-                landmark=" ".join(landmark_words),
-            )
-        )
-    if not sdcs:
-        return [SDC(figure=" ".join(figure_words), verb=tokens[verb_index])]
-    return sdcs
+        first = not sdcs  # the first clause carries the figure and the verb
+        sdcs.append(SDC(figure if first else None, verb if first else None, sr,
+                        " ".join(landmark_words)))
+    return sdcs or [SDC(figure, verb)]
 
 
 def pars(nl, templates: TemplateSet, vocabulary: Vocabulary) -> Formula:
@@ -328,10 +352,8 @@ def pars(nl, templates: TemplateSet, vocabulary: Vocabulary) -> Formula:
     found = templates.find_verb(tokens)
     if found is None:
         raise NotParseable(f"no registered verb in {' '.join(tokens)!r}")
-    verb_index, template, tense = found
-    if tense == "in_future":  # the auxiliary belongs to the verb, not the figure
-        del tokens[verb_index - 1]
-        verb_index -= 1
+    verb_index, width, template, tense = found
+    tokens[verb_index : verb_index + width] = [" ".join(tokens[verb_index : verb_index + width])]
     if template.is_retrieval:
         return _pars_retrieval(tokens, verb_index, template, tense, templates, vocabulary)
     return _pars_spatial(tokens, verb_index, template, tense, vocabulary)
@@ -339,15 +361,11 @@ def pars(nl, templates: TemplateSet, vocabulary: Vocabulary) -> Formula:
 
 def _pars_spatial(tokens, verb_index, template, tense, vocabulary) -> Formula:
     sdcs = chunk_sdcs(tokens, template, verb_index)
-    by_relation = {s.spatial_relation: s for s in sdcs if s.spatial_relation}
-    figure = sdcs[0].figure.replace(" ", "_")
-    args = [Constant(tense), Constant(figure)]
+    landmarks = {s.spatial_relation: f"{s.spatial_relation} {s.landmark}" for s in sdcs
+                 if s.spatial_relation}
+    args = [Constant(tense), Constant(sdcs[0].figure.replace(" ", "_"))]
     for slot in template.slots[1:]:
-        sdc = by_relation.get(slot)
-        if sdc is None:
-            args.append(Constant(NULL_NAME))
-        else:
-            args.append(Constant(f"{sdc.spatial_relation}_{sdc.landmark}".replace(" ", "_")))
+        args.append(Constant(landmarks.get(slot, NULL_NAME).replace(" ", "_")))
     pred = vocabulary.resolve(template.pred_name, template.pred_arity)
     return Atom(pred, tuple(args))
 
@@ -401,10 +419,6 @@ def render_nl(x, table: ConceptTable, templates: TemplateSet) -> str:
     text = _render_inner(concept, table, templates, voice="command")
     text = text[:1].upper() + text[1:]
     return f"{text}." if text.startswith("I ") else text
-
-
-def _words(name: str) -> str:
-    return name.replace("_", " ")
 
 
 def _render_inner(u: Concept, table, templates, voice: str = "progressive") -> str:
@@ -476,71 +490,56 @@ def _render_atom(u: Concept, table, templates, partner, voice: str = "progressiv
     return _render_spatial(u, template)
 
 
+def _name(entry) -> str | None:
+    """The name of an entry that holds a particular, else None."""
+    return entry[1].name if entry[0] == "g" and isinstance(entry[1], Particular) else None
+
+
 def _entry_words(entry) -> str:
     if entry[0] == "v":
         return entry[1]
-    return _words(entry[1].name)
+    name = _name(entry)
+    if name is None:
+        raise GroundingError("only a variable or a particular renders as words")
+    return name.replace("_", " ")
+
+
+def _frame(u: Concept, template: VerbTemplate):
+    """Atom ``u`` of ``template``'s predicate, stamped or not, as its stamp's
+    words (or None), its tense's frame and the entries after its tense."""
+    stamped = u.predicate.arity - template.pred_arity
+    if stamped not in (0, 1):
+        raise GroundingError(f"no NL frame for {u.predicate!r}: {template.pred_name} takes "
+                             f"{template.pred_arity} argument(s), or one more for a time stamp")
+    frame = FRAMES.get(_name(u.entries[stamped]))
+    if frame is None:
+        raise GroundingError(f"no NL frame for the tense of {u.predicate!r}: "
+                             f"expected one of {', '.join(FRAMES)}")
+    tau = _entry_words(u.entries[0]) if stamped else None
+    return tau, frame, u.entries[stamped + 1 :]
 
 
 def _render_spatial(u: Concept, template: VerbTemplate) -> str:
-    offset = 1 if u.predicate.arity == 1 + len(template.slots) else 2
-    parts = []
-    if offset == 2:
-        parts.append(f"at {_entry_words(u.entries[0])}")
-    tense = u.entries[offset - 1]
-    if tense[0] != "g":
-        raise GroundingError("spatial atoms render with a ground tense")
-    verb = {
-        "in_past": template.past,
-        "in_present": template.lemma + "s",
-        "in_future": "will " + template.lemma,
-    }[tense[1].name]
-    figure = _entry_words(u.entries[offset])
-    words = [f"the {figure}", verb] + parts
-    for entry in u.entries[offset + 1 :]:
-        if entry[0] == "g" and entry[1].name == NULL_NAME:
-            continue
-        words.append(_entry_words(entry))
+    tau, (third, *_), (figure, *relations) = _frame(u, template)
+    words = [f"the {_entry_words(figure)}", template.spell(third)]
+    if tau is not None:
+        words.append(f"at {tau}")
+    words += [_entry_words(e) for e in relations if _name(e) != NULL_NAME]
     return " ".join(words)
 
 
 def _render_retrieval(u, template, table, templates, partner,
                       voice: str = "progressive") -> str:
-    stamped = u.predicate.arity == 3 + len(template.slots)
-    offset = 1 if stamped else 0
-    tau = _entry_words(u.entries[0]) if stamped else None
-    tense_entry = u.entries[offset]
-    if tense_entry[0] != "g":
-        raise GroundingError("retrieval atoms render with a ground tense")
-    tense = tense_entry[1].name
-    obj = u.entries[offset + 2]
-    query = u.entries[offset + 3]
+    tau, (_, command, first, stamped), (_, obj, query) = _frame(u, template)
     if query[0] != "g" or not isinstance(query[1], Concept):
         raise GroundingError("retrieval atoms render with a reified requirement")
     requirement = _render_inner(query[1], table, templates)
     word = template.object_word
-    if tense == "in_past" and stamped:
-        return (
-            f"I have {template.past} at {tau} the {word} {_entry_words(obj)} "
-            f"which satisfied user requirement '{requirement}'"
-        )
-    if tense == "in_present" and obj[0] == "v":
-        if voice == "command":
-            suffix = (
-                f" in the given set of {partner.predicate.name}"
-                if partner is not None
-                else ""
-            )
-            return f"{template.lemma} {word} such that {requirement}{suffix}"
-        suffix = (
-            f" in the set of {partner.predicate.name}" if partner is not None else ""
-        )
-        return f"I am (me) {template.lemma}ing {word} such that {requirement}{suffix}"
-    if tense == "in_present":
-        return (
-            f"I am (me) {template.lemma}ing the {word} {_entry_words(obj)} "
-            f"such that {requirement}"
-        )
-    if tense == "in_future":
-        return f"I will {template.lemma} the {word} {_entry_words(obj)} such that {requirement}"
-    return f"I {template.past} the {word} {_entry_words(obj)} such that {requirement}"
+    if tau is not None:
+        return (f"{template.spell(stamped)} at {tau} the {word} {_entry_words(obj)} "
+                f"which satisfied user requirement '{requirement}'")
+    if obj[0] != "v":
+        return f"{template.spell(first)} the {word} {_entry_words(obj)} such that {requirement}"
+    verb, where = (command, "the given set") if voice == "command" else (first, "the set")
+    suffix = f" in {where} of {partner.predicate.name}" if partner is not None else ""
+    return f"{template.spell(verb)} {word} such that {requirement}{suffix}"

@@ -9,6 +9,7 @@ import time
 from intenlog.checks import (
     check_homomorphism,
     check_join_bookkeeping,
+    check_nl,
     check_tarski,
     check_union,
 )
@@ -216,3 +217,10 @@ def test_acceptance_8_answer_fixture():
         for text, got, want in results:
             print(f"  answer({text}) = {got}, want {want}")
     _report(8, "yes/no/unknown over nine queries", ok)
+
+
+def test_acceptance_9_nl_round_trip():
+    started = time.monotonic()
+    ok, detail = check_nl()
+    elapsed = time.monotonic() - started
+    _report(9, f"pars and render_nl invert each other, {detail}", ok and elapsed < 30.0)

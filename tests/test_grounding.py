@@ -1,7 +1,10 @@
 import pytest
 
-from intenlog.demo import NL_COMMAND, NL_QUERY, build_demo_session
+from intenlog import grounding
+from intenlog.checks import check_nl
+from intenlog.demo import NL_COMMAND, NL_QUERY, build_demo_session, fixture_text
 from intenlog.grounding import (
+    FRAMES,
     GroundingError,
     GroundingProcess,
     NotParseable,
@@ -60,6 +63,38 @@ class TestCorpusAndTemplates:
     def test_template_rejects_garbage(self):
         with pytest.raises(GroundingError, match="line 1"):
             load_templates("verb walk walked")
+
+    @pytest.mark.parametrize("line, message", [
+        ("verb walk past=strolled pred=Stroll/5 slots=figure,from,through,to",
+         "verb form 'walks' is already taken by Walk"),
+        ("verb stroll past=walked pred=Stroll/5 slots=figure,from,through,to",
+         "verb form 'walked' is already taken by Walk"),
+        ("verb go past=gos pred=Go/2 slots=figure", "verb form 'gos' is already taken by Go"),
+    ])
+    def test_a_verb_form_is_read_one_way(self, line, message):
+        """pars reads each verb form as one template and tense, so a form
+        another template or tense already has is an error naming its line."""
+        with pytest.raises(GroundingError, match=f"^template line 4: {message}"):
+            load_templates(fixture_text("templates.txt") + line)
+
+    @pytest.mark.parametrize("slots, message", [
+        ("figure,into", "unknown relation slot 'into'"),
+        ("figure,to,from,to", "repeated relation slot 'to'"),
+        ("clip,from,query", "unknown relation slot 'from'"),
+    ])
+    def test_a_relation_slot_is_one_pars_fills(self, slots, message):
+        arity = 4 if slots.endswith("query") else len(slots.split(",")) + 1
+        with pytest.raises(GroundingError, match=f"^template line 2: {message}"):
+            load_templates(f"# a comment\nverb go past=went pred=Go/{arity} slots={slots}")
+
+    def test_a_retrieval_template_has_the_arity_pars_fills(self):
+        """pars builds a retrieval atom of tense, me, object and query."""
+        with pytest.raises(GroundingError, match="^template line 1: .* expects 4 argument"):
+            load_templates("verb seek past=sought pred=Seek/3 slots=query")
+
+    def test_the_bundled_templates_load(self):
+        templates = load_templates(fixture_text("templates.txt"))
+        assert [t.pred_name for t in templates] == ["Walk", "Find"]
 
 
 class TestRegistry:
@@ -255,6 +290,16 @@ class TestPars:
         with pytest.raises(NotParseable, match="figure"):
             pars("walked from the door to the kitchen", TEMPLATES, vocab)
 
+    @pytest.mark.parametrize("text", [
+        "will find videoclip such that the cat walked from the door",
+        "found videoclip such that the cat walked from the door in the given set of videoclips",
+    ])
+    def test_an_open_command_round_trips_outside_the_present(self, vocab, text):
+        f = pars(text, TEMPLATES, vocab)
+        rendered = render_nl(f, ConceptTable(vocab), TEMPLATES)
+        assert rendered == text.capitalize()
+        assert pars(rendered, TEMPLATES, vocab) == f
+
     def test_malformed_command(self, vocab):
         with pytest.raises(NotParseable, match="such that"):
             pars("find videoclip quickly", TEMPLATES, vocab)
@@ -423,3 +468,23 @@ class TestRenderNL:
         text = render_nl(self.info["command"], self.table, self.session.templates)
         reparsed = pars(text, self.session.templates, self.session.vocabulary)
         assert reparsed == self.info["command"]
+
+
+def _drop_will(frames):
+    future = "in_future"
+    return {**frames, future: tuple(f.replace("will ", "") for f in frames[future])}
+
+
+def _swap_command_and_first_person(frames):
+    return {tense: (third, first, command, stamped)
+            for tense, (third, command, first, stamped) in frames.items()}
+
+
+@pytest.mark.parametrize("mutate, detail", [
+    (_drop_will, "verb form 'walk' is already taken"),
+    (_swap_command_and_first_person, "parses to"),
+])
+def test_the_nl_check_fails_on_a_mutated_frame_table(monkeypatch, mutate, detail):
+    monkeypatch.setattr(grounding, "FRAMES", mutate(FRAMES))
+    ok, message = check_nl(cases=300)
+    assert not ok and detail in message

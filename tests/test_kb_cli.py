@@ -14,6 +14,7 @@ from intenlog.demo import NL_QUERY, build_demo_session, fixture_text, write_trac
 from intenlog.grounding import (
     corpus_process,
     load_corpus,
+    load_templates,
     pars,
     retrieval_process,
     truth_process,
@@ -663,6 +664,48 @@ class TestRepl:
             "walked from the couches in the room to the dining room table "
             "in the set of videoclips."
         ]
+
+    WALK = "<< Walk(in_past, cat, from_a, NULL, to_b) >>"
+    # repl lines -> the last line's output: rendering an atom whose arity or
+    # tense word no frame has is one error line, and a stamp is rendered
+    RENDER_CASES = {
+        "tense-word": (["predicate Walk/5", "know << Walk(a, cat, NULL, NULL, NULL) >>",
+                        "render k1"],
+                       "error: no NL frame for the tense of Walk/5: "
+                       "expected one of in_past, in_present, in_future"),
+        "short-spatial": (["predicate Walk/3", "know << Walk(in_past, cat, b) >>",
+                           "render k1"],
+                          "error: no NL frame for Walk/3: Walk takes 5 argument(s), "
+                          "or one more for a time stamp"),
+        "short-retrieval": (["predicate Find/2", "know << Find(in_past, me) >>",
+                             "render k1"],
+                            "error: no NL frame for Find/2: Find takes 4 argument(s), "
+                            "or one more for a time stamp"),
+        "time-for-tense": (["predicate Walk/5", "predicate Find/4",
+                            f"know << Find(t1, me, c1, {WALK}) >>", "render k1"],
+                           "error: no NL frame for the tense of Find/4: "
+                           "expected one of in_past, in_present, in_future"),
+        "reified-tense": (["predicate Walk/5", "know << Walk(<< Top >>, cat, NULL, NULL, NULL) >>",
+                           "render k1"],
+                          "error: no NL frame for the tense of Walk/5: "
+                          "expected one of in_past, in_present, in_future"),
+        "reified-figure": (["predicate Walk/5",
+                            "know << Walk(in_past, << Top >>, NULL, NULL, NULL) >>", "render k1"],
+                           "error: only a variable or a particular renders as words"),
+        "stamped-future": (["predicate Walk/5", "predicate Find/4",
+                            f"know << Find(in_future, me, c1, {WALK}) >>",
+                            "consolidate --tau t1", "render k2"],
+                           "I know that I will find at t1 the videoclip c1 which satisfied "
+                           "user requirement 'the cat walked from a to b'."),
+    }
+
+    @pytest.mark.parametrize("case", RENDER_CASES)
+    def test_render_reads_each_atom_through_a_frame(self, case):
+        lines, rendered = self.RENDER_CASES[case]
+        session = Session()
+        session.templates = load_templates(fixture_text("templates.txt"))
+        out = self.run("\n".join(lines + ["eval Top", "quit"]) + "\n", session)
+        assert out[-2:] == [rendered, "t"]
 
     def test_negating_an_open_know_atom_is_a_reported_error(self):
         out = self.run(
